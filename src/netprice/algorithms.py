@@ -163,19 +163,27 @@ def recognize_split(graph: WeightedGraph) -> SplitPartition | None:
     if sum(ranked[:m]) != m * (m - 1) + sum(ranked[m:]):
         return None
     clique = sorted(order[:m], key=lambda v: (degrees[v], v))
-    independent = sorted(order[m:])
+    return SplitPartition(tuple(clique), tuple(sorted(order[m:])))
+
+
+def _check_partition(graph: WeightedGraph, partition: SplitPartition) -> None:
+    """Raise ValueError unless ``partition`` splits ``graph`` into a clique
+    and an independent set covering every node exactly once."""
+    clique, independent = partition.clique, partition.independent
+    if sorted([*clique, *independent]) != list(range(graph.node_count)):
+        raise ValueError("partition must cover every node exactly once")
     neighbor_sets = [set() for _ in range(graph.node_count)]
     for u, v, _ in graph.edges:
         neighbor_sets[u].add(v)
         neighbor_sets[v].add(u)
-    assert all(
-        b in neighbor_sets[a] for i, a in enumerate(clique) for b in clique[i + 1:]
-    ), "degree test accepted a non-clique"
+    for i, a in enumerate(clique):
+        for b in clique[i + 1:]:
+            if b not in neighbor_sets[a]:
+                raise ValueError(f"partition clique misses edge ({a}, {b})")
     indep_set = set(independent)
-    assert all(
-        not (u in indep_set and v in indep_set) for u, v, _ in graph.edges
-    ), "degree test accepted a non-independent part"
-    return SplitPartition(tuple(clique), tuple(independent))
+    for u, v, _ in graph.edges:
+        if u in indep_set and v in indep_set:
+            raise ValueError(f"partition independent set contains edge ({u}, {v})")
 
 
 def split_dp(instance: PncInstance, partition: SplitPartition | None = None) -> PricingResult:
@@ -198,23 +206,10 @@ def split_dp(instance: PncInstance, partition: SplitPartition | None = None) -> 
         partition = recognize_split(graph)
         if partition is None:
             raise ValueError("split_dp requires a split graph")
+    _check_partition(graph, partition)
     degrees = graph.degrees
     clique = tuple(sorted(partition.clique, key=lambda v: (degrees[v], v)))
-    independent = tuple(sorted(partition.independent))
-    indep_set = set(independent)
-    if sorted(clique + independent) != list(range(n)):
-        raise ValueError("partition must cover every node exactly once")
-    neighbor_sets = [set() for _ in range(n)]
-    for u, v, _ in graph.edges:
-        neighbor_sets[u].add(v)
-        neighbor_sets[v].add(u)
-    for i, a in enumerate(clique):
-        for b in clique[i + 1:]:
-            if b not in neighbor_sets[a]:
-                raise ValueError(f"partition clique misses edge ({a}, {b})")
-    for u, v, _ in graph.edges:
-        if u in indep_set and v in indep_set:
-            raise ValueError(f"partition independent set contains edge ({u}, {v})")
+    indep_set = set(partition.independent)
 
     k = len(clique)
     clique_deg = [degrees[v] for v in clique]  # nondecreasing
@@ -258,7 +253,8 @@ def split_dp(instance: PncInstance, partition: SplitPartition | None = None) -> 
             ahead += bucket[d]
             if bucket[d] == 0:
                 continue
-            assert d <= lowest_clique_deg, "independent degree above the whole clique"
+            if d > lowest_clique_deg:
+                raise RuntimeError(f"independent degree {d} above the whole clique")
             candidate = (i + ahead) * d
             if candidate > best:
                 best = candidate
@@ -279,7 +275,8 @@ def split_dp(instance: PncInstance, partition: SplitPartition | None = None) -> 
             break
     realizer = tuple(prices)
     trace = simulate(instance, realizer)
-    assert trace.total_revenue == opt[k], "realizer must reproduce the table optimum"
+    if trace.total_revenue != opt[k]:
+        raise RuntimeError(f"split_dp realizer {realizer} does not reproduce revenue {opt[k]}")
     return PricingResult(realizer, opt[k], trace)
 
 

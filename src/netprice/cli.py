@@ -31,7 +31,7 @@ from .algorithms import (
 )
 from .core import PncInstance, dumps_instance, load_instance, loads_instance
 from .engine import simulate
-from .generators import GenSpec, gen_ba, gen_er, gen_forest
+from .generators import FAMILIES, GenSpec, gen_ba, gen_er, gen_forest
 from .oracle import OracleBudgetError, OracleConfig, exact_opt
 from .reduction import (
     CnfError,
@@ -56,7 +56,6 @@ class ExperimentSpec:
     trials: int = 20
     master_seed: int = 0
     params: dict = field(default_factory=dict)
-    output: str | None = None
     seeds: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
@@ -184,18 +183,20 @@ def experiment_tasks(spec: ExperimentSpec) -> list[tuple[str, int, dict]]:
 def run_experiment(spec: ExperimentSpec, jobs: int | None = None) -> str:
     """Run a spec's trials (optionally in parallel) and return CSV text.
 
-    Trials are pure functions of their seed, so parallel execution merges
-    results in seed order and the output is byte-reproducible.
+    At most ``min(jobs, trials, CPU count)`` worker processes start. Trials
+    are pure functions of their seed, so parallel execution merges results
+    in seed order and the output is byte-reproducible.
     """
     if jobs is None:
         jobs = int(os.environ.get("NETPRICE_JOBS", "1"))
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
     tasks = experiment_tasks(spec)
-    if jobs == 1 or len(tasks) == 1:
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers == 1:
         rows = [_run_trial(task) for task in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_run_trial, tasks))
     lines = [",".join(EXPERIMENT_HEADERS[spec.experiment])]
     lines.extend(",".join(row) for row in rows)
@@ -223,32 +224,14 @@ def _write_text(text: str, path: str) -> None:
             handle.write(text)
 
 
-def _gen_params(args: argparse.Namespace) -> dict:
-    family = "split" if args.family == "core_peripheral" else args.family
-    required = {
-        "er": ("n", "eta"),
-        "ba": ("n", "beta"),
-        "spider": ("k",),
-        "example1": ("k",),
-        "split": ("n",),
-        "forest": ("n",),
-    }[family]
-    for name in required:
-        if getattr(args, name) is None:
-            raise ValueError(f"--{name} is required for family {args.family!r}")
-    if family == "er":
-        return {"n": args.n, "eta": args.eta}
-    if family == "ba":
-        return {"n": args.n, "beta": args.beta}
-    if family in ("spider", "example1"):
-        return {"k": args.k}
-    if family == "split":
-        return {"n": args.n, "clique_fraction": args.clique_fraction, "edge_prob": args.edge_prob}
-    return {"n": args.n, "tree_count": args.trees}
-
-
 def _cmd_gen(args: argparse.Namespace) -> int:
-    spec = GenSpec(args.family, _gen_params(args), args.seed)
+    params = {}
+    for name in FAMILIES[args.family].params:
+        value = getattr(args, name)
+        if value is None:
+            raise ValueError(f"--{name} is required for family {args.family!r}")
+        params[name] = value
+    spec = GenSpec(args.family, params, args.seed)
     _write_text(dumps_instance(spec.build()), args.out)
     return 0
 
@@ -370,7 +353,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         trials=args.trials,
         master_seed=args.master_seed,
         params=params,
-        output=None if args.out == "-" else args.out,
     )
     _write_text(run_experiment(spec, jobs=args.jobs), args.out)
     return 0
@@ -384,15 +366,14 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate an instance from a graph family")
-    gen.add_argument("--family", required=True,
-                     choices=["er", "ba", "spider", "example1", "split", "core_peripheral", "forest"])
+    gen.add_argument("--family", required=True, choices=list(FAMILIES))
     gen.add_argument("--n", type=int)
     gen.add_argument("--eta", type=float)
     gen.add_argument("--beta", type=int)
     gen.add_argument("--k", type=int)
     gen.add_argument("--clique-fraction", type=float, default=0.3)
     gen.add_argument("--edge-prob", type=float, default=0.5)
-    gen.add_argument("--trees", type=int, default=1)
+    gen.add_argument("--trees", dest="tree_count", type=int, default=1)
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", default="-")
     gen.set_defaults(handler=_cmd_gen)

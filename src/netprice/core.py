@@ -39,19 +39,23 @@ class WeightedGraph:
         n = _as_int(self.node_count, "node_count")
         if n < 1:
             raise ValueError(f"node_count must be >= 1, got {n}")
+        # The only per-edge validator in the package: every loaded or generated
+        # graph passes through here once. Error text is built only on failure.
         canonical = []
         for idx, edge in enumerate(self.edges):
-            if len(edge) != 3:
-                raise ValueError(f"edges[{idx}]: expected (u, v, w), got {edge!r}")
-            u, v, w = edge
-            u = _as_int(u, f"edges[{idx}]: endpoint")
-            v = _as_int(v, f"edges[{idx}]: endpoint")
-            w = _as_int(w, f"edges[{idx}]: weight")
-            if u == v:
-                raise ValueError(f"edges[{idx}]: self loop at node {u}")
+            try:
+                u, v, w = edge
+            except (TypeError, ValueError):
+                raise ValueError(f"edges[{idx}]: expected (u, v, w), got {edge!r}") from None
+            if type(u) is not int or type(v) is not int or type(w) is not int:
+                _as_int(u, f"edges[{idx}]: endpoint")
+                _as_int(v, f"edges[{idx}]: endpoint")
+                _as_int(w, f"edges[{idx}]: weight")
             if u > v:
                 u, v = v, u
-            if not (0 <= u < v < n):
+            elif u == v:
+                raise ValueError(f"edges[{idx}]: self loop at node {u}")
+            if u < 0 or v >= n:
                 raise ValueError(f"edges[{idx}]: endpoints ({u}, {v}) out of range for n={n}")
             if w < 1:
                 raise ValueError(f"edges[{idx}]: weight must be >= 1, got {w}")
@@ -62,18 +66,6 @@ class WeightedGraph:
                 raise ValueError(f"duplicate edge ({u1}, {v1})")
         object.__setattr__(self, "node_count", n)
         object.__setattr__(self, "edges", tuple(canonical))
-
-    @classmethod
-    def _from_canonical(cls, node_count: int, edges: tuple[tuple[int, int, int], ...]) -> "WeightedGraph":
-        """Skip validation for edges already unique, sorted, and in range.
-
-        Only for generators that guarantee canonical form by construction;
-        validating half a million edges one by one is the dominant cost there.
-        """
-        graph = object.__new__(cls)
-        object.__setattr__(graph, "node_count", node_count)
-        object.__setattr__(graph, "edges", edges)
-        return graph
 
     @property
     def edge_count(self) -> int:
@@ -260,21 +252,18 @@ def loads_instance(text: str) -> PncInstance:
     raw_edges = payload.get("edges", [])
     if not isinstance(raw_edges, list):
         raise ValueError("'edges' must be a list of [u, v, w] triples")
-    edges = []
-    for idx, item in enumerate(raw_edges):
-        if not isinstance(item, list) or len(item) != 3:
-            raise ValueError(f"edges[{idx}]: expected [u, v, w], got {item!r}")
-        u, v, w = item
-        if _as_int(u, f"edges[{idx}]: u") >= _as_int(v, f"edges[{idx}]: v"):
-            raise ValueError(f"edges[{idx}]: endpoints must satisfy u < v")
-        edges.append((u, v, _as_int(w, f"edges[{idx}]: w")))
     nu = payload.get("nu")
     if nu is not None:
         if not isinstance(nu, list):
             raise ValueError("'nu' must be a list of integers")
         if len(nu) != n:
             raise ValueError(f"'nu' has {len(nu)} entries for n={n}")
-    return PncInstance.from_edges(n, edges, nu)
+    instance = PncInstance.from_edges(n, raw_edges, nu)
+    # the file format also fixes each edge's orientation
+    for idx, (u, v, _) in enumerate(raw_edges):
+        if u >= v:
+            raise ValueError(f"edges[{idx}]: endpoints must satisfy u < v")
+    return instance
 
 
 def load_instance(path: str) -> PncInstance:

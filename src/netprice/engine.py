@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .core import PncInstance, PriceSequence, SaleRound, SaleTrace, validate_prices
+from .core import PncInstance, PriceSequence, SaleRound, SaleTrace, total_value, validate_prices
 
 
 def simulate(instance: PncInstance, prices: Sequence[int]) -> SaleTrace:
@@ -62,18 +62,12 @@ def normalize(instance: PncInstance, prices: Sequence[int]) -> PriceSequence:
     Raising a round's price to the minimum total value among that round's
     buyers leaves every buyer set unchanged and never lowers revenue, so the
     result sells the same partition for at least the original revenue.
+    Empty rounds change nobody's value, so one trace serves both steps.
     """
-    irredundant = make_irredundant(instance, prices)
-    trace = simulate(instance, irredundant)
-    adjacency = instance.graph.adjacency
-    intrinsic = instance.intrinsic
     remaining = set(range(instance.node_count))
     normalized = []
-    for r in trace.rounds:
-        cheapest = min(
-            intrinsic[i] + sum(w for j, w in adjacency[i] if j in remaining)
-            for i in r.buyers
-        )
-        normalized.append(cheapest)
-        remaining -= r.buyers
+    for r in simulate(instance, prices).rounds:
+        if r.buyers:
+            normalized.append(min(total_value(instance, i, remaining) for i in r.buyers))
+            remaining -= r.buyers
     return tuple(normalized)

@@ -12,11 +12,13 @@ import heapq
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import repeat
+from typing import Callable
 
 import numpy as np
 
 from .algorithms import SplitPartition
-from .core import PncInstance, WeightedGraph
+from .core import PncInstance
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -37,9 +39,7 @@ def gen_er(n: int, eta: float, seed: int) -> PncInstance:
     rng = _rng(seed)
     us, vs = np.triu_indices(n, k=1)
     keep = rng.random(len(us)) < eta
-    edges = tuple((int(u), int(v), 1) for u, v in zip(us[keep], vs[keep]))
-    graph = WeightedGraph._from_canonical(n, edges)  # triu order is already canonical
-    return PncInstance(graph, (0,) * n)
+    return PncInstance.from_edges(n, zip(us[keep].tolist(), vs[keep].tolist(), repeat(1)))
 
 
 def gen_ba(n: int, beta: int, seed: int) -> PncInstance:
@@ -74,9 +74,7 @@ def gen_ba(n: int, beta: int, seed: int) -> PncInstance:
             edges.append((node, arrival, 1))
             targets.append(node)
             targets.append(arrival)
-    edges.sort()
-    graph = WeightedGraph._from_canonical(n, tuple(edges))
-    return PncInstance(graph, (0,) * n)
+    return PncInstance.from_edges(n, edges)
 
 
 def gen_spider(k: int) -> PncInstance:
@@ -112,8 +110,7 @@ def gen_example1(k: int) -> PncInstance:
                 for b in range(a + 1, start + size):
                     edges.append((a, b, 1))
             start += size
-    graph = WeightedGraph._from_canonical(n, tuple(edges))
-    return PncInstance(graph, (0,) * n)
+    return PncInstance.from_edges(n, edges)
 
 
 def gen_split(
@@ -158,17 +155,26 @@ def _tree_count(m: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _forest_count(n: int, t: int) -> int:
-    """Labeled forests on n nodes with exactly t components."""
-    if t == 0:
-        return 1 if n == 0 else 0
-    if t > n:
-        return 0
-    total = 0
-    # condition on the size of the component containing the lowest label
-    for m in range(1, n - t + 2):
-        total += math.comb(n - 1, m - 1) * _tree_count(m) * _forest_count(n - m, t - 1)
-    return total
+def _forest_counts(n: int, t: int) -> tuple[tuple[int, ...], ...]:
+    """Labeled forests on k nodes with j components, for every (k, j) that
+    sampling ``t`` trees on ``n`` nodes reaches: j < t and 0 <= k - j <= n - t.
+
+    Row j holds k = j .. j + n - t and is filled from row j - 1, starting
+    from the empty forest, so no depth of recursion is needed.
+    """
+    span = n - t
+    rows = [(1,) + (0,) * span]
+    for j in range(1, t):
+        below = rows[-1]
+        rows.append(tuple(
+            # condition on the size m of the component containing the lowest label
+            sum(
+                math.comb(k - 1, m - 1) * _tree_count(m) * below[k - m - j + 1]
+                for m in range(1, k - j + 2)
+            )
+            for k in range(j, j + span + 1)
+        ))
+    return tuple(rows)
 
 
 def _uniform_below(rng: np.random.Generator, bound: int) -> int:
@@ -216,14 +222,16 @@ def gen_forest(n: int, tree_count: int, seed: int) -> PncInstance:
     if n > 1000:
         raise ValueError("gen_forest's exact sampler is limited to n <= 1000")
     rng = _rng(seed)
+    counts = _forest_counts(n, tree_count)
     labels = list(range(n))
     pairs: list[tuple[int, int]] = []
     remaining_trees = tree_count
     while labels:
         pool = len(labels)
         anchor = labels.pop(0)
+        below = counts[remaining_trees - 1]
         weights = [
-            math.comb(pool - 1, m - 1) * _tree_count(m) * _forest_count(pool - m, remaining_trees - 1)
+            math.comb(pool - 1, m - 1) * _tree_count(m) * below[pool - m - remaining_trees + 1]
             for m in range(1, pool - remaining_trees + 2)
         ]
         total = sum(weights)
@@ -249,12 +257,33 @@ def gen_forest(n: int, tree_count: int, seed: int) -> PncInstance:
 
 
 @dataclass(frozen=True)
-class GenSpec:
-    """A graph family request: family tag, parameters, seed.
+class Family:
+    """How to build a graph family: call ``build`` with the ``params`` values
+    in that order, then the seed if ``seeded``."""
 
-    ``core_peripheral`` is accepted as an alias for ``split`` (a clique core
-    with an independent periphery).
-    """
+    build: Callable[..., PncInstance | tuple[PncInstance, SplitPartition]]
+    params: tuple[str, ...]
+    seeded: bool
+
+
+# The one table of graph families. Builders look their generator up at call
+# time, so a replaced module attribute (a tracing wrapper, say) reaches here.
+_SPLIT = Family(lambda *a: gen_split(*a), ("n", "clique_fraction", "edge_prob"), True)
+FAMILIES: dict[str, Family] = {
+    "er": Family(lambda *a: gen_er(*a), ("n", "eta"), True),
+    "ba": Family(lambda *a: gen_ba(*a), ("n", "beta"), True),
+    "spider": Family(lambda *a: gen_spider(*a), ("k",), False),
+    "example1": Family(lambda *a: gen_example1(*a), ("k",), False),
+    "split": _SPLIT,
+    # a clique core with an independent periphery
+    "core_peripheral": _SPLIT,
+    "forest": Family(lambda *a: gen_forest(*a), ("n", "tree_count"), True),
+}
+
+
+@dataclass(frozen=True)
+class GenSpec:
+    """A graph family request: a ``FAMILIES`` name, its parameters, a seed."""
 
     family: str
     params: dict = field(default_factory=dict)
@@ -265,18 +294,14 @@ class GenSpec:
         return instance
 
     def build_with_partition(self) -> tuple[PncInstance, SplitPartition | None]:
-        p = dict(self.params)
-        family = "split" if self.family == "core_peripheral" else self.family
-        if family == "er":
-            return gen_er(p["n"], p["eta"], self.seed), None
-        if family == "ba":
-            return gen_ba(p["n"], p["beta"], self.seed), None
-        if family == "spider":
-            return gen_spider(p["k"]), None
-        if family == "example1":
-            return gen_example1(p["k"]), None
-        if family == "split":
-            return gen_split(p["n"], p["clique_fraction"], p["edge_prob"], self.seed)
-        if family == "forest":
-            return gen_forest(p["n"], p["tree_count"], self.seed), None
-        raise ValueError(f"unknown family {self.family!r}")
+        family = FAMILIES.get(self.family)
+        if family is None:
+            raise ValueError(f"unknown family {self.family!r}")
+        for name in family.params:
+            if name not in self.params:
+                raise ValueError(f"family {self.family!r} needs parameter {name!r}")
+        args = [self.params[name] for name in family.params]
+        if family.seeded:
+            args.append(self.seed)
+        built = family.build(*args)
+        return built if isinstance(built, tuple) else (built, None)

@@ -46,6 +46,24 @@ class OracleResult:
 NAIVE_NODE_LIMIT = 8
 
 
+def _current_values(instance: PncInstance, mask: int) -> list[tuple[int, int]]:
+    """(current total value, node) for every node in the residual set ``mask``."""
+    adjacency = instance.graph.adjacency
+    intrinsic = instance.intrinsic
+    items = []
+    bits = mask
+    while bits:
+        low = bits & -bits
+        node = low.bit_length() - 1
+        bits ^= low
+        value = intrinsic[node]
+        for neighbor, weight in adjacency[node]:
+            if (mask >> neighbor) & 1:
+                value += weight
+        items.append((value, node))
+    return items
+
+
 def exact_opt(instance: PncInstance, config: OracleConfig | None = None) -> OracleResult:
     """Optimal revenue over all decreasing price sequences, with a realizer.
 
@@ -58,25 +76,9 @@ def exact_opt(instance: PncInstance, config: OracleConfig | None = None) -> Orac
     n = instance.node_count
     if n > cfg.node_limit:
         raise ValueError(f"instance has {n} nodes, above the oracle node limit {cfg.node_limit}")
-    adjacency = instance.graph.adjacency
-    intrinsic = instance.intrinsic
     full = (1 << n) - 1
     # mask -> (best revenue from this residual set, price to post next; 0 = stop)
     memo: dict[int, tuple[int, int]] = {}
-
-    def current_values(mask: int) -> list[tuple[int, int]]:
-        items = []
-        bits = mask
-        while bits:
-            low = bits & -bits
-            node = low.bit_length() - 1
-            bits ^= low
-            value = intrinsic[node]
-            for neighbor, weight in adjacency[node]:
-                if (mask >> neighbor) & 1:
-                    value += weight
-            items.append((value, node))
-        return items
 
     def solve(mask: int) -> int:
         if mask == 0:
@@ -87,7 +89,7 @@ def exact_opt(instance: PncInstance, config: OracleConfig | None = None) -> Orac
         if len(memo) >= cfg.state_budget:
             raise OracleBudgetError(len(memo))
         memo[mask] = (0, 0)  # reserve the slot so the budget counts this state
-        items = current_values(mask)
+        items = _current_values(instance, mask)
         items.sort(reverse=True)
         best = 0
         best_price = 0
@@ -117,14 +119,16 @@ def exact_opt(instance: PncInstance, config: OracleConfig | None = None) -> Orac
             break
         prices.append(price)
         buyers = 0
-        for value, node in current_values(mask):
+        for value, node in _current_values(instance, mask):
             if value >= price:
                 buyers |= 1 << node
         mask &= ~buyers
     realizer = tuple(prices)
 
-    assert all(a > b for a, b in zip(realizer, realizer[1:])), "realizer must decrease"
-    assert simulate(instance, realizer).total_revenue == revenue, "realizer must reproduce the optimum"
+    if any(a <= b for a, b in zip(realizer, realizer[1:])):
+        raise RuntimeError(f"oracle realizer {realizer} does not decrease")
+    if simulate(instance, realizer).total_revenue != revenue:
+        raise RuntimeError(f"oracle realizer {realizer} does not reproduce revenue {revenue}")
     return OracleResult(revenue, realizer, len(memo))
 
 
@@ -138,8 +142,6 @@ def naive_opt(instance: PncInstance) -> int:
     n = instance.node_count
     if n > NAIVE_NODE_LIMIT:
         raise ValueError(f"naive_opt handles at most {NAIVE_NODE_LIMIT} nodes, got {n}")
-    adjacency = instance.graph.adjacency
-    intrinsic = instance.intrinsic
     best = 0
 
     def dfs(mask: int, banked: int) -> None:
@@ -148,17 +150,7 @@ def naive_opt(instance: PncInstance) -> int:
             best = banked
         if mask == 0:
             return
-        items = []
-        bits = mask
-        while bits:
-            low = bits & -bits
-            node = low.bit_length() - 1
-            bits ^= low
-            value = intrinsic[node]
-            for neighbor, weight in adjacency[node]:
-                if (mask >> neighbor) & 1:
-                    value += weight
-            items.append((value, node))
+        items = _current_values(instance, mask)
         if banked + sum(v for v, _ in items) <= best:
             return
         items.sort(reverse=True)

@@ -263,7 +263,8 @@ def assignment_pricing(artifact: ReductionArtifact, assignment: Sequence[bool]) 
             prices.append(6 * scale)
     prices.append(2 * artifact.clause_scale + 1)
     ordered = tuple(sorted(prices, reverse=True))
-    assert all(high > low for high, low in zip(ordered, ordered[1:]))
+    if any(high <= low for high, low in zip(ordered, ordered[1:])):
+        raise RuntimeError(f"assignment prices {ordered} do not strictly decrease")
     return ordered
 
 
@@ -390,8 +391,8 @@ def verify_gadget_claims(artifact: ReductionArtifact) -> GadgetReport:
             ((2 * s,), 10 * s, [x_sold, nx_sold]),
         ]
         for prices, expected, sold in scenarios:
-            if prices not in ((10 * s, 2 * s), (6 * s,)):
-                assert expected < 24 * s
+            if prices not in ((10 * s, 2 * s), (6 * s,)) and expected >= 24 * s:
+                raise RuntimeError(f"variable {i}: off-pattern prices {prices} expect {expected}")
             checks.append(
                 _run_check(artifact, f"variable {i}", prices, members, expected, sold)
             )

@@ -59,6 +59,12 @@ def test_gen_missing_parameter(capsys):
     assert "--eta is required for family 'er'" in capsys.readouterr().err
 
 
+def test_gen_forest_with_many_trees(capsys):
+    assert run_cli(["gen", "--family", "forest", "--n", "1000", "--trees", "995"]) == 0
+    instance = loads_instance(capsys.readouterr().out)
+    assert instance.node_count - instance.graph.edge_count == 995
+
+
 def test_gen_unknown_family_is_usage_error(capsys):
     assert run_cli(["gen", "--family", "smallworld", "--n", "5"]) == 2
     capsys.readouterr()
@@ -291,6 +297,43 @@ def test_experiment_tasks_respect_overrides():
     assert [seed for _, seed, _ in tasks] == [0, 1]
     assert all(params["n"] == 50 and params["eta"] == 0.2 for _, _, params in tasks)
     assert all(params["delta"] == 0.1 for _, _, params in tasks)
+
+
+class _SerialPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
+
+    created = []
+
+    def __init__(self, max_workers):
+        self.created.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+def test_experiment_workers_are_capped(monkeypatch):
+    import netprice.cli
+
+    monkeypatch.setattr(netprice.cli, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(netprice.cli.os, "cpu_count", lambda: 3)
+    _SerialPool.created.clear()
+    spec = ExperimentSpec("forest_ratio", trials=5, master_seed=2, params={"n": 8})
+    serial = run_experiment(spec, jobs=1)
+    assert _SerialPool.created == []
+    assert run_experiment(spec, jobs=64) == serial
+    assert _SerialPool.created == [3]  # the CPU count
+    few = ExperimentSpec("forest_ratio", trials=2, master_seed=2, params={"n": 8})
+    run_experiment(few, jobs=64)
+    assert _SerialPool.created == [3, 2]  # the task count
+    monkeypatch.setattr(netprice.cli.os, "cpu_count", lambda: None)
+    run_experiment(spec, jobs=64)
+    assert _SerialPool.created == [3, 2]  # unknown CPU count: one worker, in-process
 
 
 def test_run_experiment_rejects_bad_jobs():

@@ -1,9 +1,15 @@
 """Data model: graph canonicalization, instances, traces, file format."""
 
+import ast
+import json
 import random
+from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import netprice
 from netprice import (
     PncInstance,
     SaleRound,
@@ -35,6 +41,104 @@ def test_graph_rejects_bad_edges():
         WeightedGraph(3, ((0, 1, True),))
     with pytest.raises(ValueError, match="node_count"):
         WeightedGraph(0, ())
+    with pytest.raises(ValueError, match=r"expected \(u, v, w\)"):
+        WeightedGraph(3, (5,))
+    with pytest.raises(ValueError, match=r"expected \(u, v, w\)"):
+        WeightedGraph(3, ((0, 1),))
+
+
+def _reference_edges(n, edges):
+    """Canonical edge list, or None when any edge breaks a rule."""
+    weights = {}
+    for edge in edges:
+        if not isinstance(edge, (tuple, list)) or len(edge) != 3:
+            return None
+        if any(isinstance(x, bool) or not isinstance(x, int) for x in edge):
+            return None
+        u, v, w = edge
+        pair = (min(u, v), max(u, v))
+        if u == v or pair[0] < 0 or pair[1] >= n or w < 1 or pair in weights:
+            return None
+        weights[pair] = w
+    return [(u, v, w) for (u, v), w in sorted(weights.items())]
+
+
+DEFECTS = ("bool", "float", "self_loop", "out_of_range", "zero_weight",
+           "duplicate", "reversed_duplicate", "non_sequence")
+
+
+@st.composite
+def edge_lists(draw):
+    """A valid edge list in random orientation, then zero or more defects."""
+    n = draw(st.integers(1, 8))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+    edges = []
+    for u, v in chosen:
+        if draw(st.booleans()):
+            u, v = v, u
+        edges.append((u, v, draw(st.integers(1, 9))))
+    valid = list(edges)
+    for defect in draw(st.lists(st.sampled_from(DEFECTS), max_size=2)):
+        at = draw(st.integers(0, len(edges)))
+        u = draw(st.integers(0, n - 1))
+        if defect == "bool":
+            edge = (0, 1, True) if n > 1 else (0, True, 1)
+        elif defect == "float":
+            edge = (float(u), (u + 1) % n, 1) if n > 1 else (0.0, 0, 1)
+        elif defect == "self_loop":
+            edge = (u, u, 1)
+        elif defect == "out_of_range":
+            edge = draw(st.sampled_from([(u, n, 1), (-1, u, 1)]))
+        elif defect == "zero_weight":
+            edge = (u, (u + 1) % n, 0)
+        elif defect in ("duplicate", "reversed_duplicate"):
+            if not valid:
+                continue
+            a, b, _ = draw(st.sampled_from(valid))
+            edge = (b, a, 2) if defect == "reversed_duplicate" else (a, b, 2)
+        else:
+            edge = draw(st.sampled_from([5, None, (0, 1), (0, 1, 1, 1)]))
+        edges.insert(at, edge)
+    return n, edges
+
+
+@given(edge_lists())
+def test_graph_validation_matches_reference(case):
+    n, edges = case
+    expected = _reference_edges(n, edges)
+    if expected is None:
+        with pytest.raises(ValueError):
+            WeightedGraph(n, tuple(edges))
+        return
+    graph = WeightedGraph(n, tuple(edges))
+    assert list(graph.edges) == expected
+    instance = PncInstance(graph, (0,) * n)
+    assert loads_instance(dumps_instance(instance)) == instance
+
+
+@given(edge_lists())
+def test_loader_validation_matches_reference(case):
+    n, edges = case
+    text = json.dumps({"n": n, "edges": [list(e) if isinstance(e, tuple) else e for e in edges]})
+    expected = _reference_edges(n, edges)
+    if expected is None or any(u >= v for u, v, _ in edges):
+        with pytest.raises(ValueError):
+            loads_instance(text)
+    else:
+        assert list(loads_instance(text).graph.edges) == expected
+
+
+def test_package_has_no_assert_statements():
+    # invariants must still be checked under python -O
+    package = Path(netprice.__file__).parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
 
 
 def test_graph_views():

@@ -1,11 +1,13 @@
 """Graph family generators: shapes, determinism, parameter validation."""
 
+import hashlib
 import math
 
 import pytest
 
 from netprice import (
     GenSpec,
+    dumps_instance,
     gen_ba,
     gen_er,
     gen_example1,
@@ -254,6 +256,25 @@ def test_forest_validation():
         gen_forest(1001, 3, seed=0)
 
 
+def test_forest_many_components_at_the_size_limit():
+    # the forest counts are filled row by row, so no recursion depth limits t
+    instance = gen_forest(1000, 995, seed=0)
+    assert _component_count(instance) == 995
+    assert instance.graph.edge_count == 5
+
+
+@pytest.mark.parametrize("build, digest", [
+    (lambda: gen_forest(60, 7, seed=3), "144fb4cdd2ddba64"),
+    (lambda: gen_forest(200, 2, seed=11), "b4ff97730a4c0a9f"),
+    (lambda: gen_er(40, 0.3, seed=5), "e3d97fbcb5446ef8"),
+    (lambda: gen_ba(50, 3, seed=2), "564da16135c3ff1f"),
+    (lambda: gen_example1(3), "c373799dc100a812"),
+])
+def test_generator_output_is_pinned(build, digest):
+    text = dumps_instance(build())
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
+
 # --- the GenSpec dispatcher ---------------------------------------------------
 
 
@@ -293,3 +314,10 @@ def test_genspec_partition_none_for_other_families():
 def test_genspec_unknown_family():
     with pytest.raises(ValueError, match="unknown family"):
         GenSpec("smallworld", {"n": 5}).build()
+
+
+def test_genspec_missing_parameter_is_named():
+    with pytest.raises(ValueError, match="family 'er' needs parameter 'eta'"):
+        GenSpec("er", {"n": 5}).build()
+    with pytest.raises(ValueError, match="needs parameter 'edge_prob'"):
+        GenSpec("core_peripheral", {"n": 5, "clique_fraction": 0.5}).build()
