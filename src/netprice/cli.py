@@ -395,10 +395,10 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--json", action="store_true")
         cmd.set_defaults(handler=_cmd_strategy, strategy=name)
 
-    orc = sub.add_parser("oracle", help="exact optimum by exhaustive search")
+    orc = sub.add_parser("oracle", help="exact optimum by branch-and-bound search")
     orc.add_argument("instance", nargs="?", default="-")
-    orc.add_argument("--state-budget", type=int, default=1_000_000)
-    orc.add_argument("--node-limit", type=int, default=30)
+    orc.add_argument("--state-budget", type=int, default=OracleConfig.state_budget)
+    orc.add_argument("--node-limit", type=int, default=OracleConfig.node_limit)
     orc.add_argument("--json", action="store_true")
     orc.set_defaults(handler=_cmd_oracle)
 

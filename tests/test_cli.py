@@ -163,6 +163,18 @@ def test_oracle_json_and_budget(tmp_path, capsys):
     assert "state budget exhausted" in capsys.readouterr().err
 
 
+def test_oracle_above_depth_limit_is_an_error(tmp_path, capsys):
+    # Distinct weights and values: one buyer per round, so searching would
+    # recurse once per node, past the interpreter's recursion limit.
+    n = 1200
+    edges = [(v, v + 1, v + 1) for v in range(n - 1)]
+    path = _write(tmp_path, "sparse1200.json", json.dumps({"n": n, "edges": edges, "nu": list(range(n, 2 * n))}))
+    assert run_cli(["oracle", path, "--node-limit", "2000", "--state-budget", "5000"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "depth limit" in err
+    assert "Traceback" not in err
+
+
 def test_oracle_missing_file(tmp_path, capsys):
     assert run_cli(["oracle", str(tmp_path / "absent.json")]) == 1
     assert "error:" in capsys.readouterr().err

@@ -1,18 +1,85 @@
-"""Exact optimum: small closed forms, brute-force agreement, budget handling."""
+"""Exact optimum: small closed forms, reference and brute-force agreement,
+state counts, budget and depth handling."""
 
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netprice import (
     OracleBudgetError,
     OracleConfig,
     PncInstance,
+    build_reduction,
     exact_opt,
     gen_spider,
     naive_opt,
+    parse_dimacs,
     simulate,
 )
+from netprice.oracle import DEPTH_LIMIT, NAIVE_NODE_LIMIT
+
+# The 4-variable formula of the benchmark's reduction round trip: each
+# variable occurs three times, and x1 = x2 = x3 = true satisfies it.
+CNF_4X4 = "p cnf 4 4\n1 2 3 0\n-1 2 4 0\n1 -3 -4 0\n-2 3 4 0\n"
+
+
+def _reference_opt(instance):
+    """Plain memoized search over residual sets, with no bound: (revenue, prices, states).
+
+    Tries every current total value as the next price, highest first, and
+    keeps the first best; values come from the adjacency lists, not from the
+    oracle's bitmask kernel.
+    """
+    adjacency = instance.graph.adjacency
+
+    def values(mask):
+        return [
+            (instance.intrinsic[node] + sum(w for nb, w in adjacency[node] if mask >> nb & 1), node)
+            for node in range(instance.node_count)
+            if mask >> node & 1
+        ]
+
+    memo = {}
+
+    def solve(mask):
+        if mask == 0:
+            return 0
+        if mask not in memo:
+            items = sorted(values(mask), reverse=True)
+            best, best_price, buyers, index = 0, 0, 0, 0
+            while index < len(items) and items[index][0] > 0:
+                price = items[index][0]
+                while index < len(items) and items[index][0] == price:
+                    buyers |= 1 << items[index][1]
+                    index += 1
+                candidate = price * index + solve(mask & ~buyers)
+                if candidate > best:
+                    best, best_price = candidate, price
+            memo[mask] = (best, best_price)
+        return memo[mask][0]
+
+    full = (1 << instance.node_count) - 1
+    revenue = solve(full)
+    prices, mask = [], full
+    while mask and memo[mask][1]:
+        price = memo[mask][1]
+        prices.append(price)
+        mask &= ~sum(1 << node for value, node in values(mask) if value >= price)
+    return revenue, tuple(prices), len(memo)
+
+
+def _random_weighted(rng, max_n):
+    n = rng.randint(1, max_n)
+    density = rng.choice((0.2, 0.5, 0.8))
+    edges = [
+        (u, v, rng.randint(1, 9))
+        for u in range(n)
+        for v in range(u + 1, n)
+        if rng.random() < density
+    ]
+    return PncInstance.from_edges(n, edges, [rng.randint(0, 9) for _ in range(n)])
 
 
 def test_closed_forms():
@@ -73,9 +140,12 @@ def test_matches_unrestricted_brute_force():
 
 def test_budget_exhaustion():
     inst = PncInstance.unweighted(8, [(u, v) for u in range(8) for v in range(u + 1, 8)][:12])
-    with pytest.raises(OracleBudgetError) as info:
+    with pytest.raises(OracleBudgetError, match="state budget exhausted after") as info:
         exact_opt(inst, OracleConfig(state_budget=3))
-    assert info.value.states_explored >= 3
+    error = info.value
+    assert error.states_explored >= 3
+    assert error.lower <= naive_opt(inst) <= error.upper
+    assert f"[{error.lower}, {error.upper}]" in str(error)
 
 
 def test_node_limit():
@@ -91,3 +161,64 @@ def test_config_validation():
         OracleConfig(state_budget=0)
     with pytest.raises(ValueError):
         OracleConfig(node_limit=0)
+
+
+def test_matches_reference_search():
+    # The bound only skips residual sets that cannot beat what is already
+    # held, so revenue and the first-best realizer must be the plain
+    # search's, reached through a subset of its states.
+    rng = random.Random(33)
+    for _ in range(320):
+        inst = _random_weighted(rng, 12)
+        revenue, prices, states = _reference_opt(inst)
+        result = exact_opt(inst)
+        assert result.revenue == revenue
+        assert result.prices == prices
+        assert all(p > q for p, q in zip(result.prices, result.prices[1:]))
+        assert simulate(inst, result.prices).total_revenue == revenue
+        assert 1 <= result.states_explored <= states
+
+
+@st.composite
+def weighted_instances(draw):
+    n = draw(st.integers(1, NAIVE_NODE_LIMIT))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+    edges = [(u, v, draw(st.integers(1, 6))) for u, v in chosen]
+    nu = draw(st.lists(st.integers(0, 6), min_size=n, max_size=n))
+    return PncInstance.from_edges(n, edges, nu)
+
+
+@settings(max_examples=150, deadline=None)
+@given(weighted_instances())
+def test_exact_equals_brute_force_property(inst):
+    assert exact_opt(inst).revenue == naive_opt(inst)
+
+
+def test_state_counts_are_pinned():
+    # Deterministic counters gate the search effort; the plain search
+    # (_reference_opt) needs 4,282 and 24,038 states on these instances.
+    reduction = build_reduction(parse_dimacs(CNF_4X4)).instance
+    result = exact_opt(reduction, OracleConfig(node_limit=32))
+    assert result.revenue == 1522932
+    assert result.states_explored == 701 < 4282
+
+    # Drawn as the benchmark's dense weighted G(40, 0.5) with base seed 1.
+    rng = random.Random(1)
+    n = 40
+    edges = [(u, v, rng.randint(1, 9)) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5]
+    inst = PncInstance.from_edges(n, edges, [rng.randint(0, 9) for _ in range(n)])
+    result = exact_opt(inst, OracleConfig(node_limit=n))
+    assert result.revenue == 2838
+    assert result.states_explored == 3359 < 24038
+
+
+def test_depth_limit():
+    # Distinct values on isolated nodes sell one per round: the deepest search.
+    deepest = PncInstance.from_edges(DEPTH_LIMIT, [], range(1, DEPTH_LIMIT + 1))
+    result = exact_opt(deepest, OracleConfig(node_limit=DEPTH_LIMIT))
+    assert result.revenue == DEPTH_LIMIT * (DEPTH_LIMIT + 1) // 2
+    assert len(result.prices) == DEPTH_LIMIT
+    too_deep = PncInstance.from_edges(DEPTH_LIMIT + 1, [], None)
+    with pytest.raises(ValueError, match="depth limit"):
+        exact_opt(too_deep, OracleConfig(node_limit=2 * DEPTH_LIMIT))
