@@ -31,7 +31,6 @@ from .core import (
     dumps_instance,
     load_instance,
     loads_instance,
-    total_value,
     validate_prices,
 )
 from .engine import make_irredundant, normalize, simulate
@@ -114,7 +113,6 @@ __all__ = [
     "recognize_split",
     "simulate",
     "split_dp",
-    "total_value",
     "validate_prices",
     "variable_gadget_edges",
     "verify_gadget_claims",

@@ -7,12 +7,13 @@ formula's.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import PncInstance, PriceSequence, SaleTrace, WeightedGraph
-from .engine import simulate
+from .engine import Market, simulate
 
 
 @dataclass(frozen=True)
@@ -50,40 +51,16 @@ def greedy_iterative(instance: PncInstance) -> PricingResult:
     earlier-selling endpoint charged for it, and intrinsic value is always
     charged. A price of 0 can only appear in the final round.
 
-    A lazy max-heap keeps each round's argmax cheap; stale entries (from
-    before a neighbor's decrement) are discarded on pop. Values only
-    decrease, so the freshest entry for a node is the first valid one seen.
+    Each round is a max over the alive values plus one ``Market.sell``.
     """
-    values = list(instance.initial_values)
-    remaining = set(range(instance.node_count))
-    adjacency = instance.graph.adjacency
-    heap = [(-values[i], i) for i in remaining]
-    heapq.heapify(heap)
+    market = Market(instance)
     prices = []
-    while remaining:
-        price = -1
-        while heap:
-            negative, node = heap[0]
-            if node not in remaining or -negative != values[node]:
-                heapq.heappop(heap)
-                continue
-            price = -negative
-            break
+    left = instance.node_count
+    while left:
+        # owners count as 0, and no alive value is below 0
+        price = int((market.values * market.alive).max())
         prices.append(price)
-        buyers = []
-        while heap:
-            negative, node = heap[0]
-            if -negative < price:
-                break
-            heapq.heappop(heap)
-            if node in remaining and -negative == values[node]:
-                buyers.append(node)
-        remaining.difference_update(buyers)
-        for buyer in buyers:
-            for neighbor, weight in adjacency[buyer]:
-                if neighbor in remaining:
-                    values[neighbor] -= weight
-                    heapq.heappush(heap, (-values[neighbor], neighbor))
+        left -= len(market.sell(price))
     trace = simulate(instance, tuple(prices))
     return PricingResult(tuple(prices), trace.total_revenue, trace)
 
@@ -120,7 +97,7 @@ def _require_forest(graph: WeightedGraph) -> None:
             x = parent[x]
         return x
 
-    for u, v, _ in graph.edges:
+    for u, v in zip(graph.u.tolist(), graph.v.tolist()):
         ru, rv = find(u), find(v)
         if ru == rv:
             raise ValueError("forest_single_price requires an acyclic graph")
@@ -172,18 +149,17 @@ def _check_partition(graph: WeightedGraph, partition: SplitPartition) -> None:
     clique, independent = partition.clique, partition.independent
     if sorted([*clique, *independent]) != list(range(graph.node_count)):
         raise ValueError("partition must cover every node exactly once")
-    neighbor_sets = [set() for _ in range(graph.node_count)]
-    for u, v, _ in graph.edges:
-        neighbor_sets[u].add(v)
-        neighbor_sets[v].add(u)
+    indptr, indices = graph.indptr, graph.indices
     for i, a in enumerate(clique):
+        neighbors = set(indices[indptr[a]:indptr[a + 1]].tolist())
         for b in clique[i + 1:]:
-            if b not in neighbor_sets[a]:
+            if b not in neighbors:
                 raise ValueError(f"partition clique misses edge ({a}, {b})")
-    indep_set = set(independent)
-    for u, v, _ in graph.edges:
-        if u in indep_set and v in indep_set:
-            raise ValueError(f"partition independent set contains edge ({u}, {v})")
+    in_clique = np.isin(np.arange(graph.node_count), clique)
+    inside = np.flatnonzero(~in_clique[graph.u] & ~in_clique[graph.v])
+    if len(inside):
+        u, v = graph.u[inside[0]], graph.v[inside[0]]
+        raise ValueError(f"partition independent set contains edge ({u}, {v})")
 
 
 def split_dp(instance: PncInstance, partition: SplitPartition | None = None) -> PricingResult:
@@ -213,7 +189,7 @@ def split_dp(instance: PncInstance, partition: SplitPartition | None = None) -> 
 
     k = len(clique)
     clique_deg = [degrees[v] for v in clique]  # nondecreasing
-    adjacency = graph.adjacency
+    indptr, indices = graph.indptr, graph.indices
 
     # prefix_deg[u]: neighbors of independent node u among the first i clique nodes
     prefix_deg = [0] * n
@@ -226,7 +202,8 @@ def split_dp(instance: PncInstance, partition: SplitPartition | None = None) -> 
     back: list[tuple | None] = [None] * (k + 1)
 
     for i in range(1, k + 1):
-        for u, _ in adjacency[clique[i - 1]]:
+        node = clique[i - 1]
+        for u in indices[indptr[node]:indptr[node + 1]].tolist():
             if u in indep_set:
                 old = prefix_deg[u]
                 prefix_deg[u] = old + 1
@@ -311,11 +288,9 @@ def ba_single_price(instance: PncInstance, beta: int) -> PricingResult:
 
 def min_degree_independent(graph: WeightedGraph) -> bool:
     """Whether the minimum-degree nodes form an independent set."""
-    lowest = min(graph.degrees)
-    return not any(
-        graph.degrees[u] == lowest and graph.degrees[v] == lowest
-        for u, v, _ in graph.edges
-    )
+    degrees = np.diff(graph.indptr)
+    lowest = degrees == degrees.min()
+    return not (lowest[graph.u] & lowest[graph.v]).any()
 
 
 def degree_bound(instance: PncInstance) -> int:

@@ -1,8 +1,11 @@
 """Core data model: weighted graphs, pricing instances, and sale traces.
 
-Nodes are dense 0-based integer ids. All quantities (edge weights, intrinsic
-values, prices, revenues) are nonnegative Python ints, so every computation in
-the package is exact.
+Nodes are dense 0-based integer ids. A graph holds its canonical edges as
+numpy arrays ``u, v, w`` and as compressed sparse rows ``indptr, indices,
+weights``, built once and read-only. Every quantity is an exact integer: an
+array of weights or values is int64 when its largest possible sum fits, else
+an object array of Python ints, and the same numpy code runs on either. What
+leaves the package is Python ints.
 """
 
 from __future__ import annotations
@@ -10,10 +13,16 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
+from operator import add
 from typing import Iterable, Sequence
+
+import numpy as np
 
 # A posted price sequence is a plain tuple of nonnegative ints, price per round.
 PriceSequence = tuple[int, ...]
+
+INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 def _as_int(value: object, what: str) -> int:
@@ -23,85 +32,131 @@ def _as_int(value: object, what: str) -> int:
     return value
 
 
-@dataclass(frozen=True)
-class WeightedGraph:
-    """Undirected graph with positive integer edge weights.
+def _exact_dtype(top: int) -> np.dtype:
+    """int64 when every number up to ``top`` fits in it, else object (Python ints)."""
+    return np.dtype(np.int64 if top <= INT64_MAX else object)
 
-    ``edges`` is canonical: tuples ``(u, v, w)`` with ``u < v``, sorted by
-    endpoint pair, no duplicates, no self loops. Instances are immutable;
-    derived views (degrees, adjacency) are cached lazily.
+
+def _edge_table(edges) -> np.ndarray | None:
+    """``edges`` as an (m, 3) int64 array (object past int64), or None
+    unless every edge is three ints."""
+    if isinstance(edges, np.ndarray):
+        if edges.dtype.kind == "i" and edges.shape[1:] == (3,):
+            return edges
+        edges = edges.tolist()
+    try:
+        lengths = set(map(len, edges))
+    except TypeError:  # an edge without a length
+        return None
+    types = set(map(type, chain.from_iterable(edges)))
+    if lengths - {3} or not all(issubclass(t, int) and t is not bool for t in types):
+        return None
+    try:
+        return np.fromiter(chain.from_iterable(edges), np.int64, 3 * len(edges)).reshape(-1, 3)
+    except OverflowError:
+        return np.array(list(chain.from_iterable(edges)), dtype=object).reshape(-1, 3)
+
+
+def _scan_edges(n: int, edges) -> None:
+    """Raise a ValueError naming the first bad edge in input order; runs only
+    once a bulk check has failed."""
+    for idx, edge in enumerate(edges):
+        try:
+            u, v, w = edge
+        except (TypeError, ValueError):
+            raise ValueError(f"edges[{idx}]: expected (u, v, w), got {edge!r}") from None
+        _as_int(u, f"edges[{idx}]: endpoint")
+        _as_int(v, f"edges[{idx}]: endpoint")
+        _as_int(w, f"edges[{idx}]: weight")
+        if u > v:
+            u, v = v, u
+        elif u == v:
+            raise ValueError(f"edges[{idx}]: self loop at node {u}")
+        if u < 0 or v >= n:
+            raise ValueError(f"edges[{idx}]: endpoints ({u}, {v}) out of range for n={n}")
+        if w < 1:
+            raise ValueError(f"edges[{idx}]: weight must be >= 1, got {w}")
+
+
+class WeightedGraph:
+    """Undirected graph with positive integer edge weights, in read-only arrays.
+
+    ``edges`` holds ``(u, v, w)`` triples (or is an (m, 3) integer array) in
+    any orientation and order. ``u, v, w`` are canonical: ``u < v``, sorted
+    by endpoint pair, no duplicates, no self loops. Node ``x``'s neighbours
+    are ``indices[indptr[x]:indptr[x + 1]]``, ascending, weighed by ``weights``.
     """
 
-    node_count: int
-    edges: tuple[tuple[int, int, int], ...]
-
-    def __post_init__(self) -> None:
-        n = _as_int(self.node_count, "node_count")
+    def __init__(self, node_count: int, edges: Iterable | np.ndarray) -> None:
+        n = _as_int(node_count, "node_count")
         if n < 1:
             raise ValueError(f"node_count must be >= 1, got {n}")
-        # The only per-edge validator in the package: every loaded or generated
-        # graph passes through here once. Error text is built only on failure.
-        canonical = []
-        for idx, edge in enumerate(self.edges):
-            try:
-                u, v, w = edge
-            except (TypeError, ValueError):
-                raise ValueError(f"edges[{idx}]: expected (u, v, w), got {edge!r}") from None
-            if type(u) is not int or type(v) is not int or type(w) is not int:
-                _as_int(u, f"edges[{idx}]: endpoint")
-                _as_int(v, f"edges[{idx}]: endpoint")
-                _as_int(w, f"edges[{idx}]: weight")
-            if u > v:
-                u, v = v, u
-            elif u == v:
-                raise ValueError(f"edges[{idx}]: self loop at node {u}")
-            if u < 0 or v >= n:
-                raise ValueError(f"edges[{idx}]: endpoints ({u}, {v}) out of range for n={n}")
-            if w < 1:
-                raise ValueError(f"edges[{idx}]: weight must be >= 1, got {w}")
-            canonical.append((u, v, w))
-        canonical.sort()
-        for (u1, v1, _), (u2, v2, _) in zip(canonical, canonical[1:]):
-            if u1 == u2 and v1 == v2:
-                raise ValueError(f"duplicate edge ({u1}, {v1})")
-        object.__setattr__(self, "node_count", n)
-        object.__setattr__(self, "edges", tuple(canonical))
+        # The only edge validator in the package: every loaded or generated
+        # graph passes through here once, in bulk.
+        rows = edges if isinstance(edges, np.ndarray) else tuple(edges)
+        table = _edge_table(rows)
+        valid = table is not None
+        if valid:
+            u, v, w = table.T
+            lo, hi = np.minimum(u, v), np.maximum(u, v)
+            valid = bool((u != v).all() and (lo >= 0).all() and (hi < n).all() and (w >= 1).all())
+        if valid and not ((lo[1:] > lo[:-1]) | ((lo[1:] == lo[:-1]) & (hi[1:] > hi[:-1]))).all():
+            order = np.lexsort((hi, lo))
+            lo, hi, w = lo[order], hi[order], w[order]
+            twice = np.flatnonzero((lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1]))
+            if len(twice):  # every edge is fine on its own, so this is the error
+                raise ValueError(f"duplicate edge ({lo[twice[0]]}, {hi[twice[0]]})")
+        if not valid:
+            _scan_edges(n, rows.tolist() if isinstance(rows, np.ndarray) else rows)
+            raise RuntimeError("the per-edge scan accepted edges that a bulk check rejected")
+        self.node_count = n
+        self.u, self.v = u, v = lo.astype(np.int64), hi.astype(np.int64)
+        degrees = np.bincount(u, minlength=n) + np.bincount(v, minlength=n)
+        # no weighted degree exceeds the top weight times the top degree
+        self.w = w = w.astype(_exact_dtype(int(w.max()) * int(degrees.max()) if len(w) else 0))
+        self.indptr = np.concatenate(([0], np.cumsum(degrees)))
+        # row x: the neighbours below x, then those above, each ascending
+        order = np.argsort(np.concatenate((v, u)), kind="stable")
+        self.indices = np.concatenate((u, v))[order]
+        self.weights = np.concatenate((w, w))[order]
+        for array in (self.u, self.v, self.w, self.indptr, self.indices, self.weights):
+            array.setflags(write=False)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, WeightedGraph):
+            return NotImplemented
+        pairs = ((self.u, other.u), (self.v, other.v), (self.w, other.w))
+        return self.node_count == other.node_count and all(np.array_equal(a, b) for a, b in pairs)
+
+    def __hash__(self) -> int:
+        return hash((self.node_count, self.u.tobytes(), self.v.tobytes()))
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return len(self.u)
+
+    @cached_property
+    def edges(self) -> tuple[tuple[int, int, int], ...]:
+        """The canonical ``(u, v, w)`` tuples, built on first use."""
+        return tuple(zip(self.u.tolist(), self.v.tolist(), self.w.tolist()))
 
     @cached_property
     def total_edge_weight(self) -> int:
-        return sum(w for _, _, w in self.edges)
+        return sum(self.w.tolist())
 
     @cached_property
     def degrees(self) -> tuple[int, ...]:
-        deg = [0] * self.node_count
-        for u, v, _ in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return tuple(deg)
+        return tuple(np.diff(self.indptr).tolist())
 
     @cached_property
     def weighted_degrees(self) -> tuple[int, ...]:
-        wdeg = [0] * self.node_count
-        for u, v, w in self.edges:
-            wdeg[u] += w
-            wdeg[v] += w
-        return tuple(wdeg)
-
-    @cached_property
-    def adjacency(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Per node, a tuple of (neighbor, weight) pairs."""
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(self.node_count)]
-        for u, v, w in self.edges:
-            adj[u].append((v, w))
-            adj[v].append((u, w))
-        return tuple(tuple(pairs) for pairs in adj)
+        wdeg = np.zeros(self.node_count, self.w.dtype)
+        np.add.at(wdeg, self.u, self.w)
+        np.add.at(wdeg, self.v, self.w)
+        return tuple(wdeg.tolist())
 
     def is_unweighted(self) -> bool:
-        return all(w == 1 for _, _, w in self.edges)
+        return bool((self.w == 1).all())
 
 
 @dataclass(frozen=True)
@@ -130,10 +185,10 @@ class PncInstance:
     def from_edges(
         cls,
         node_count: int,
-        edges: Iterable[tuple[int, int, int]],
+        edges: Iterable[tuple[int, int, int]] | np.ndarray,
         intrinsic: Sequence[int] | None = None,
     ) -> "PncInstance":
-        graph = WeightedGraph(node_count, tuple(edges))
+        graph = WeightedGraph(node_count, edges)
         if intrinsic is None:
             intrinsic = (0,) * node_count
         return cls(graph, tuple(intrinsic))
@@ -154,19 +209,16 @@ class PncInstance:
     @cached_property
     def initial_values(self) -> tuple[int, ...]:
         """Total value of every consumer before anyone has bought."""
-        wdeg = self.graph.weighted_degrees
-        return tuple(base + wdeg[i] for i, base in enumerate(self.intrinsic))
+        return tuple(map(add, self.intrinsic, self.graph.weighted_degrees))
 
-
-def total_value(instance: PncInstance, node: int, remaining: frozenset[int] | set[int]) -> int:
-    """Value of ``node`` for the good when ``remaining`` is the non-owner set."""
-    if node not in remaining:
-        raise ValueError(f"node {node} is not in the remaining set")
-    value = instance.intrinsic[node]
-    for neighbor, weight in instance.graph.adjacency[node]:
-        if neighbor in remaining:
-            value += weight
-    return value
+    @cached_property
+    def value_array(self) -> np.ndarray:
+        """``initial_values`` as a read-only array: int64 when the largest
+        fits, else object. Values only fall, so the dtype holds for a whole
+        selling process."""
+        values = np.array(self.initial_values, dtype=_exact_dtype(max(self.initial_values)))
+        values.setflags(write=False)
+        return values
 
 
 @dataclass(frozen=True)
@@ -227,13 +279,14 @@ def validate_prices(prices: Sequence[int]) -> PriceSequence:
 
 
 def dumps_instance(instance: PncInstance) -> str:
-    payload: dict = {
-        "n": instance.node_count,
-        "edges": [[u, v, w] for u, v, w in instance.graph.edges],
-    }
+    graph = instance.graph
+    flat = np.column_stack((graph.u, graph.v, graph.w)).ravel().tolist()
+    # One C-level format call: for ints this is exactly json.dumps's text.
+    edges = ",".join(["[%d,%d,%d]"] * graph.edge_count) % tuple(flat)
+    text = f'{{"n":{instance.node_count},"edges":[{edges}]'
     if any(instance.intrinsic):
-        payload["nu"] = list(instance.intrinsic)
-    return json.dumps(payload, separators=(",", ":")) + "\n"
+        text += ',"nu":' + json.dumps(list(instance.intrinsic), separators=(",", ":"))
+    return text + "}\n"
 
 
 def loads_instance(text: str) -> PncInstance:
@@ -258,11 +311,14 @@ def loads_instance(text: str) -> PncInstance:
             raise ValueError("'nu' must be a list of integers")
         if len(nu) != n:
             raise ValueError(f"'nu' has {len(nu)} entries for n={n}")
-    instance = PncInstance.from_edges(n, raw_edges, nu)
+    # Parsed once: the graph takes the table as it is. A None table always
+    # fails the graph's own checks, so the orientation check sees a table.
+    table = _edge_table(raw_edges)
+    instance = PncInstance.from_edges(n, raw_edges if table is None else table, nu)
     # the file format also fixes each edge's orientation
-    for idx, (u, v, _) in enumerate(raw_edges):
-        if u >= v:
-            raise ValueError(f"edges[{idx}]: endpoints must satisfy u < v")
+    backwards = np.flatnonzero(table[:, 0] >= table[:, 1])
+    if len(backwards):
+        raise ValueError(f"edges[{backwards[0]}]: endpoints must satisfy u < v")
     return instance
 
 

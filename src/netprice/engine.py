@@ -5,44 +5,64 @@ value (intrinsic plus weights of edges to other non-owners, fixed at the start
 of the round) against the posted price, and buys iff value >= price. All
 purchases in a round happen simultaneously; the value drops they cause are
 visible from the next round on. A price of 0 sells to every remaining
-consumer and contributes no revenue.
+consumer and contributes no revenue. A round costs O(n) vectorised work plus
+the buyers' CSR rows (``Market.sell``).
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from .core import PncInstance, PriceSequence, SaleRound, SaleTrace, total_value, validate_prices
+import numpy as np
+
+from .core import PncInstance, PriceSequence, SaleRound, SaleTrace, validate_prices
+
+class Market:
+    """A selling process in progress: every consumer's current ``values``, in
+    the instance's value dtype, and the ``alive`` mask of those who have not
+    bought. Only alive neighbours are lowered, so a buyer keeps the value
+    they bought at.
+    """
+
+    def __init__(self, instance: PncInstance) -> None:
+        self.values = instance.value_array.copy()
+        self.alive = np.ones(instance.node_count, dtype=bool)
+        # no price above this sells, and every price compared is within the dtype
+        self.top = int(self.values.max())
+        self.indptr, self.indices = instance.graph.indptr, instance.graph.indices
+        # a weight is at most its endpoints' initial values, so it fits the dtype
+        self.weights = instance.graph.weights.astype(self.values.dtype, copy=False)
+
+    def sell(self, price: int) -> np.ndarray:
+        """One round at ``price``: O(n) numpy work to find the buyers (returned
+        in increasing order), then their CSR rows to lower their neighbours."""
+        if price > self.top:
+            return np.zeros(0, np.intp)
+        buyers = np.flatnonzero(self.alive & (self.values >= price))
+        self.alive[buyers] = False
+        if len(buyers) == 1:
+            rows = slice(self.indptr[buyers[0]], self.indptr[buyers[0] + 1])
+        else:  # the buyers' rows back to back
+            starts = self.indptr[buyers]
+            lengths = self.indptr[buyers + 1] - starts
+            rows = np.repeat(starts - np.cumsum(lengths) + lengths, lengths) + np.arange(lengths.sum())
+        neighbours = self.indices[rows]
+        still = self.alive[neighbours]
+        # exact in either dtype, and a neighbour of several buyers drops once per buyer
+        np.subtract.at(self.values, neighbours[still], self.weights[rows][still])
+        return buyers
 
 
 def simulate(instance: PncInstance, prices: Sequence[int]) -> SaleTrace:
-    """Run the selling process for ``prices`` and return the full trace.
-
-    Runs in O(tau * n + m): each round scans the remaining consumers once,
-    and every edge is charged at most twice over the whole run when its
-    endpoints leave the market.
-    """
+    """Run the selling process for ``prices`` and return the full trace."""
     prices = validate_prices(prices)
-    values = list(instance.initial_values)
-    remaining = set(range(instance.node_count))
-    adjacency = None  # built only if a non-final round actually sells
+    market = Market(instance)
     rounds = []
-    total = 0
-    for index, price in enumerate(prices):
-        buyers = frozenset(i for i in remaining if values[i] >= price)
-        revenue = price * len(buyers)
-        total += revenue
-        rounds.append(SaleRound(price, buyers, revenue))
-        if buyers:
-            remaining -= buyers
-            if index + 1 < len(prices):
-                if adjacency is None:
-                    adjacency = instance.graph.adjacency
-                for buyer in buyers:
-                    for neighbor, weight in adjacency[buyer]:
-                        if neighbor in remaining:
-                            values[neighbor] -= weight
-    return SaleTrace(tuple(rounds), frozenset(remaining), total)
+    for price in prices:
+        buyers = market.sell(price).tolist()
+        rounds.append(SaleRound(price, frozenset(buyers), price * len(buyers)))
+    residual = frozenset(np.flatnonzero(market.alive).tolist())
+    return SaleTrace(tuple(rounds), residual, sum(r.revenue for r in rounds))
 
 
 def make_irredundant(instance: PncInstance, prices: Sequence[int]) -> PriceSequence:
@@ -62,12 +82,12 @@ def normalize(instance: PncInstance, prices: Sequence[int]) -> PriceSequence:
     Raising a round's price to the minimum total value among that round's
     buyers leaves every buyer set unchanged and never lowers revenue, so the
     result sells the same partition for at least the original revenue.
-    Empty rounds change nobody's value, so one trace serves both steps.
+    Empty rounds change nobody's value, so one pass serves both steps.
     """
-    remaining = set(range(instance.node_count))
+    market = Market(instance)
     normalized = []
-    for r in simulate(instance, prices).rounds:
-        if r.buyers:
-            normalized.append(min(total_value(instance, i, remaining) for i in r.buyers))
-            remaining -= r.buyers
+    for price in validate_prices(prices):
+        buyers = market.sell(price)
+        if len(buyers):
+            normalized.append(int(market.values[buyers].min()))
     return tuple(normalized)

@@ -12,7 +12,6 @@ import heapq
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import repeat
 from typing import Callable
 
 import numpy as np
@@ -23,6 +22,11 @@ from .core import PncInstance
 
 def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
+
+
+def _unit_edges(us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    """An (m, 3) edge array of weight-1 edges, handed to the graph as it is."""
+    return np.column_stack((us, vs, np.ones(len(us), dtype=us.dtype)))
 
 
 _DENSE_PAIR_LIMIT = 30_000_000
@@ -39,7 +43,7 @@ def gen_er(n: int, eta: float, seed: int) -> PncInstance:
     rng = _rng(seed)
     us, vs = np.triu_indices(n, k=1)
     keep = rng.random(len(us)) < eta
-    return PncInstance.from_edges(n, zip(us[keep].tolist(), vs[keep].tolist(), repeat(1)))
+    return PncInstance.from_edges(n, _unit_edges(us[keep], vs[keep]))
 
 
 def gen_ba(n: int, beta: int, seed: int) -> PncInstance:
@@ -130,13 +134,11 @@ def gen_split(
         raise ValueError(f"edge_prob must be in [0, 1], got {edge_prob}")
     rng = _rng(seed)
     k = math.ceil(clique_fraction * n)
-    pairs = [(a, b) for a in range(k) for b in range(a + 1, k)]
+    us, vs = np.triu_indices(k, k=1)
     if k < n:
-        hits = rng.random((k, n - k)) < edge_prob
-        pairs.extend(
-            (int(c), int(k + j)) for c, j in zip(*np.nonzero(hits))
-        )
-    instance = PncInstance.unweighted(n, pairs)
+        hits, outside = np.nonzero(rng.random((k, n - k)) < edge_prob)
+        us, vs = np.concatenate((us, hits)), np.concatenate((vs, k + outside))
+    instance = PncInstance.from_edges(n, _unit_edges(us, vs))
     degrees = instance.graph.degrees
     partition = SplitPartition(
         tuple(sorted(range(k), key=lambda v: (degrees[v], v))),

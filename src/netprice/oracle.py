@@ -28,10 +28,18 @@ from .core import PncInstance, PriceSequence
 from .engine import simulate
 
 
+NAIVE_NODE_LIMIT = 8
+# exact_opt recurses once per sale round, up to once per node; this keeps
+# the deepest search well inside Python's default recursion limit of 1000.
+DEPTH_LIMIT = 800
+
+
 @dataclass(frozen=True)
 class OracleConfig:
+    """Search limits; ``node_limit`` only turns larger inputs away."""
+
     state_budget: int = 1_000_000
-    node_limit: int = 30
+    node_limit: int = DEPTH_LIMIT
 
     def __post_init__(self) -> None:
         if self.state_budget < 1:
@@ -62,12 +70,6 @@ class OracleResult:
     revenue: int
     prices: PriceSequence
     states_explored: int
-
-
-NAIVE_NODE_LIMIT = 8
-# exact_opt recurses once per sale round, up to once per node; this keeps
-# the deepest search well inside Python's default recursion limit of 1000.
-DEPTH_LIMIT = 800
 
 
 class _OutOfBudget(Exception):

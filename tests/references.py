@@ -1,0 +1,78 @@
+"""Pure-Python reference implementations the array engine is checked against.
+
+They read only ``graph.edges`` and ``instance.initial_values`` and keep every
+number a Python int, so they share no code with the numpy paths.
+"""
+
+import heapq
+
+from netprice import SaleRound, SaleTrace, validate_prices
+
+
+def adjacency(graph):
+    """Per node, a tuple of (neighbor, weight) pairs in increasing neighbor order."""
+    adj = [[] for _ in range(graph.node_count)]
+    for u, v, w in graph.edges:
+        adj[u].append((v, w))
+        adj[v].append((u, w))
+    return tuple(tuple(sorted(pairs)) for pairs in adj)
+
+
+def rescan_simulate(instance, prices):
+    """The selling process by a full scan of the remaining consumers per round."""
+    prices = validate_prices(prices)
+    values = list(instance.initial_values)
+    remaining = set(range(instance.node_count))
+    adj = adjacency(instance.graph)
+    rounds = []
+    total = 0
+    for price in prices:
+        buyers = frozenset(i for i in remaining if values[i] >= price)
+        revenue = price * len(buyers)
+        total += revenue
+        rounds.append(SaleRound(price, buyers, revenue))
+        remaining -= buyers
+        for buyer in buyers:
+            for neighbor, weight in adj[buyer]:
+                if neighbor in remaining:
+                    values[neighbor] -= weight
+    return SaleTrace(tuple(rounds), frozenset(remaining), total)
+
+
+def heap_greedy(instance):
+    """Greedy iterative prices from a lazy max-heap of current values.
+
+    Stale entries (from before a neighbor's decrement) are discarded on pop;
+    values only fall, so the freshest entry for a node is the first valid one.
+    """
+    values = list(instance.initial_values)
+    remaining = set(range(instance.node_count))
+    adj = adjacency(instance.graph)
+    heap = [(-values[i], i) for i in remaining]
+    heapq.heapify(heap)
+    prices = []
+    while remaining:
+        price = -1
+        while heap:
+            negative, node = heap[0]
+            if node not in remaining or -negative != values[node]:
+                heapq.heappop(heap)
+                continue
+            price = -negative
+            break
+        prices.append(price)
+        buyers = []
+        while heap:
+            negative, node = heap[0]
+            if -negative < price:
+                break
+            heapq.heappop(heap)
+            if node in remaining and -negative == values[node]:
+                buyers.append(node)
+        remaining.difference_update(buyers)
+        for buyer in buyers:
+            for neighbor, weight in adj[buyer]:
+                if neighbor in remaining:
+                    values[neighbor] -= weight
+                    heapq.heappush(heap, (-values[neighbor], neighbor))
+    return tuple(prices)

@@ -22,10 +22,12 @@ from netprice import (
     gen_split,
     greedy_iterative,
     min_degree_independent,
+    normalize,
     recognize_split,
     simulate,
     split_dp,
 )
+from references import adjacency
 
 
 def _random_instance(rng, max_n=12, max_w=5, max_nu=3):
@@ -57,7 +59,7 @@ def test_greedy_matches_rescan_reference():
     def slow_greedy(inst):
         values = list(inst.initial_values)
         remaining = set(range(inst.node_count))
-        adjacency = inst.graph.adjacency
+        adj = adjacency(inst.graph)
         prices = []
         while remaining:
             price = max(values[i] for i in remaining)
@@ -65,7 +67,7 @@ def test_greedy_matches_rescan_reference():
             buyers = [i for i in remaining if values[i] == price]
             remaining.difference_update(buyers)
             for b in buyers:
-                for u, w in adjacency[b]:
+                for u, w in adj[b]:
                     if u in remaining:
                         values[u] -= w
         return tuple(prices)
@@ -243,3 +245,36 @@ def test_min_degree_independent():
     assert min_degree_independent(star.graph)
     triangle = PncInstance.unweighted(3, [(0, 1), (1, 2), (0, 2)])
     assert not min_degree_independent(triangle.graph)
+
+
+def _only_python_ints(values):
+    return all(type(x) is int for x in values)
+
+
+def test_results_hold_only_python_ints():
+    # numpy scalars must not leak out of the array engine
+    weighted = PncInstance.from_edges(4, [(0, 1, 3), (1, 2, 2), (2, 3, 5)], (1, 0, 4, 0))
+    split, partition = gen_split(12, 0.4, 0.5, seed=2)
+    results = [
+        greedy_iterative(weighted),
+        greedy_iterative(gen_er(30, 0.3, seed=1)),
+        best_single_price(weighted),
+        forest_single_price(gen_spider(3)),
+        split_dp(split, partition),
+        ba_single_price(gen_ba(20, 2, seed=3), 2),
+        er_single_price(gen_er(40, 0.5, seed=4), 0.5, 0.2),
+    ]
+    for result in results:
+        assert _only_python_ints(result.prices) and type(result.revenue) is int
+        trace = result.trace
+        assert type(trace.total_revenue) is int and _only_python_ints(trace.residual)
+        for sale in trace.rounds:
+            assert type(sale.price) is int and type(sale.revenue) is int
+            assert _only_python_ints(sale.buyers)
+    trace = simulate(weighted, (9, 3, 3, 0))
+    assert trace.residual == frozenset() and _only_python_ints(trace.all_buyers)
+    assert _only_python_ints(normalize(weighted, (9, 3, 3, 0)))
+    graph = weighted.graph
+    for view in (graph.degrees, graph.weighted_degrees, weighted.initial_values, *graph.edges):
+        assert _only_python_ints(view)
+    assert type(graph.total_edge_weight) is int

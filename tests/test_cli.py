@@ -152,6 +152,18 @@ def test_strategy_json_shape(tmp_path, capsys):
     assert payload["total_revenue"] == 9
 
 
+def test_greedy_json_bytes_are_pinned(tmp_path, capsys):
+    # recorded from the heap-based greedy and the rescan simulator
+    text = '{"n":6,"edges":[[0,1,4],[0,4,3],[1,2,2],[1,5,6],[2,3,7],[3,4,1],[4,5,2]],"nu":[0,1,3,2,5,0]}\n'
+    assert run_cli(["greedy", _write(tmp_path, "six.json", text), "--json"]) == 0
+    assert capsys.readouterr().out == (
+        '{"prices": [13, 11, 10, 2, 0], "rounds": [{"price": 13, "buyers": [1], "revenue": 13}, '
+        '{"price": 11, "buyers": [4], "revenue": 11}, {"price": 10, "buyers": [2], "revenue": 10}, '
+        '{"price": 2, "buyers": [3], "revenue": 2}, {"price": 0, "buyers": [0, 5], "revenue": 0}], '
+        '"total_revenue": 36, "unsold": []}\n'
+    )
+
+
 def test_oracle_json_and_budget(tmp_path, capsys):
     path = _write(
         tmp_path, "er.json", dumps_instance(gen_er(12, 0.4, seed=1))

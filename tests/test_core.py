@@ -18,7 +18,6 @@ from netprice import (
     dumps_instance,
     load_instance,
     loads_instance,
-    total_value,
     validate_prices,
 )
 
@@ -147,7 +146,9 @@ def test_graph_views():
     assert g.total_edge_weight == 6
     assert g.degrees == (1, 3, 1, 1)
     assert g.weighted_degrees == (2, 6, 3, 1)
-    assert g.adjacency[1] == ((0, 2), (2, 3), (3, 1))
+    assert g.indptr.tolist() == [0, 1, 4, 5, 6]
+    assert g.indices.tolist() == [1, 0, 2, 3, 1, 1]
+    assert g.weights.tolist() == [2, 2, 3, 1, 3, 1]
     assert not g.is_unweighted()
     assert WeightedGraph(2, ((0, 1, 1),)).is_unweighted()
 
@@ -168,16 +169,6 @@ def test_unweighted_constructor():
     assert inst.graph.edges == ((0, 1, 1), (1, 2, 1))
     assert inst.intrinsic == (0, 0, 0)
     assert inst.initial_values == (1, 2, 1)
-
-
-def test_total_value_tracks_remaining():
-    inst = PncInstance.from_edges(3, [(0, 1, 2), (1, 2, 3)], (1, 0, 0))
-    assert total_value(inst, 1, {0, 1, 2}) == 5
-    assert total_value(inst, 1, {1, 2}) == 3
-    assert total_value(inst, 1, {1}) == 0
-    assert total_value(inst, 0, {0, 1}) == 3
-    with pytest.raises(ValueError):
-        total_value(inst, 0, {1, 2})
 
 
 def test_validate_prices():

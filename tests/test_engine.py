@@ -1,8 +1,26 @@
-"""Selling process semantics: simultaneity, value drops, pruning, normalization."""
+"""Selling process semantics: simultaneity, value drops, pruning, normalization,
+exact arithmetic on either value dtype, and agreement with the references."""
 
 import random
 
-from netprice import PncInstance, make_irredundant, normalize, simulate
+import numpy as np
+from hypothesis import given
+from hypothesis import strategies as st
+
+from netprice import (
+    CnfFormula,
+    PncInstance,
+    assignment_pricing,
+    build_reduction,
+    dumps_instance,
+    greedy_iterative,
+    loads_instance,
+    make_irredundant,
+    normalize,
+    simulate,
+)
+from netprice.engine import Market
+from references import heap_greedy, rescan_simulate
 
 
 def path3():
@@ -41,6 +59,24 @@ def test_price_zero_sells_to_everyone():
     trace = simulate(path3(), (0,))
     assert trace.buyers_by_round == (frozenset({0, 1, 2}),)
     assert trace.total_revenue == 0
+
+
+def test_market_values_track_remaining():
+    inst = PncInstance.from_edges(3, [(0, 1, 2), (1, 2, 3)], (1, 0, 0))
+    market = Market(inst)
+    assert market.values.tolist() == [3, 5, 3]
+    assert market.sell(4).tolist() == [1]
+    # the buyer's neighbours drop by their edge weights; the buyer keeps the
+    # value it bought at
+    assert market.values.tolist() == [1, 5, 0]
+    assert market.alive.tolist() == [True, False, True]
+    assert market.sell(6).tolist() == []
+    assert market.sell(1).tolist() == [0]
+    assert market.values.tolist() == [1, 5, 0]
+    # buyers in one round do not lower each other
+    triangle = Market(PncInstance.unweighted(3, [(0, 1), (1, 2), (0, 2)]))
+    assert triangle.sell(2).tolist() == [0, 1, 2]
+    assert triangle.values.tolist() == [2, 2, 2]
 
 
 def test_weighted_and_intrinsic():
@@ -107,3 +143,82 @@ def test_normalize_raises_revenue_keeps_partition():
         # Each normalized price is its round's cheapest buyer value, so
         # normalizing again changes nothing.
         assert normalize(inst, norm) == norm
+
+
+@st.composite
+def priced_instances(draw):
+    """A random weighted instance, small or with values past int64, and a
+    price sequence: unsorted, repeated, zero and huge prices included."""
+    n = draw(st.integers(1, 9))
+    scale = draw(st.sampled_from([6, 2**60, 2**66]))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+    edges = [(u, v, draw(st.integers(1, scale))) for u, v in chosen]
+    nu = draw(st.lists(st.integers(0, scale), min_size=n, max_size=n))
+    instance = PncInstance.from_edges(n, edges, nu)
+    price = st.one_of(
+        st.sampled_from(instance.initial_values + (0,)),
+        st.integers(0, max(instance.initial_values) + 1),
+        st.integers(2**63 - 2, 2**70),
+    )
+    return instance, tuple(draw(st.lists(price, max_size=8)))
+
+
+@given(priced_instances())
+def test_simulate_and_greedy_match_references(case):
+    instance, prices = case
+    assert simulate(instance, prices) == rescan_simulate(instance, prices)
+    assert greedy_iterative(instance).prices == heap_greedy(instance)
+
+
+@given(priced_instances())
+def test_normalize_and_make_irredundant_properties(case):
+    instance, prices = case
+    revenue = simulate(instance, prices).total_revenue
+    assert simulate(instance, normalize(instance, prices)).total_revenue >= revenue
+    pruned = make_irredundant(instance, prices)
+    assert all(p > q for p, q in zip(pruned, pruned[1:]))
+
+
+def test_shared_neighbour_exact_near_2_60():
+    # Nodes 0 and 1 buy together and both lower node 2 by weights near 2**60
+    # that a float64 cannot hold: node 2 must be left worth exactly 5.
+    w1, w2 = 2**60 + 1, 2**60 + 3
+    inst = PncInstance.from_edges(4, [(0, 2, w1), (1, 2, w2), (2, 3, 5)], (2**61, 2**61, 0, 0))
+    assert inst.value_array.dtype == np.int64
+    first = 2**61 + w1
+    trace = simulate(inst, (first, 5))
+    assert trace == rescan_simulate(inst, (first, 5))
+    assert trace.buyers_by_round == (frozenset({0, 1}), frozenset({2, 3}))
+    assert trace.total_revenue == 2 * first + 10
+    assert normalize(inst, (first, 5)) == (first, 5)
+    assert greedy_iterative(inst).prices == heap_greedy(inst)
+
+
+def _cyclic_formula(count):
+    # clause j is (x_j, -x_{j+1}, x_{j+2}) cyclically: every variable occurs
+    # three times in both polarities, and all-true satisfies every clause
+    clauses = tuple(
+        (j + 1, -((j + 1) % count + 1), (j + 2) % count + 1) for j in range(count)
+    )
+    return CnfFormula(count, clauses)
+
+
+def test_values_past_int64_use_python_ints():
+    artifact = build_reduction(_cyclic_formula(26))
+    inst = artifact.instance
+    assert max(inst.initial_values) > 2**63
+    assert inst.value_array.dtype == object
+    prices = assignment_pricing(artifact, (True,) * 26)
+    trace = simulate(inst, prices)
+    assert trace.total_revenue == artifact.threshold
+    assert trace == rescan_simulate(inst, prices)
+    assert greedy_iterative(inst).prices == heap_greedy(inst)
+    assert loads_instance(dumps_instance(inst)) == inst
+
+
+def test_price_past_int64_sells_nobody():
+    trace = simulate(path3(), (2**63, 2**64 + 1, 1))
+    assert trace.buyers_by_round == (frozenset(), frozenset(), frozenset({0, 1, 2}))
+    assert trace.total_revenue == 3
+    assert normalize(path3(), (2**63, 2)) == (2,)

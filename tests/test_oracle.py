@@ -19,6 +19,7 @@ from netprice import (
     simulate,
 )
 from netprice.oracle import DEPTH_LIMIT, NAIVE_NODE_LIMIT
+from references import adjacency
 
 # The 4-variable formula of the benchmark's reduction round trip: each
 # variable occurs three times, and x1 = x2 = x3 = true satisfies it.
@@ -32,11 +33,11 @@ def _reference_opt(instance):
     keeps the first best; values come from the adjacency lists, not from the
     oracle's bitmask kernel.
     """
-    adjacency = instance.graph.adjacency
+    adj = adjacency(instance.graph)
 
     def values(mask):
         return [
-            (instance.intrinsic[node] + sum(w for nb, w in adjacency[node] if mask >> nb & 1), node)
+            (instance.intrinsic[node] + sum(w for nb, w in adj[node] if mask >> nb & 1), node)
             for node in range(instance.node_count)
             if mask >> node & 1
         ]
@@ -149,9 +150,13 @@ def test_budget_exhaustion():
 
 
 def test_node_limit():
-    inst = PncInstance.unweighted(31, [(0, 1)])
-    with pytest.raises(ValueError, match="node"):
-        exact_opt(inst)
+    # The default limit is the depth limit, so the benchmark's 32-node
+    # reduction solves as it is; a limit that is given is still enforced.
+    reduction = build_reduction(parse_dimacs(CNF_4X4)).instance
+    assert reduction.node_count == 32
+    assert exact_opt(reduction).revenue == 1522932
+    with pytest.raises(ValueError, match="node limit 31"):
+        exact_opt(reduction, OracleConfig(node_limit=31))
     with pytest.raises(ValueError, match="at most 8"):
         naive_opt(PncInstance.unweighted(9, [(0, 1)]))
 
