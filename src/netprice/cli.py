@@ -17,6 +17,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .algorithms import (
     PricingResult,
@@ -40,54 +41,6 @@ from .reduction import (
     parse_dimacs,
     verify_gadget_claims,
 )
-
-EXPERIMENT_FAMILIES = ("forest_ratio", "er_ratio", "ba_ratio", "bound_sweep")
-
-
-@dataclass(frozen=True)
-class ExperimentSpec:
-    """A seeded batch run: experiment tag, trial count, and family parameters.
-
-    Seeds may be given explicitly; otherwise trial t uses master_seed + t
-    (bound_sweep enumerates its (n, trial) grid in that order).
-    """
-
-    experiment: str
-    trials: int = 20
-    master_seed: int = 0
-    params: dict = field(default_factory=dict)
-    seeds: tuple[int, ...] | None = None
-
-    def __post_init__(self) -> None:
-        if self.experiment not in EXPERIMENT_FAMILIES:
-            raise ValueError(f"unknown experiment {self.experiment!r}")
-        if self.trials < 1:
-            raise ValueError("trials must be at least 1")
-        if self.seeds is not None and len(self.seeds) != self.trials:
-            raise ValueError("explicit seeds must match the trial count")
-
-    def seed_list(self) -> tuple[int, ...]:
-        if self.seeds is not None:
-            return self.seeds
-        return tuple(self.master_seed + t for t in range(self.trials))
-
-
-EXPERIMENT_DEFAULTS = {
-    "forest_ratio": {"n": 12, "trees": 2, "oracle_limit": 14},
-    "er_ratio": {"n": 2000, "eta": 0.3, "delta": 0.1},
-    "ba_ratio": {"n": 5000, "beta": 3},
-    "bound_sweep": {"n_min": 6, "n_max": 14, "eta": 0.4},
-}
-
-EXPERIMENT_HEADERS = {
-    "forest_ratio": ["seed", "n", "edges", "price", "single_revenue", "oracle_revenue", "opt_over_single"],
-    "er_ratio": ["seed", "n", "edges", "price", "single_revenue", "greedy_revenue", "edge_ratio"],
-    "ba_ratio": [
-        "seed", "n", "edges", "price", "single_revenue", "greedy_revenue",
-        "min_degree_fraction", "gamma_independent",
-    ],
-    "bound_sweep": ["seed", "n", "edges", "oracle_revenue", "degree_bound", "log_cap", "cap_over_opt"],
-}
 
 
 def _fmt(value: float) -> str:
@@ -149,46 +102,98 @@ def _bound_sweep_trial(seed: int, params: dict) -> list[str]:
     ]
 
 
-_TRIAL_BUILDERS = {
-    "forest_ratio": _forest_ratio_trial,
-    "er_ratio": _er_ratio_trial,
-    "ba_ratio": _ba_ratio_trial,
-    "bound_sweep": _bound_sweep_trial,
+@dataclass(frozen=True)
+class Experiment:
+    """One batch experiment: ``trial(seed, params)`` returns a CSV row under
+    ``header``, and ``defaults`` holds every parameter the trial takes (each
+    is also an ``experiment`` flag, typed by its default)."""
+
+    trial: Callable[[int, dict], list[str]]
+    header: tuple[str, ...]
+    defaults: dict
+
+
+EXPERIMENTS: dict[str, Experiment] = {
+    "forest_ratio": Experiment(
+        _forest_ratio_trial,
+        ("seed", "n", "edges", "price", "single_revenue", "oracle_revenue", "opt_over_single"),
+        {"n": 12, "trees": 2, "oracle_limit": 14},
+    ),
+    "er_ratio": Experiment(
+        _er_ratio_trial,
+        ("seed", "n", "edges", "price", "single_revenue", "greedy_revenue", "edge_ratio"),
+        {"n": 2000, "eta": 0.3, "delta": 0.1},
+    ),
+    "ba_ratio": Experiment(
+        _ba_ratio_trial,
+        ("seed", "n", "edges", "price", "single_revenue", "greedy_revenue",
+         "min_degree_fraction", "gamma_independent"),
+        {"n": 5000, "beta": 3},
+    ),
+    "bound_sweep": Experiment(
+        _bound_sweep_trial,
+        ("seed", "n", "edges", "oracle_revenue", "degree_bound", "log_cap", "cap_over_opt"),
+        {"n_min": 6, "n_max": 14, "eta": 0.4},
+    ),
 }
+
+# Every experiment parameter with its type, in table order: one flag each.
+_EXPERIMENT_PARAMS = {
+    name: type(value) for experiment in EXPERIMENTS.values() for name, value in experiment.defaults.items()
+}
+
+
+@dataclass(frozen=True)
+class ExperimentSpec:
+    """A seeded batch run: an ``EXPERIMENTS`` name, a trial count, and
+    overrides of that experiment's default parameters.
+
+    Trial t uses seed master_seed + t; bound_sweep numbers its (n, trial)
+    grid in that order.
+    """
+
+    experiment: str
+    trials: int = 20
+    master_seed: int = 0
+    params: dict = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        experiment = EXPERIMENTS.get(self.experiment)
+        if experiment is None:
+            raise ValueError(f"unknown experiment {self.experiment!r}")
+        if self.trials < 1:
+            raise ValueError("trials must be at least 1")
+        unknown = [name for name in self.params if name not in experiment.defaults]
+        if unknown:
+            names = ", ".join(map(repr, unknown))
+            raise ValueError(f"experiment {self.experiment!r} takes no parameter {names}")
 
 
 def _run_trial(task: tuple[str, int, dict]) -> list[str]:
     experiment, seed, params = task
-    return _TRIAL_BUILDERS[experiment](seed, params)
+    return EXPERIMENTS[experiment].trial(seed, params)
 
 
 def experiment_tasks(spec: ExperimentSpec) -> list[tuple[str, int, dict]]:
     """The (experiment, seed, params) list for a spec, in deterministic order."""
-    params = dict(EXPERIMENT_DEFAULTS[spec.experiment])
-    params.update(spec.params)
-    if spec.experiment == "bound_sweep":
-        sizes = range(params["n_min"], params["n_max"] + 1)
-        tasks = []
-        index = 0
-        for n in sizes:
-            for _ in range(spec.trials):
-                per_row = dict(params)
-                per_row["n"] = n
-                tasks.append((spec.experiment, spec.master_seed + index, per_row))
-                index += 1
-        return tasks
-    return [(spec.experiment, seed, params) for seed in spec.seed_list()]
+    params = {**EXPERIMENTS[spec.experiment].defaults, **spec.params}
+    grid = [params]
+    if "n_min" in params:  # a size sweep: every n in [n_min, n_max], trials per size
+        n_min, n_max = params["n_min"], params["n_max"]
+        if n_min > n_max:
+            raise ValueError(f"n_min ({n_min}) must not exceed n_max ({n_max})")
+        grid = [{**params, "n": n} for n in range(n_min, n_max + 1)]
+    rows = [row for row in grid for _ in range(spec.trials)]
+    return [(spec.experiment, spec.master_seed + index, row) for index, row in enumerate(rows)]
 
 
-def run_experiment(spec: ExperimentSpec, jobs: int | None = None) -> str:
+def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> str:
     """Run a spec's trials (optionally in parallel) and return CSV text.
 
     At most ``min(jobs, trials, CPU count)`` worker processes start. Trials
     are pure functions of their seed, so parallel execution merges results
     in seed order and the output is byte-reproducible.
     """
-    if jobs is None:
-        jobs = int(os.environ.get("NETPRICE_JOBS", "1"))
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
     tasks = experiment_tasks(spec)
@@ -198,7 +203,7 @@ def run_experiment(spec: ExperimentSpec, jobs: int | None = None) -> str:
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_run_trial, tasks))
-    lines = [",".join(EXPERIMENT_HEADERS[spec.experiment])]
+    lines = [",".join(EXPERIMENTS[spec.experiment].header)]
     lines.extend(",".join(row) for row in rows)
     return "\n".join(lines) + "\n"
 
@@ -267,19 +272,20 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _strategy_result(args: argparse.Namespace, instance: PncInstance) -> PricingResult:
-    if args.strategy == "greedy":
-        return greedy_iterative(instance)
-    if args.strategy == "single":
-        return best_single_price(instance)
-    if args.strategy == "forest-single":
-        return forest_single_price(instance)
-    return split_dp(instance)
+# Pricing subcommands: name -> (help, strategy). Each strategy looks its
+# function up at call time, so a replaced module attribute (a tracing
+# wrapper, say) is reached.
+STRATEGIES: dict[str, tuple[str, Callable[[PncInstance], PricingResult]]] = {
+    "greedy": ("iterative argmax pricing (2-approximation)", lambda i: greedy_iterative(i)),
+    "single": ("best single posted price", lambda i: best_single_price(i)),
+    "forest-single": ("better of prices 1 and 2 on a forest (1.5-approximation)",
+                      lambda i: forest_single_price(i)),
+    "split-dp": ("exact optimum on a split graph", lambda i: split_dp(i)),
+}
 
 
 def _cmd_strategy(args: argparse.Namespace) -> int:
-    instance = _read_instance(args.instance)
-    result = _strategy_result(args, instance)
+    result = args.strategy(_read_instance(args.instance))
     if args.json:
         print(json.dumps(_trace_json(result.prices, result.trace)))
     else:
@@ -342,19 +348,14 @@ def _cmd_verify_gadgets(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
+def _experiment_spec(args: argparse.Namespace) -> ExperimentSpec:
+    # experiment flags default to absent, so only the given ones override
+    params = {name: value for name, value in vars(args).items() if name in _EXPERIMENT_PARAMS}
+    return ExperimentSpec(args.family, args.trials, args.master_seed, params)
+
+
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    params = {}
-    for name in ("n", "eta", "delta", "beta", "trees", "oracle_limit", "n_min", "n_max"):
-        value = getattr(args, name)
-        if value is not None:
-            params[name] = value
-    spec = ExperimentSpec(
-        experiment=args.family,
-        trials=args.trials,
-        master_seed=args.master_seed,
-        params=params,
-    )
-    _write_text(run_experiment(spec, jobs=args.jobs), args.out)
+    _write_text(run_experiment(_experiment_spec(args), jobs=args.jobs), args.out)
     return 0
 
 
@@ -384,16 +385,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--json", action="store_true")
     sim.set_defaults(handler=_cmd_simulate)
 
-    for name, help_text in [
-        ("greedy", "iterative argmax pricing (2-approximation)"),
-        ("single", "best single posted price"),
-        ("forest-single", "better of prices 1 and 2 on a forest (1.5-approximation)"),
-        ("split-dp", "exact optimum on a split graph"),
-    ]:
+    for name, (help_text, strategy) in STRATEGIES.items():
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("instance", nargs="?", default="-")
         cmd.add_argument("--json", action="store_true")
-        cmd.set_defaults(handler=_cmd_strategy, strategy=name)
+        cmd.set_defaults(handler=_cmd_strategy, strategy=strategy)
 
     orc = sub.add_parser("oracle", help="exact optimum by branch-and-bound search")
     orc.add_argument("instance", nargs="?", default="-")
@@ -416,19 +412,12 @@ def _build_parser() -> argparse.ArgumentParser:
     ver.set_defaults(handler=_cmd_verify_gadgets)
 
     exp = sub.add_parser("experiment", help="seeded batch runs with CSV output")
-    exp.add_argument("--family", required=True, choices=list(EXPERIMENT_FAMILIES))
+    exp.add_argument("--family", required=True, choices=list(EXPERIMENTS))
     exp.add_argument("--trials", type=int, default=20)
     exp.add_argument("--master-seed", type=int, default=0)
-    exp.add_argument("--jobs", type=int, default=None,
-                     help="parallel workers (default: NETPRICE_JOBS or 1)")
-    exp.add_argument("--n", type=int)
-    exp.add_argument("--eta", type=float)
-    exp.add_argument("--delta", type=float)
-    exp.add_argument("--beta", type=int)
-    exp.add_argument("--trees", type=int)
-    exp.add_argument("--oracle-limit", type=int)
-    exp.add_argument("--n-min", type=int)
-    exp.add_argument("--n-max", type=int)
+    exp.add_argument("--jobs", type=int, default=1, help="parallel workers")
+    for name, kind in _EXPERIMENT_PARAMS.items():
+        exp.add_argument("--" + name.replace("_", "-"), type=kind, default=argparse.SUPPRESS)
     exp.add_argument("--out", default="-")
     exp.set_defaults(handler=_cmd_experiment)
 

@@ -168,15 +168,18 @@ def _forest_counts(n: int, t: int) -> tuple[tuple[int, ...], ...]:
     rows = [(1,) + (0,) * span]
     for j in range(1, t):
         below = rows[-1]
-        rows.append(tuple(
-            # condition on the size m of the component containing the lowest label
-            sum(
-                math.comb(k - 1, m - 1) * _tree_count(m) * below[k - m - j + 1]
-                for m in range(1, k - j + 2)
-            )
-            for k in range(j, j + span + 1)
-        ))
+        rows.append(tuple(sum(_component_weights(k, j, below)) for k in range(j, j + span + 1)))
     return tuple(rows)
+
+
+def _component_weights(k: int, j: int, below: tuple[int, ...]) -> list[int]:
+    """Labeled forests on k nodes with j components, split by the size m
+    (entry m - 1) of the component containing the lowest label. ``below`` is
+    the ``_forest_counts`` row for j - 1 components."""
+    return [
+        math.comb(k - 1, m - 1) * _tree_count(m) * below[k - m - j + 1]
+        for m in range(1, k - j + 2)
+    ]
 
 
 def _uniform_below(rng: np.random.Generator, bound: int) -> int:
@@ -231,11 +234,7 @@ def gen_forest(n: int, tree_count: int, seed: int) -> PncInstance:
     while labels:
         pool = len(labels)
         anchor = labels.pop(0)
-        below = counts[remaining_trees - 1]
-        weights = [
-            math.comb(pool - 1, m - 1) * _tree_count(m) * below[pool - m - remaining_trees + 1]
-            for m in range(1, pool - remaining_trees + 2)
-        ]
+        weights = _component_weights(pool, remaining_trees, counts[remaining_trees - 1])
         total = sum(weights)
         pick = _uniform_below(rng, total)
         size = 1

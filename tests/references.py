@@ -1,12 +1,27 @@
-"""Pure-Python reference implementations the array engine is checked against.
+"""Pure-Python reference implementations the array engine is checked against,
+and the small weighted instances that brute force can solve.
 
-They read only ``graph.edges`` and ``instance.initial_values`` and keep every
-number a Python int, so they share no code with the numpy paths.
+The references read only ``graph.edges`` and ``instance.initial_values`` and
+keep every number a Python int, so they share no code with the numpy paths.
 """
 
 import heapq
 
-from netprice import SaleRound, SaleTrace, validate_prices
+from hypothesis import strategies as st
+
+from netprice import PncInstance, SaleRound, SaleTrace, validate_prices
+from netprice.oracle import NAIVE_NODE_LIMIT
+
+
+@st.composite
+def weighted_instances(draw):
+    """Up to ``NAIVE_NODE_LIMIT`` nodes, weights 1-6, intrinsic values 0-6."""
+    n = draw(st.integers(1, NAIVE_NODE_LIMIT))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+    edges = [(u, v, draw(st.integers(1, 6))) for u, v in chosen]
+    nu = draw(st.lists(st.integers(0, 6), min_size=n, max_size=n))
+    return PncInstance.from_edges(n, edges, nu)
 
 
 def adjacency(graph):

@@ -4,6 +4,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from netprice import (
     PncInstance,
@@ -22,12 +23,13 @@ from netprice import (
     gen_split,
     greedy_iterative,
     min_degree_independent,
+    naive_opt,
     normalize,
     recognize_split,
     simulate,
     split_dp,
 )
-from references import adjacency
+from references import adjacency, weighted_instances
 
 
 def _random_instance(rng, max_n=12, max_w=5, max_nu=3):
@@ -88,6 +90,16 @@ def test_greedy_lower_bound_and_two_approx():
         opt = exact_opt(inst).revenue
         assert opt <= 2 * result.revenue
         assert opt <= sum(inst.intrinsic) + 2 * inst.graph.total_edge_weight
+
+
+@settings(max_examples=150, deadline=None)
+@given(weighted_instances())
+def test_greedy_guarantees_property(inst):
+    revenue = greedy_iterative(inst).revenue
+    assert revenue >= sum(inst.intrinsic) + inst.graph.total_edge_weight
+    opt = exact_opt(inst).revenue
+    assert opt == naive_opt(inst)
+    assert opt <= 2 * revenue
 
 
 def test_best_single_price():

@@ -7,7 +7,7 @@ import pytest
 
 from netprice import dumps_instance, gen_er, gen_spider, loads_instance
 from netprice.cli import (
-    EXPERIMENT_HEADERS,
+    EXPERIMENTS,
     ExperimentSpec,
     experiment_tasks,
     run_cli,
@@ -252,7 +252,7 @@ def test_forest_experiment_csv(tmp_path):
     assert run_cli(["experiment", "--family", "forest_ratio", "--trials", "3",
                     "--n", "8", "--trees", "2", "--out", out]) == 0
     lines = open(out, encoding="utf-8").read().splitlines()
-    assert lines[0] == ",".join(EXPERIMENT_HEADERS["forest_ratio"])
+    assert lines[0] == ",".join(EXPERIMENTS["forest_ratio"].header)
     assert len(lines) == 4
     for seed, line in enumerate(lines[1:]):
         cells = line.split(",")
@@ -265,7 +265,7 @@ def test_er_experiment_row_content(capsys):
     assert run_cli(["experiment", "--family", "er_ratio", "--trials", "2",
                     "--n", "40", "--eta", "0.3"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == ",".join(EXPERIMENT_HEADERS["er_ratio"])
+    assert lines[0] == ",".join(EXPERIMENTS["er_ratio"].header)
     for line in lines[1:]:
         cells = line.split(",")
         assert cells[3] == "10"  # floor(0.9 * 39 * 0.3)
@@ -296,23 +296,28 @@ def test_parallel_experiment_is_byte_identical():
     assert run_experiment(spec, jobs=2) == run_experiment(spec, jobs=1)
 
 
-def test_jobs_env_default(monkeypatch):
-    spec = ExperimentSpec("forest_ratio", trials=2, master_seed=5, params={"n": 7})
-    serial = run_experiment(spec, jobs=1)
-    monkeypatch.setenv("NETPRICE_JOBS", "2")
-    assert run_experiment(spec) == serial
-
-
 def test_experiment_spec_validation():
     with pytest.raises(ValueError, match="unknown experiment"):
         ExperimentSpec("volume_sweep")
     with pytest.raises(ValueError, match="at least 1"):
         ExperimentSpec("er_ratio", trials=0)
-    with pytest.raises(ValueError, match="match the trial count"):
-        ExperimentSpec("er_ratio", trials=3, seeds=(1, 2))
-    spec = ExperimentSpec("er_ratio", trials=3, master_seed=10)
-    assert spec.seed_list() == (10, 11, 12)
-    assert ExperimentSpec("er_ratio", trials=2, seeds=(7, 3)).seed_list() == (7, 3)
+    with pytest.raises(ValueError, match="experiment 'er_ratio' takes no parameter 'trees'"):
+        ExperimentSpec("er_ratio", params={"n": 40, "trees": 9})
+    with pytest.raises(ValueError, match="experiment 'bound_sweep' takes no parameter 'n'"):
+        ExperimentSpec("bound_sweep", params={"n": 40})
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--family", "er_ratio", "--n", "40", "--trials", "1", "--trees", "9"],
+     "experiment 'er_ratio' takes no parameter 'trees'"),
+    (["--family", "bound_sweep", "--n", "40"], "experiment 'bound_sweep' takes no parameter 'n'"),
+    (["--family", "bound_sweep", "--n-min", "10", "--n-max", "5"], "n_min (10) must not exceed n_max (5)"),
+])
+def test_experiment_flag_errors(argv, message, capsys):
+    assert run_cli(["experiment", *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_experiment_tasks_respect_overrides():

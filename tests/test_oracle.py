@@ -5,7 +5,6 @@ import random
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from netprice import (
     OracleBudgetError,
@@ -18,8 +17,8 @@ from netprice import (
     parse_dimacs,
     simulate,
 )
-from netprice.oracle import DEPTH_LIMIT, NAIVE_NODE_LIMIT
-from references import adjacency
+from netprice.oracle import DEPTH_LIMIT
+from references import adjacency, weighted_instances
 
 # The 4-variable formula of the benchmark's reduction round trip: each
 # variable occurs three times, and x1 = x2 = x3 = true satisfies it.
@@ -182,16 +181,6 @@ def test_matches_reference_search():
         assert all(p > q for p, q in zip(result.prices, result.prices[1:]))
         assert simulate(inst, result.prices).total_revenue == revenue
         assert 1 <= result.states_explored <= states
-
-
-@st.composite
-def weighted_instances(draw):
-    n = draw(st.integers(1, NAIVE_NODE_LIMIT))
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    chosen = draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
-    edges = [(u, v, draw(st.integers(1, 6))) for u, v in chosen]
-    nu = draw(st.lists(st.integers(0, 6), min_size=n, max_size=n))
-    return PncInstance.from_edges(n, edges, nu)
 
 
 @settings(max_examples=150, deadline=None)

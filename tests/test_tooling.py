@@ -2,17 +2,28 @@
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+import pytest
+
+from netprice.cli import _build_parser, _experiment_spec
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up while the class is built
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_traced_attributes_resolve():
     # The traced benchmark pass wraps these module attributes; a refactor that
     # drops one would otherwise fail only when that pass runs.
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = _load("tracing")
     assert tracing.TRACED
     missing = [
         f"{module}.{attribute}"
@@ -20,3 +31,19 @@ def test_traced_attributes_resolve():
         if not callable(getattr(importlib.import_module(module), attribute, None))
     ]
     assert missing == []
+
+
+@pytest.mark.parametrize("size", ["full", "tiny"])
+def test_benchmark_commands_parse(size):
+    # A flag the CLI no longer takes would otherwise surface only as failed
+    # benchmark jobs.
+    workloads = _load("workloads")
+    parser = _build_parser()
+    for workload in workloads.WORKLOADS.values():
+        for step in workload(size, seed=0).steps():
+            try:
+                args = parser.parse_args(list(step.argv))
+            except SystemExit:
+                pytest.fail(f"{workload.name} step {step.name} does not parse: {step.argv}")
+            if args.command == "experiment":
+                _experiment_spec(args)
