@@ -1,8 +1,8 @@
 """Pricing strategies and structural helpers.
 
-Every strategy returns a PricingResult whose trace comes from re-simulating
-the chosen prices, so reported revenue is always the engine's, not a
-formula's.
+Every strategy returns a PricingResult whose trace comes from the engine's
+rounds (re-simulating the chosen prices, or for greedy the rounds it sold),
+so reported revenue is always the engine's, not a formula's.
 """
 
 from __future__ import annotations
@@ -51,18 +51,18 @@ def greedy_iterative(instance: PncInstance) -> PricingResult:
     earlier-selling endpoint charged for it, and intrinsic value is always
     charged. A price of 0 can only appear in the final round.
 
-    Each round is a max over the alive values plus one ``Market.sell``.
+    Each round is a max over the alive values plus one ``Market.sale``, and
+    the trace is made of those rounds.
     """
     market = Market(instance)
-    prices = []
+    rounds = []
     left = instance.node_count
     while left:
         # owners count as 0, and no alive value is below 0
-        price = int((market.values * market.alive).max())
-        prices.append(price)
-        left -= len(market.sell(price))
-    trace = simulate(instance, tuple(prices))
-    return PricingResult(tuple(prices), trace.total_revenue, trace)
+        rounds.append(market.sale(int((market.values * market.alive).max())))
+        left -= len(rounds[-1].buyers)
+    trace = market.trace(rounds)
+    return PricingResult(trace.prices, trace.total_revenue, trace)
 
 
 def best_single_price(instance: PncInstance) -> PricingResult:

@@ -241,16 +241,18 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
-def _trace_json(prices: tuple[int, ...], trace) -> dict:
-    return {
-        "prices": list(prices),
-        "rounds": [
-            {"price": sale.price, "buyers": sorted(sale.buyers), "revenue": sale.revenue}
-            for sale in trace.rounds
-        ],
-        "total_revenue": trace.total_revenue,
-        "unsold": sorted(trace.residual),
-    }
+def _trace_json(prices: tuple[int, ...], trace) -> str:
+    """The text ``json.dumps`` gives for the trace's dict of prices, rounds,
+    total revenue and unsold consumers, written without building the dict."""
+    def ints(values) -> str:
+        return "[" + ", ".join(map(str, values)) + "]"
+
+    rounds = ", ".join(
+        f'{{"price": {sale.price}, "buyers": {ints(sorted(sale.buyers))}, "revenue": {sale.revenue}}}'
+        for sale in trace.rounds
+    )
+    return (f'{{"prices": {ints(prices)}, "rounds": [{rounds}], '
+            f'"total_revenue": {trace.total_revenue}, "unsold": {ints(sorted(trace.residual))}}}')
 
 
 def _print_trace(prices: tuple[int, ...], trace) -> None:
@@ -266,7 +268,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     prices = tuple(args.prices)
     trace = simulate(instance, prices)
     if args.json:
-        print(json.dumps(_trace_json(prices, trace)))
+        print(_trace_json(prices, trace))
     else:
         _print_trace(prices, trace)
     return 0
@@ -287,7 +289,7 @@ STRATEGIES: dict[str, tuple[str, Callable[[PncInstance], PricingResult]]] = {
 def _cmd_strategy(args: argparse.Namespace) -> int:
     result = args.strategy(_read_instance(args.instance))
     if args.json:
-        print(json.dumps(_trace_json(result.prices, result.trace)))
+        print(_trace_json(result.prices, result.trace))
     else:
         print(f"prices: {' '.join(str(p) for p in result.prices)}")
         print(f"revenue: {result.revenue}")

@@ -11,6 +11,7 @@ leaves the package is Python ints.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -221,7 +222,7 @@ class PncInstance:
         return values
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SaleRound:
     price: int
     buyers: frozenset[int]
@@ -275,6 +276,12 @@ def validate_prices(prices: Sequence[int]) -> PriceSequence:
 # dumps_instance emits the canonical form: compact separators, edges sorted by
 # endpoint pair, "nu" omitted iff all intrinsic values are zero, trailing
 # newline. load/dump round-trips are lossless.
+#
+# loads_instance takes any JSON whitespace and key order, and a later
+# duplicate key wins, as with json.loads. json's decoder reads the keys and
+# every value but "edges"; the edge list is read in one numpy pass and never
+# becomes Python lists. Numbers past int64 stay exact (object arrays). A file
+# the readers turn down goes to json.loads, which only names the error.
 # ---------------------------------------------------------------------------
 
 
@@ -289,12 +296,97 @@ def dumps_instance(instance: PncInstance) -> str:
     return text + "}\n"
 
 
-def loads_instance(text: str) -> PncInstance:
+_DECODER = json.JSONDecoder()
+_SPACE = re.compile(r"[ \t\n\r]*")  # JSON whitespace
+# the longest stretch from the edge list's "[" that could belong to it
+_EDGE_RUN = re.compile(r"[-0-9\[\], \t\n\r]*\]")
+_BLANK_BRACKETS = bytes.maketrans(b"[]", b"  ")
+_NUMBER_AS_N = bytes.maketrans(b"-0123456789", b"N" * 11)
+# an integer of at most 18 digits is below this; np.fromstring clamps longer
+# ones to the int64 limits without a warning
+_SHORT_INT_BOUND = 10**18
+
+
+def _skip_space(text: str, at: int) -> int:
+    return _SPACE.match(text, at).end()
+
+
+def _read_edges(text: str, at: int) -> tuple[np.ndarray, int] | None:
+    """The edge list at ``text[at]`` as an (m, 3) table, and the index just
+    past it; None unless it is ``[[t,t,t],...]`` with JSON integers ``t``."""
+    run = _EDGE_RUN.match(text, at)
+    if run is None:
+        return None
+    body = text[at:run.end()].encode()
+    chars = np.frombuffer(body, np.uint8)
+    digit = (chars >= ord("0")) & (chars <= ord("9"))
+    minus = chars == ord("-")
+    number = digit | minus
+    first = number.copy()  # the first byte of each number
+    first[1:] &= ~number[:-1]
+    # -?(0|[1-9][0-9]*): a minus comes first and before a digit, and no
+    # digit follows a number's opening 0
+    opening = first.copy()
+    opening[1:] |= minus[:-1]
+    if ((minus & ~first).any() or (minus[:-1] & ~digit[1:]).any()
+            or ((chars[:-1] == ord("0")) & opening[:-1] & digit[1:]).any()):
+        return None
+    # Each number as one "N", whitespace dropped: a blank inside a number
+    # leaves "NN", so the shape is exact only for [[N,N,N],...].
+    shape = chars[first | (~number & (chars > ord(" ")))].tobytes().translate(_NUMBER_AS_N)
+    m = len(shape) // 8
+    if shape != b"[" + (b"[N,N,N]," * m)[:-1] + b"]":
+        return None
+    if not m:  # fromstring reads a blank string as one 0
+        return np.zeros((0, 3), np.int64), run.end()
+    values = np.fromstring(body.translate(_BLANK_BRACKETS), np.int64, sep=",")
+    if ((values >= _SHORT_INT_BOUND) | (values <= -_SHORT_INT_BOUND)).any():
+        tokens = body.translate(None, b"[] \t\n\r").split(b",")
+        values = np.array([int(token) for token in tokens], dtype=object)
+    return values.reshape(m, 3), run.end()
+
+
+def _read_object(text: str) -> dict | None:
+    """``text``'s top-level JSON object, or None unless it is one.
+
+    json's decoder reads each key and value, and a later duplicate key wins,
+    as in ``json.loads``; only an "edges" value goes to ``_read_edges`` first.
+    """
+    at = _skip_space(text, 0)
+    if not text.startswith("{", at):
+        return None
+    payload = {}
+    at = _skip_space(text, at + 1)
+    more = not text.startswith("}", at)
     try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"instance file is not valid JSON: {exc}") from exc
-    if not isinstance(payload, dict):
+        while more:
+            key, at = _DECODER.raw_decode(text, at)
+            at = _skip_space(text, at)
+            if not (isinstance(key, str) and text.startswith(":", at)):
+                return None
+            at = _skip_space(text, at + 1)
+            edges = _read_edges(text, at) if key == "edges" else None
+            payload[key], at = edges or _DECODER.raw_decode(text, at)
+            at = _skip_space(text, at)
+            more = text.startswith(",", at)
+            if more:
+                at = _skip_space(text, at + 1)
+    except json.JSONDecodeError:
+        return None
+    if text.startswith("}", at) and _skip_space(text, at + 1) == len(text):
+        return payload
+    return None
+
+
+def loads_instance(text: str) -> PncInstance:
+    payload = _read_object(text)
+    if payload is None:
+        try:
+            payload = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"instance file is not valid JSON: {exc}") from exc
+        if isinstance(payload, dict):
+            raise RuntimeError("the object reader turned down a JSON object")
         raise ValueError("instance file must contain a JSON object")
     unknown = set(payload) - {"n", "edges", "nu"}
     if unknown:
@@ -302,8 +394,8 @@ def loads_instance(text: str) -> PncInstance:
     if "n" not in payload:
         raise ValueError("instance file is missing field 'n'")
     n = _as_int(payload["n"], "n")
-    raw_edges = payload.get("edges", [])
-    if not isinstance(raw_edges, list):
+    edges = payload.get("edges", np.zeros((0, 3), np.int64))
+    if not isinstance(edges, (list, np.ndarray)):
         raise ValueError("'edges' must be a list of [u, v, w] triples")
     nu = payload.get("nu")
     if nu is not None:
@@ -311,12 +403,12 @@ def loads_instance(text: str) -> PncInstance:
             raise ValueError("'nu' must be a list of integers")
         if len(nu) != n:
             raise ValueError(f"'nu' has {len(nu)} entries for n={n}")
-    # Parsed once: the graph takes the table as it is. A None table always
-    # fails the graph's own checks, so the orientation check sees a table.
-    table = _edge_table(raw_edges)
-    instance = PncInstance.from_edges(n, raw_edges if table is None else table, nu)
+    # A list here is one the edge reader turned down: the graph rejects it.
+    instance = PncInstance.from_edges(n, edges, nu)
+    if isinstance(edges, list):
+        raise RuntimeError("the graph accepted an edge list that the edge reader turned down")
     # the file format also fixes each edge's orientation
-    backwards = np.flatnonzero(table[:, 0] >= table[:, 1])
+    backwards = np.flatnonzero(edges[:, 0] >= edges[:, 1])
     if len(backwards):
         raise ValueError(f"edges[{backwards[0]}]: endpoints must satisfy u < v")
     return instance

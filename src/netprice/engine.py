@@ -52,17 +52,22 @@ class Market:
         np.subtract.at(self.values, neighbours[still], self.weights[rows][still])
         return buyers
 
+    def sale(self, price: int) -> SaleRound:
+        """``sell(price)`` as the round's record."""
+        buyers = self.sell(price).tolist()
+        return SaleRound(price, frozenset(buyers), price * len(buyers))
+
+    def trace(self, rounds: Sequence[SaleRound]) -> SaleTrace:
+        """The trace of ``rounds``, the sales made so far."""
+        residual = frozenset(np.flatnonzero(self.alive).tolist())
+        return SaleTrace(tuple(rounds), residual, sum(r.revenue for r in rounds))
+
 
 def simulate(instance: PncInstance, prices: Sequence[int]) -> SaleTrace:
     """Run the selling process for ``prices`` and return the full trace."""
     prices = validate_prices(prices)
     market = Market(instance)
-    rounds = []
-    for price in prices:
-        buyers = market.sell(price).tolist()
-        rounds.append(SaleRound(price, frozenset(buyers), price * len(buyers)))
-    residual = frozenset(np.flatnonzero(market.alive).tolist())
-    return SaleTrace(tuple(rounds), residual, sum(r.revenue for r in rounds))
+    return market.trace([market.sale(price) for price in prices])
 
 
 def make_irredundant(instance: PncInstance, prices: Sequence[int]) -> PriceSequence:

@@ -1,15 +1,20 @@
 """Pure-Python reference implementations the array engine is checked against,
-and the small weighted instances that brute force can solve.
+the small weighted instances that brute force can solve, and the
+``json.loads`` instance loader the edge-list reader is checked against.
 
-The references read only ``graph.edges`` and ``instance.initial_values`` and
-keep every number a Python int, so they share no code with the numpy paths.
+The engine references read only ``graph.edges`` and
+``instance.initial_values`` and keep every number a Python int, so they share
+no code with the numpy paths.
 """
 
 import heapq
+import json
 
+import numpy as np
 from hypothesis import strategies as st
 
 from netprice import PncInstance, SaleRound, SaleTrace, validate_prices
+from netprice.core import _as_int, _edge_table
 from netprice.oracle import NAIVE_NODE_LIMIT
 
 
@@ -91,3 +96,35 @@ def heap_greedy(instance):
                     values[neighbor] -= weight
                     heapq.heappush(heap, (-values[neighbor], neighbor))
     return tuple(prices)
+
+
+def json_loads_instance(text):
+    """An instance file read whole by ``json.loads``: every edge becomes a
+    Python list first, then one table."""
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"instance file is not valid JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise ValueError("instance file must contain a JSON object")
+    unknown = set(payload) - {"n", "edges", "nu"}
+    if unknown:
+        raise ValueError(f"unknown instance fields: {sorted(unknown)}")
+    if "n" not in payload:
+        raise ValueError("instance file is missing field 'n'")
+    n = _as_int(payload["n"], "n")
+    raw_edges = payload.get("edges", [])
+    if not isinstance(raw_edges, list):
+        raise ValueError("'edges' must be a list of [u, v, w] triples")
+    nu = payload.get("nu")
+    if nu is not None:
+        if not isinstance(nu, list):
+            raise ValueError("'nu' must be a list of integers")
+        if len(nu) != n:
+            raise ValueError(f"'nu' has {len(nu)} entries for n={n}")
+    table = _edge_table(raw_edges)
+    instance = PncInstance.from_edges(n, raw_edges if table is None else table, nu)
+    backwards = np.flatnonzero(table[:, 0] >= table[:, 1])
+    if len(backwards):
+        raise ValueError(f"edges[{backwards[0]}]: endpoints must satisfy u < v")
+    return instance

@@ -3,13 +3,16 @@
 import ast
 import json
 import random
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import netprice
+from netprice import core
 from netprice import (
     PncInstance,
     SaleRound,
@@ -20,6 +23,7 @@ from netprice import (
     loads_instance,
     validate_prices,
 )
+from references import json_loads_instance
 
 
 def test_edges_are_canonicalized():
@@ -230,6 +234,112 @@ def test_loads_rejects_malformed():
         loads_instance('{"n":2,"nu":[1]}')
     with pytest.raises(ValueError, match="integer"):
         loads_instance('{"n":2,"edges":[[0,1,true]]}')
+    with pytest.raises(ValueError, match=r"\(-9223372036854775809, 1\) out of range"):
+        loads_instance('{"n":2,"edges":[[-9223372036854775809,1,1]]}')
+
+
+SPACES = ("", "", " ", "\t", "\r\n", "\n  ")  # mostly none
+ODD_TOKENS = ("-0", "00", "01", "-01", "1.0", "1e2", "true", "null", '"1"', "- 1", "1 2", "-", "--1", "1-2",
+              "[]", "[5]", "{}", "NaN", str(2**63 - 1), str(2**63), str(10**19), str(-(2**63) - 1))
+ODD_FIELDS = (("edges", "[]"), ("edges", "[5]"), ("edges", "[[0,1,1]]"), ("edges", "null"),
+              ("edges", "[[0,1,1],5]"), ("x", '"\\"edges\\":[[0,1,1]]"'), ("nu", '[{"edges":[[0,1,1]]}]'),
+              ("nu", '{"edges":[[0,1,1]]}'), ("nu", '"edges"'), ("é", '"ü☃"'),
+              ("n", '"ü"'), ("\\u0065dges", "[[0,1,2]]"))
+
+
+@st.composite
+def instance_texts(draw):
+    """An instance file in random spacing and key order, with a few of its
+    edge tokens, triples or fields changed in ways the format may not allow,
+    and sometimes cut short."""
+    space = lambda: draw(st.sampled_from(SPACES))  # noqa: E731
+    n = draw(st.integers(1, 6))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+    triples = [[str(u), str(v), str(draw(st.integers(1, 9)))] for u, v in chosen]
+    for change in draw(st.lists(st.sampled_from(("token", "short", "long", "outside")), max_size=3)):
+        at = draw(st.integers(0, len(triples)))
+        if change == "outside":
+            triples.insert(at, draw(st.sampled_from(("5", "[]", "[5]", "-0"))))
+        elif at < len(triples) and isinstance(triples[at], list):
+            triple = triples[at]
+            if change == "token":
+                triple[draw(st.integers(0, len(triple) - 1))] = draw(st.sampled_from(ODD_TOKENS))
+            elif change == "short":
+                del triple[-1]
+            else:
+                triple.append("1")
+    edges = "[" + ",".join(
+        space() + (item if isinstance(item, str)
+                   else "[" + ",".join(space() + t + space() for t in item) + "]") + space()
+        for item in triples
+    ) + "]"
+    fields = [("n", str(n)), ("edges", edges)]
+    if draw(st.booleans()):
+        fields.append(("nu", json.dumps(draw(st.lists(st.integers(0, 5), min_size=n, max_size=n)))))
+    fields += draw(st.lists(st.sampled_from(ODD_FIELDS), max_size=2))
+    fields = draw(st.permutations(fields))
+    text = space() + "{" + ",".join(
+        f'{space()}"{key}"{space()}:{space()}{value}{space()}' for key, value in fields) + "}" + space()
+    if draw(st.integers(0, 9)) == 0:
+        text = text[:draw(st.integers(0, len(text)))]
+    return text
+
+
+def _load(loader, text):
+    """The instance with its weight dtype, or the ValueError's message."""
+    try:
+        instance = loader(text)
+    except ValueError as exc:
+        return str(exc)
+    return instance, instance.graph.w.dtype, instance.intrinsic
+
+
+@settings(max_examples=300)
+@given(instance_texts())
+@example('{"n":2,"edges":[5],"edges":[[0,1,1]]}')
+@example('{"n":2,"edges":[[0,1,1]],"edges":null}')
+@example('{"n":2,"edges":[[0,1,1]],"\\u0065dges":[]}')
+@example('{"n":1,"edges":[5]}')
+@example('{"n":3,"edges":[[0,1-2,1]]}')
+@example('{"n":3,"edges":[[0,1,-]]}')
+@example('{"n":3,"edges":[[0,1,00]]}')
+@example('{"n":3,"edges":[[0,1,1] [1,2,1]]}')
+@example('{"n":3,"edges":[[0,1,1],[1,2,1]],}')
+@example('{"n":2,"edges":[[0,1,1]]} x')
+@example('\ufeff{"n":1}')
+@example('[1]')
+def test_loader_matches_json_reference(text):
+    # Same instance (and weight dtype), or the same ValueError message, as
+    # the loader that reads the whole file with json.loads.
+    assert _load(loads_instance, text) == _load(json_loads_instance, text)
+
+
+@pytest.mark.parametrize("weight", [5, 2**63 - 1, 2**63, 10**19])
+def test_loader_keeps_big_numbers_exact(weight):
+    # np.fromstring would clamp the last two to 2**63 - 1 without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        graph = loads_instance(f'{{"n":2,"edges":[[0,1,{weight}]]}}').graph
+    assert graph.w.tolist() == [weight]
+    assert graph.w.dtype == (object if weight > core.INT64_MAX else np.int64)
+
+
+@pytest.mark.parametrize("spacing", ["", " \r\n\t"])
+def test_valid_file_edges_never_reach_json(monkeypatch, spacing):
+    pairs = [(u, v) for u in range(60) for v in range(u + 1, 60)][:1000]
+    instance = PncInstance.from_edges(60, [(u, v, 1 + (u * v) % 7) for u, v in pairs], range(60))
+    text = dumps_instance(instance).replace(",", "," + spacing).replace("[", "[" + spacing)
+    body_at = text.index('"edges":') + len('"edges":')
+    body = text[body_at:text.index("]]", body_at) + 2]
+    texts, starts = [], []
+    loads, raw_decode = core.json.loads, core._DECODER.raw_decode
+    monkeypatch.setattr(core.json, "loads", lambda s, **kw: texts.append(s) or loads(s, **kw))
+    monkeypatch.setattr(core._DECODER, "raw_decode", lambda s, at=0: starts.append(at) or raw_decode(s, at))
+    assert loads_instance(text) == instance
+    # json decodes the keys, "n" and "nu", and never reads the edge list
+    assert all(body not in s for s in texts)
+    assert len(starts) == 5 and body_at not in starts
 
 
 def test_file_round_trip(tmp_path):

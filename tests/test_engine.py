@@ -168,7 +168,11 @@ def priced_instances(draw):
 def test_simulate_and_greedy_match_references(case):
     instance, prices = case
     assert simulate(instance, prices) == rescan_simulate(instance, prices)
-    assert greedy_iterative(instance).prices == heap_greedy(instance)
+    greedy = greedy_iterative(instance)
+    assert greedy.prices == heap_greedy(instance)
+    # greedy's trace is made of the rounds it sold, with no replay
+    assert greedy.trace == rescan_simulate(instance, greedy.prices)
+    assert greedy.revenue == greedy.trace.total_revenue
 
 
 @given(priced_instances())
