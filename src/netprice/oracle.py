@@ -11,11 +11,9 @@ bound cannot beat what the caller already holds is not expanded. Each memo
 entry is either the set's exact optimum or an upper bound on it, as in
 alpha-beta search with a transposition table.
 
-``naive_opt`` does not assume the price restriction: it tries every positive
-integer price at every state, and exists to certify ``exact_opt`` in tests.
-Both compute current values with one kernel: each node keeps ``(weight,
-neighbour bitmask)`` pairs, so its current value is its intrinsic value plus
-a few ``int.bit_count`` calls.
+Current values come from one kernel: each node keeps ``(weight, neighbour
+bitmask)`` pairs, so its current value is its intrinsic value plus a few
+``int.bit_count`` calls.
 """
 
 from __future__ import annotations
@@ -28,7 +26,6 @@ from .core import PncInstance, PriceSequence
 from .engine import simulate
 
 
-NAIVE_NODE_LIMIT = 8
 # exact_opt recurses once per sale round, up to once per node; this keeps
 # the deepest search well inside Python's default recursion limit of 1000.
 DEPTH_LIMIT = 800
@@ -186,41 +183,3 @@ def exact_opt(instance: PncInstance, config: OracleConfig | None = None) -> Orac
     if simulate(instance, realizer).total_revenue != revenue:
         raise RuntimeError(f"oracle realizer {realizer} does not reproduce revenue {revenue}")
     return OracleResult(revenue, realizer, len(memo))
-
-
-def naive_opt(instance: PncInstance) -> int:
-    """Optimum by brute force over every integer price at every state.
-
-    No memoization and no restriction of prices to current total values; the
-    only shortcut is a sound bound (nobody ever pays more than their current
-    value). Exponential, so capped at 8 nodes.
-    """
-    n = instance.node_count
-    if n > NAIVE_NODE_LIMIT:
-        raise ValueError(f"naive_opt handles at most {NAIVE_NODE_LIMIT} nodes, got {n}")
-    values = _value_kernel(instance)
-    best = 0
-
-    def dfs(mask: int, banked: int) -> None:
-        nonlocal best
-        if banked > best:
-            best = banked
-        if mask == 0:
-            return
-        items = values(mask)
-        if banked + sum(v for v, _ in items) <= best:
-            return
-        items.sort(reverse=True)
-        top = items[0][0]
-        buyers = 0
-        count = 0
-        index = 0
-        for price in range(top, 0, -1):
-            while index < len(items) and items[index][0] >= price:
-                buyers |= 1 << items[index][1]
-                count += 1
-                index += 1
-            dfs(mask & ~buyers, banked + price * count)
-
-    dfs((1 << n) - 1, 0)
-    return best

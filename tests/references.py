@@ -1,21 +1,26 @@
 """Pure-Python reference implementations the array engine is checked against,
-the small weighted instances that brute force can solve, and the
-``json.loads`` instance loader the edge-list reader is checked against.
+the small weighted instances that brute force can solve, the brute-force
+optimum that certifies the oracle, the ``json.loads`` instance loader the
+edge-list reader is checked against, and the forest-count recurrence the
+closed form is checked against.
 
-The engine references read only ``graph.edges`` and
-``instance.initial_values`` and keep every number a Python int, so they share
-no code with the numpy paths.
+The engine and oracle references read only ``graph.edges``,
+``instance.intrinsic`` and ``instance.initial_values`` and keep every number
+a Python int, so they share no code with the numpy paths or the oracle's
+bitmask kernel.
 """
 
 import heapq
 import json
+import math
 
 import numpy as np
 from hypothesis import strategies as st
 
 from netprice import PncInstance, SaleRound, SaleTrace, validate_prices
 from netprice.core import _as_int, _edge_table
-from netprice.oracle import NAIVE_NODE_LIMIT
+
+NAIVE_NODE_LIMIT = 8
 
 
 @st.composite
@@ -128,3 +133,63 @@ def json_loads_instance(text):
     if len(backwards):
         raise ValueError(f"edges[{backwards[0]}]: endpoints must satisfy u < v")
     return instance
+
+
+def naive_opt(instance):
+    """Optimum by brute force over every integer price at every state.
+
+    No memoization and no restriction of prices to current total values; the
+    only shortcut is a sound bound (nobody ever pays more than their current
+    value). A consumer's current value is its intrinsic value plus the
+    weights of its edges to consumers who have not bought yet. Exponential,
+    so capped at ``NAIVE_NODE_LIMIT`` nodes.
+    """
+    n = instance.node_count
+    if n > NAIVE_NODE_LIMIT:
+        raise ValueError(f"naive_opt handles at most {NAIVE_NODE_LIMIT} nodes, got {n}")
+    adj = adjacency(instance.graph)
+    best = 0
+
+    def dfs(remaining, banked):
+        nonlocal best
+        best = max(best, banked)
+        values = sorted(
+            ((instance.intrinsic[i] + sum(w for j, w in adj[i] if j in remaining), i)
+             for i in remaining),
+            reverse=True,
+        )
+        if not values or banked + sum(v for v, _ in values) <= best:
+            return
+        buyers = set()
+        index = 0
+        for price in range(values[0][0], 0, -1):
+            while index < len(values) and values[index][0] >= price:
+                buyers.add(values[index][1])
+                index += 1
+            dfs(remaining - buyers, banked + price * index)
+
+    dfs(frozenset(range(n)), 0)
+    return best
+
+
+def forest_counts(n, t):
+    """Labeled forests on k nodes with j components, for every (k, j) that
+    sampling ``t`` trees on ``n`` nodes reaches: j < t and 0 <= k - j <= n - t.
+
+    Row j holds k = j .. j + n - t and is filled from row j - 1 by splitting
+    on the size m of the component holding the lowest label: C(k-1, m-1)
+    ways to pick its other members, m^(m-2) trees on them (Cayley) and a
+    forest on the rest.
+    """
+    span = n - t
+    rows = [(1,) + (0,) * span]
+    for j in range(1, t):
+        below = rows[-1]
+        rows.append(tuple(
+            sum(
+                math.comb(k - 1, m - 1) * m ** max(m - 2, 0) * below[k - m - j + 1]
+                for m in range(1, k - j + 2)
+            )
+            for k in range(j, j + span + 1)
+        ))
+    return tuple(rows)

@@ -35,12 +35,12 @@ from netprice import (
     greedy_iterative,
     is_satisfying,
     min_degree_independent,
-    naive_opt,
     parse_dimacs,
     simulate,
     split_dp,
     verify_gadget_claims,
 )
+from references import naive_opt
 
 MASTER_SEED = 1729
 

@@ -23,13 +23,12 @@ from netprice import (
     gen_split,
     greedy_iterative,
     min_degree_independent,
-    naive_opt,
     normalize,
     recognize_split,
     simulate,
     split_dp,
 )
-from references import adjacency, weighted_instances
+from references import adjacency, naive_opt, weighted_instances
 
 
 def _random_instance(rng, max_n=12, max_w=5, max_nu=3):

@@ -111,6 +111,17 @@ def test_strategy_pipeline_from_stdin(monkeypatch, capsys):
     assert "revenue: 9" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("text", [
+    "[" * 100_000 + "\n",
+    '{"n":2,"edges":[],"nu":' + "[" * 100_000,
+])
+def test_deeply_nested_input_is_one_error_line(monkeypatch, capsys, text):
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert run_cli(["greedy", "-"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: instance JSON nests too deeply\n"
+
+
 def test_oracle_on_file(tmp_path, capsys):
     assert run_cli(["oracle", _spider_file(tmp_path)]) == 0
     out = capsys.readouterr().out

@@ -16,6 +16,8 @@ from netprice import (
     gen_split,
     recognize_split,
 )
+from netprice.generators import _forest_count
+from references import forest_counts
 
 
 def _component_count(instance):
@@ -245,6 +247,21 @@ def test_forest_component_sizes_unbiased():
     assert all(140 <= c <= 260 for c in counts.values())
 
 
+def test_forest_count_matches_the_recurrence():
+    for n in range(1, 31):
+        for t in range(1, n + 1):
+            for j, row in enumerate(forest_counts(n, t)):
+                assert [_forest_count(j + off, j) for off in range(len(row))] == list(row)
+
+
+def test_forest_count_identities():
+    assert _forest_count(0, 0) == 1
+    for k in range(1, 201):
+        assert _forest_count(k, 0) == 0
+        assert _forest_count(k, k) == 1
+        assert _forest_count(k, 1) == k ** max(k - 2, 0)  # Cayley
+
+
 def test_forest_validation():
     with pytest.raises(ValueError, match="n >= 1"):
         gen_forest(0, 1, seed=0)
@@ -257,15 +274,20 @@ def test_forest_validation():
 
 
 def test_forest_many_components_at_the_size_limit():
-    # the forest counts are filled row by row, so no recursion depth limits t
-    instance = gen_forest(1000, 995, seed=0)
-    assert _component_count(instance) == 995
-    assert instance.graph.edge_count == 5
+    # counts come from a closed form, so neither recursion depth nor a
+    # table of every (k, j) limits n or t
+    for tree_count in (50, 995):
+        instance = gen_forest(1000, tree_count, seed=0)
+        assert _component_count(instance) == tree_count
+        assert instance.graph.edge_count == 1000 - tree_count
 
 
 @pytest.mark.parametrize("build, digest", [
     (lambda: gen_forest(60, 7, seed=3), "144fb4cdd2ddba64"),
     (lambda: gen_forest(200, 2, seed=11), "b4ff97730a4c0a9f"),
+    (lambda: gen_forest(400, 3, seed=1), "60fce6ea3d3650da"),
+    (lambda: gen_forest(1000, 5, seed=0), "416c2101d31906ac"),
+    (lambda: gen_forest(1000, 900, seed=0), "24c2c3f67e0c7c0f"),
     (lambda: gen_er(40, 0.3, seed=5), "e3d97fbcb5446ef8"),
     (lambda: gen_ba(50, 3, seed=2), "564da16135c3ff1f"),
     (lambda: gen_example1(3), "c373799dc100a812"),

@@ -13,12 +13,11 @@ from netprice import (
     build_reduction,
     exact_opt,
     gen_spider,
-    naive_opt,
     parse_dimacs,
     simulate,
 )
 from netprice.oracle import DEPTH_LIMIT
-from references import adjacency, weighted_instances
+from references import adjacency, naive_opt, weighted_instances
 
 # The 4-variable formula of the benchmark's reduction round trip: each
 # variable occurs three times, and x1 = x2 = x3 = true satisfies it.
