@@ -51,16 +51,14 @@ def greedy_iterative(instance: PncInstance) -> PricingResult:
     earlier-selling endpoint charged for it, and intrinsic value is always
     charged. A price of 0 can only appear in the final round.
 
-    Each round is a max over the alive values plus one ``Market.sale``, and
-    the trace is made of those rounds.
+    Each round is a max over the values plus one ``Market.sale``, and the
+    trace is made of those rounds. Owners read -1, so the max turns negative
+    once everyone owns.
     """
     market = Market(instance)
     rounds = []
-    left = instance.node_count
-    while left:
-        # owners count as 0, and no alive value is below 0
-        rounds.append(market.sale(int((market.values * market.alive).max())))
-        left -= len(rounds[-1].buyers)
+    while (price := int(market.values.max())) >= 0:
+        rounds.append(market.sale(price))
     trace = market.trace(rounds)
     return PricingResult(trace.prices, trace.total_revenue, trace)
 

@@ -16,7 +16,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 from .algorithms import (
@@ -330,21 +330,8 @@ def _cmd_verify_gadgets(args: argparse.Namespace) -> int:
     artifact = build_reduction(parse_dimacs(_read_text(args.cnf)))
     report = verify_gadget_claims(artifact)
     if args.json:
-        print(json.dumps({
-            "ok": report.ok,
-            "checks": [
-                {
-                    "gadget": check.gadget,
-                    "prices": list(check.prices),
-                    "expected_revenue": check.expected_revenue,
-                    "observed_revenue": check.observed_revenue,
-                    "expected_sold": [[label, sold] for label, sold in check.expected_sold],
-                    "observed_sold": [[label, sold] for label, sold in check.observed_sold],
-                    "passed": check.passed,
-                }
-                for check in report.checks
-            ],
-        }))
+        checks = [{**asdict(check), "passed": check.passed} for check in report.checks]
+        print(json.dumps({"ok": report.ok, "checks": checks}))
     else:
         print(report.describe())
     return 0 if report.ok else 1

@@ -18,28 +18,37 @@ import numpy as np
 from .core import PncInstance, PriceSequence, SaleRound, SaleTrace, validate_prices
 
 class Market:
-    """A selling process in progress: every consumer's current ``values``, in
-    the instance's value dtype, and the ``alive`` mask of those who have not
-    bought. Only alive neighbours are lowered, so a buyer keeps the value
-    they bought at.
+    """A selling process in progress: ``values`` holds every consumer's current
+    value, in the instance's value dtype, and -1 for each owner. A value that
+    is still selling never falls below its intrinsic value, which is >= 0, so
+    the consumers still holding out are exactly ``values >= 0``.
     """
 
     def __init__(self, instance: PncInstance) -> None:
         self.values = instance.value_array.copy()
-        self.alive = np.ones(instance.node_count, dtype=bool)
         # no price above this sells, and every price compared is within the dtype
         self.top = int(self.values.max())
         self.indptr, self.indices = instance.graph.indptr, instance.graph.indices
         # a weight is at most its endpoints' initial values, so it fits the dtype
         self.weights = instance.graph.weights.astype(self.values.dtype, copy=False)
 
-    def sell(self, price: int) -> np.ndarray:
-        """One round at ``price``: O(n) numpy work to find the buyers (returned
-        in increasing order), then their CSR rows to lower their neighbours."""
+    def bidders(self, price: int) -> np.ndarray:
+        """Who buys at ``price`` >= 0, in increasing order: one O(n) numpy scan."""
         if price > self.top:
             return np.zeros(0, np.intp)
-        buyers = np.flatnonzero(self.alive & (self.values >= price))
-        self.alive[buyers] = False
+        return np.flatnonzero(self.values >= price)
+
+    def sell(self, price: int) -> np.ndarray:
+        """One round at ``price``; returns the buyers."""
+        buyers = self.bidders(price)
+        if len(buyers):
+            self.settle(buyers)
+        return buyers
+
+    def settle(self, buyers: np.ndarray) -> None:
+        """Make ``buyers`` owners and lower their neighbours still selling,
+        reading only the buyers' CSR rows."""
+        self.values[buyers] = -1
         if len(buyers) == 1:
             rows = slice(self.indptr[buyers[0]], self.indptr[buyers[0] + 1])
         else:  # the buyers' rows back to back
@@ -47,10 +56,9 @@ class Market:
             lengths = self.indptr[buyers + 1] - starts
             rows = np.repeat(starts - np.cumsum(lengths) + lengths, lengths) + np.arange(lengths.sum())
         neighbours = self.indices[rows]
-        still = self.alive[neighbours]
+        still = self.values[neighbours] >= 0
         # exact in either dtype, and a neighbour of several buyers drops once per buyer
         np.subtract.at(self.values, neighbours[still], self.weights[rows][still])
-        return buyers
 
     def sale(self, price: int) -> SaleRound:
         """``sell(price)`` as the round's record."""
@@ -59,7 +67,7 @@ class Market:
 
     def trace(self, rounds: Sequence[SaleRound]) -> SaleTrace:
         """The trace of ``rounds``, the sales made so far."""
-        residual = frozenset(np.flatnonzero(self.alive).tolist())
+        residual = frozenset(np.flatnonzero(self.values >= 0).tolist())
         return SaleTrace(tuple(rounds), residual, sum(r.revenue for r in rounds))
 
 
@@ -92,7 +100,8 @@ def normalize(instance: PncInstance, prices: Sequence[int]) -> PriceSequence:
     market = Market(instance)
     normalized = []
     for price in validate_prices(prices):
-        buyers = market.sell(price)
+        buyers = market.bidders(price)
         if len(buyers):
             normalized.append(int(market.values[buyers].min()))
+            market.settle(buyers)
     return tuple(normalized)

@@ -96,12 +96,18 @@ def gen_example1(k: int) -> PncInstance:
     """Hub joined to i disjoint cliques of size k!/i for every i in [k].
 
     n = k * k! + 1. The hub has degree k * k!; every node in a size-(k!/i)
-    clique has degree k!/i. Grows factorially: k=7 already needs tens of
-    millions of edges.
+    clique has degree k!/i. Grows factorially: k = 6 has 637,200 edges, and
+    a k whose edge count is above ``_DENSE_PAIR_LIMIT`` (k >= 7) raises
+    ValueError before any edge is built.
     """
-    if not 2 <= k <= 8:
-        raise ValueError(f"gen_example1 needs 2 <= k <= 8, got {k}")
-    fact = math.factorial(k)
+    if k < 2:
+        raise ValueError(f"gen_example1 needs k >= 2, got {k}")
+    # the count grows with k, and hub edges alone pass the limit at k = 11
+    capped = min(k, 11)
+    fact = math.factorial(capped)
+    edge_count = capped * fact + sum(i * math.comb(fact // i, 2) for i in range(1, capped + 1))
+    if edge_count > _DENSE_PAIR_LIMIT:
+        raise ValueError(f"gen_example1({k}) would build over {_DENSE_PAIR_LIMIT:,} edges")
     n = k * fact + 1
     edges = [(0, v, 1) for v in range(1, n)]
     start = 1

@@ -137,7 +137,7 @@ def test_package_has_no_assert_statements():
     package = Path(netprice.__file__).parent
     found = [
         f"{path.name}:{node.lineno}"
-        for path in sorted(package.glob("*.py"))
+        for path in sorted(package.rglob("*.py"))
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if isinstance(node, ast.Assert)
     ]

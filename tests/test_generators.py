@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import tracemalloc
 
 import pytest
 
@@ -160,10 +161,21 @@ def test_example1_counts(k):
 
 
 def test_example1_validation():
-    with pytest.raises(ValueError, match="2 <= k <= 8"):
+    with pytest.raises(ValueError, match="k >= 2"):
         gen_example1(1)
-    with pytest.raises(ValueError, match="2 <= k <= 8"):
-        gen_example1(9)
+
+
+@pytest.mark.parametrize("k", [7, 8, 9, 10**6])
+def test_example1_too_large_raises_before_building(k):
+    # k = 7 is 32,949,000 edges; building them first would exhaust memory
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="over 30,000,000 edges"):
+            gen_example1(k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 # --- split graphs -------------------------------------------------------------
