@@ -31,6 +31,12 @@ def _unit_edges(us: np.ndarray, vs: np.ndarray) -> np.ndarray:
 _DENSE_PAIR_LIMIT = 30_000_000
 
 
+def _check_size(count: int, call: str, items: str = "edges") -> None:
+    """Raise before anything is built when a call would make too many items."""
+    if count > _DENSE_PAIR_LIMIT:
+        raise ValueError(f"{call} would build over {_DENSE_PAIR_LIMIT:,} {items}")
+
+
 def gen_er(n: int, eta: float, seed: int) -> PncInstance:
     """Every unordered pair becomes an edge independently with probability eta."""
     if n < 2:
@@ -51,12 +57,13 @@ def gen_ba(n: int, beta: int, seed: int) -> PncInstance:
     Each arrival connects to beta distinct existing nodes, drawn repeatedly
     in proportion to current degree with duplicates discarded. The first
     arrival necessarily takes the whole seed clique, so the final minimum
-    degree is beta.
+    degree is beta. More than ``_DENSE_PAIR_LIMIT`` edges raises ValueError.
     """
     if not isinstance(beta, int) or isinstance(beta, bool) or beta < 1:
         raise ValueError(f"beta must be a positive integer, got {beta!r}")
     if n <= beta:
         raise ValueError(f"gen_ba needs n > beta, got n={n}, beta={beta}")
+    _check_size(math.comb(beta, 2) + beta * (n - beta), f"gen_ba({n}, {beta})")
     rng = _rng(seed)
     edges = []
     # one entry per edge endpoint, so uniform picks are degree-proportional
@@ -81,9 +88,13 @@ def gen_ba(n: int, beta: int, seed: int) -> PncInstance:
 
 
 def gen_spider(k: int) -> PncInstance:
-    """A center of degree k whose k legs each have length 2 (n = 2k + 1)."""
+    """A center of degree k whose k legs each have length 2 (n = 2k + 1).
+
+    More than ``_DENSE_PAIR_LIMIT`` edges raises ValueError.
+    """
     if k < 1:
         raise ValueError(f"gen_spider needs k >= 1, got {k}")
+    _check_size(2 * k, f"gen_spider({k})")
     pairs = []
     for leg in range(k):
         middle = 1 + 2 * leg
@@ -106,8 +117,7 @@ def gen_example1(k: int) -> PncInstance:
     capped = min(k, 11)
     fact = math.factorial(capped)
     edge_count = capped * fact + sum(i * math.comb(fact // i, 2) for i in range(1, capped + 1))
-    if edge_count > _DENSE_PAIR_LIMIT:
-        raise ValueError(f"gen_example1({k}) would build over {_DENSE_PAIR_LIMIT:,} edges")
+    _check_size(edge_count, f"gen_example1({k})")
     n = k * fact + 1
     edges = [(0, v, 1) for v in range(1, n)]
     start = 1
@@ -129,7 +139,8 @@ def gen_split(
 
     Nodes 0..k-1 form the clique; each (clique, independent) pair is linked
     independently with probability edge_prob. Returns the generating
-    partition (clique ordered by nondecreasing degree).
+    partition (clique ordered by nondecreasing degree). More than
+    ``_DENSE_PAIR_LIMIT`` candidate pairs raises ValueError before any draw.
     """
     if n < 2:
         raise ValueError(f"gen_split needs n >= 2, got {n}")
@@ -137,8 +148,9 @@ def gen_split(
         raise ValueError(f"clique_fraction must be in (0, 1), got {clique_fraction}")
     if not 0 <= edge_prob <= 1:
         raise ValueError(f"edge_prob must be in [0, 1], got {edge_prob}")
-    rng = _rng(seed)
     k = math.ceil(clique_fraction * n)
+    _check_size(math.comb(k, 2) + k * (n - k), f"gen_split({n}, {clique_fraction})", "candidate pairs")
+    rng = _rng(seed)
     us, vs = np.triu_indices(k, k=1)
     if k < n:
         hits, outside = np.nonzero(rng.random((k, n - k)) < edge_prob)

@@ -7,6 +7,14 @@ computable threshold exactly when the formula is satisfiable. Includes a
 DIMACS parser, the canonical price sequence induced by a truth assignment,
 and a verifier that replays every gadget's intended sale pattern on the
 built instance.
+
+Two limits of scope. Every formula in the accepted class is satisfiable:
+by Hall's theorem each clause can be matched to a variable of its own
+(C. A. Tovey, "A simplified NP-complete satisfiability problem", Discrete
+Appl. Math. 8, 1984), so only the side where the threshold is reached can
+be exercised. And the paper's hardness result is for unweighted trees with
+uniform intrinsic values, while this construction is weighted, with weight
+scales of about 5^n; it is not the paper's reduction.
 """
 
 from __future__ import annotations

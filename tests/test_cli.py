@@ -65,6 +65,12 @@ def test_gen_forest_with_many_trees(capsys):
     assert instance.node_count - instance.graph.edge_count == 995
 
 
+def test_gen_over_the_size_limit_is_one_error_line(capsys):
+    assert run_cli(["gen", "--family", "split", "--n", "10000000"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "over 30,000,000" in err and err.count("\n") == 1
+
+
 def test_gen_unknown_family_is_usage_error(capsys):
     assert run_cli(["gen", "--family", "smallworld", "--n", "5"]) == 2
     capsys.readouterr()
@@ -360,7 +366,8 @@ class _SerialPool:
 def test_experiment_workers_are_capped(monkeypatch):
     import netprice.cli
 
-    monkeypatch.setattr(netprice.cli, "ProcessPoolExecutor", _SerialPool)
+    # run_experiment imports the pool class only when it starts a pool
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _SerialPool)
     monkeypatch.setattr(netprice.cli.os, "cpu_count", lambda: 3)
     _SerialPool.created.clear()
     spec = ExperimentSpec("forest_ratio", trials=5, master_seed=2, params={"n": 8})

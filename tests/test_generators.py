@@ -178,6 +178,26 @@ def test_example1_too_large_raises_before_building(k):
     assert peak < 1 << 20
 
 
+@pytest.mark.parametrize("build", [
+    lambda: gen_split(10_000_000, 0.3, 0.5, seed=0),
+    lambda: gen_split(9_000, 0.5, 0.5, seed=0),
+    lambda: gen_ba(10**20, 3, seed=0),
+    lambda: gen_ba(12_000, 6_000, seed=0),
+    lambda: gen_spider(99999999999999999999),
+    lambda: gen_spider(15_000_001),
+], ids=["split-huge", "split-dense", "ba-huge", "ba-dense", "spider-huge", "spider-limit"])
+def test_families_over_the_limit_raise_before_building(build):
+    # split-dense: C(4500, 2) + 4500 * 4500 = 30,372,750 candidate pairs
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="over 30,000,000"):
+            build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 # --- split graphs -------------------------------------------------------------
 
 

@@ -1,4 +1,4 @@
-"""The package namespace: every public name is imported on first use."""
+"""The package namespace loads modules on first use; the CLI starts lean."""
 
 import importlib
 import os
@@ -35,13 +35,37 @@ def test_unknown_name():
         exec("from netprice import nope", {})
 
 
+def _fresh_interpreter(code: str, **env: str) -> list[str]:
+    """Run ``code`` in a new interpreter without OPENBLAS_NUM_THREADS unless
+    given in ``env``; return its stdout lines."""
+    child_env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+    child_env.update(PYTHONPATH=str(Path(netprice.__file__).parents[1]), **env)
+    result = subprocess.run([sys.executable, "-c", code], env=child_env,
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    return result.stdout.splitlines()
+
+
 def test_import_loads_no_submodule_or_numpy():
     code = (
-        "import sys, netprice; dir(netprice); "
+        "import os, sys, netprice; dir(netprice); "
         "print(sorted(m for m in sys.modules if m.startswith(('numpy', 'netprice.')))); "
-        "print(netprice.engine.simulate is netprice.simulate)"
+        "print(netprice.engine.simulate is netprice.simulate); "
+        "netprice.exact_opt; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
     )
-    env = {**os.environ, "PYTHONPATH": str(Path(netprice.__file__).parents[1])}
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.split("\n") == ["[]", "True", ""]
+    assert _fresh_interpreter(code) == ["[]", "True", "None"]
+
+
+def test_cli_import_runs_one_blas_thread_and_no_multiprocessing():
+    code = (
+        "import os, sys, netprice.cli; "
+        "print(os.environ['OPENBLAS_NUM_THREADS']); "
+        "print(sorted(m for m in sys.modules if m.startswith(('multiprocessing', 'concurrent')))); "
+        "print(len(os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task') else 1)"
+    )
+    assert _fresh_interpreter(code) == ["1", "[]", "1"]
+
+
+def test_cli_import_keeps_a_preset_blas_thread_count():
+    code = "import os, netprice.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    assert _fresh_interpreter(code, OPENBLAS_NUM_THREADS="2") == ["2"]
