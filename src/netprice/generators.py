@@ -95,12 +95,11 @@ def gen_spider(k: int) -> PncInstance:
     if k < 1:
         raise ValueError(f"gen_spider needs k >= 1, got {k}")
     _check_size(2 * k, f"gen_spider({k})")
-    pairs = []
-    for leg in range(k):
-        middle = 1 + 2 * leg
-        pairs.append((0, middle))
-        pairs.append((middle, middle + 1))
-    return PncInstance.unweighted(2 * k + 1, pairs)
+    middles = np.arange(1, 2 * k, 2)
+    # centre-to-middle edges, then middle-to-foot: already in canonical order
+    us = np.concatenate((np.zeros(k, dtype=middles.dtype), middles))
+    vs = np.concatenate((middles, middles + 1))
+    return PncInstance.from_edges(2 * k + 1, _unit_edges(us, vs))
 
 
 def gen_example1(k: int) -> PncInstance:
@@ -119,17 +118,17 @@ def gen_example1(k: int) -> PncInstance:
     edge_count = capped * fact + sum(i * math.comb(fact // i, 2) for i in range(1, capped + 1))
     _check_size(edge_count, f"gen_example1({k})")
     n = k * fact + 1
-    edges = [(0, v, 1) for v in range(1, n)]
+    # hub edges, then the cliques in node order: already in canonical order
+    us, vs = [np.zeros(n - 1, dtype=np.int64)], [np.arange(1, n)]
     start = 1
     for i in range(1, k + 1):
         size = fact // i
-        for _ in range(i):
-            members = range(start, start + size)
-            for a in members:
-                for b in range(a + 1, start + size):
-                    edges.append((a, b, 1))
-            start += size
-    return PncInstance.from_edges(n, edges)
+        a, b = np.triu_indices(size, k=1)
+        offsets = start + size * np.arange(i)[:, None]
+        us.append((offsets + a).ravel())
+        vs.append((offsets + b).ravel())
+        start += i * size
+    return PncInstance.from_edges(n, _unit_edges(np.concatenate(us), np.concatenate(vs)))
 
 
 def gen_split(

@@ -11,8 +11,17 @@ bound cannot beat what the caller already holds is not expanded. Each memo
 entry is either the set's exact optimum or an upper bound on it, as in
 alpha-beta search with a transposition table.
 
-Current values come from one kernel: each node keeps ``(weight, neighbour
-bitmask)`` pairs, so its current value is its intrinsic value plus a few
+A set's bound is ``bound(S) = sum of intrinsic values over S + 2 w(E[S])``,
+so when buyers ``B`` with current values ``v`` leave ``S``,
+``bound(S - B) = bound(S) - 2 sum_B v_b + bound(B)``, in exact integers. The
+price loop applies it one buyer at a time (``bound({b})`` is ``b``'s
+intrinsic value), and the parent settles each child from its memo entry or
+its bound before any call: only a set that must be expanded is searched, and
+only then are its current values computed.
+
+Current values come from one kernel: each node keeps ``(coefficient,
+neighbour bitmask)`` pairs, one per distinct weight or one per weight bit,
+whichever is fewer, so its current value is its intrinsic value plus a few
 ``int.bit_count`` calls.
 """
 
@@ -22,7 +31,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .algorithms import greedy_iterative
-from .core import PncInstance, PriceSequence
+from .core import PncInstance, PriceSequence, _as_int
 from .engine import simulate
 
 
@@ -39,9 +48,9 @@ class OracleConfig:
     node_limit: int = DEPTH_LIMIT
 
     def __post_init__(self) -> None:
-        if self.state_budget < 1:
+        if _as_int(self.state_budget, "state_budget") < 1:
             raise ValueError("state_budget must be positive")
-        if self.node_limit < 1:
+        if _as_int(self.node_limit, "node_limit") < 1:
             raise ValueError("node_limit must be positive")
 
 
@@ -67,34 +76,48 @@ class OracleResult:
     revenue: int
     prices: PriceSequence
     states_explored: int
+    bound_prunes: int = 0
 
 
 class _OutOfBudget(Exception):
     """Unwinds the search; ``exact_opt`` reraises it as OracleBudgetError with bounds."""
 
 
-def _value_kernel(instance: PncInstance) -> Callable[[int], list[tuple[int, int]]]:
-    """A function from a residual set (bitmask) to its ``(current value, node)`` list."""
+def _value_kernel(instance: PncInstance) -> Callable[[int, int], int]:
+    """A function from a node and the non-owners (bitmask) to the node's current value.
+
+    Each node keeps ``(coefficient, neighbour bitmask)`` pairs, and its value
+    is its intrinsic value plus ``coefficient * (neighbours & mask).bit_count()``
+    over them. The pairs are one per distinct weight of the node's edges, or,
+    when that makes fewer, one per set bit ``2**k`` of those weights (holding
+    the neighbours whose weight has that bit): at most four for weights 1-9.
+    """
     by_weight: list[dict[int, int]] = [{} for _ in range(instance.node_count)]
     for u, v, w in instance.graph.edges:
         by_weight[u][w] = by_weight[u].get(w, 0) | 1 << v
         by_weight[v][w] = by_weight[v].get(w, 0) | 1 << u
-    table = [(nu, tuple(groups.items())) for nu, groups in zip(instance.intrinsic, by_weight)]
+    table = []
+    for nu, groups in zip(instance.intrinsic, by_weight):
+        weight_bits = 0
+        for weight in groups:
+            weight_bits |= weight
+        if weight_bits.bit_count() < len(groups):
+            by_bit: dict[int, int] = {}
+            for weight, neighbours in groups.items():
+                while weight:
+                    low = weight & -weight
+                    by_bit[low] = by_bit.get(low, 0) | neighbours
+                    weight ^= low
+            groups = by_bit
+        table.append((nu, tuple(groups.items())))
 
-    def values(mask: int) -> list[tuple[int, int]]:
-        items = []
-        bits = mask
-        while bits:
-            low = bits & -bits
-            node = low.bit_length() - 1
-            bits ^= low
-            value, pairs = table[node]
-            for weight, neighbours in pairs:
-                value += weight * (neighbours & mask).bit_count()
-            items.append((value, node))
-        return items
+    def current(node: int, mask: int) -> int:
+        value, pairs = table[node]
+        for coefficient, neighbours in pairs:
+            value += coefficient * (neighbours & mask).bit_count()
+        return value
 
-    return values
+    return current
 
 
 def exact_opt(instance: PncInstance, config: OracleConfig | None = None) -> OracleResult:
@@ -102,10 +125,11 @@ def exact_opt(instance: PncInstance, config: OracleConfig | None = None) -> Orac
 
     Branch-and-bound, memoized on the residual consumer set (as a bitmask),
     visiting only sets reachable by posting some current total value as the
-    price. ``states_explored`` counts the distinct sets visited. Raises
-    OracleBudgetError, carrying a lower and an upper bound on the optimum, if
-    more than ``config.state_budget`` residual sets are explored, and
-    ValueError above ``config.node_limit`` or ``DEPTH_LIMIT`` nodes.
+    price. ``states_explored`` counts the distinct sets visited, and
+    ``bound_prunes`` those of them settled by their bound on first visit.
+    Raises OracleBudgetError, carrying a lower and an upper bound on the
+    optimum, if more than ``config.state_budget`` residual sets are explored,
+    and ValueError above ``config.node_limit`` or ``DEPTH_LIMIT`` nodes.
     """
     cfg = config if config is not None else OracleConfig()
     n = instance.node_count
@@ -113,53 +137,84 @@ def exact_opt(instance: PncInstance, config: OracleConfig | None = None) -> Orac
         raise ValueError(f"instance has {n} nodes, above the oracle node limit {cfg.node_limit}")
     if n > DEPTH_LIMIT:
         raise ValueError(f"instance has {n} nodes, above the oracle depth limit {DEPTH_LIMIT}")
-    values = _value_kernel(instance)
+    current = _value_kernel(instance)
+    intrinsic = instance.intrinsic
+    budget = cfg.state_budget
     full = (1 << n) - 1
     # mask -> (revenue, exact, price to post next; 0 = stop). An exact entry
     # holds the set's optimum; otherwise revenue is only an upper bound on it.
     memo: dict[int, tuple[int, bool, int]] = {}
+    bound_prunes = 0
 
-    def solve(mask: int, need: int) -> int:
-        """The optimum from ``mask`` if it exceeds ``need``, else an upper bound <= ``need``."""
-        if mask == 0:
-            return 0
-        hit = memo.get(mask)
-        if hit is not None and (hit[1] or hit[0] <= need):
-            return hit[0]
-        if hit is None and len(memo) >= cfg.state_budget:
-            raise _OutOfBudget
+    def values(mask: int) -> list[tuple[int, int]]:
+        """The ``(current value, node)`` list of the residual set ``mask``."""
+        items = []
+        bits = mask
+        while bits:
+            low = bits & -bits
+            node = low.bit_length() - 1
+            bits ^= low
+            items.append((current(node, mask), node))
+        return items
+
+    def solve(mask: int, bound: int, need: int) -> int:
+        """The optimum from ``mask`` if it exceeds ``need``, else an upper bound <= ``need``.
+
+        ``bound``, the sum of the set's current values, exceeds ``need``: the
+        caller settles every other set itself.
+        """
+        nonlocal bound_prunes
         items = values(mask)
-        bound = sum(value for value, _ in items)
         memo[mask] = (bound, False, 0)  # counts toward the budget from here on
-        if bound <= need:
-            return bound
         items.sort(reverse=True)
         best = 0
         best_price = 0
-        buyers = 0
+        rest = mask
+        rest_bound = bound
         index = 0
-        while index < len(items):
+        count = len(items)
+        while index < count:
             price = items[index][0]
             if price <= 0:
                 break
-            while index < len(items) and items[index][0] == price:
-                buyers |= 1 << items[index][1]
+            while index < count and items[index][0] == price:
+                node = items[index][1]
+                rest ^= 1 << node
+                # bound(R - b) = bound(R) - 2 v_b + bound({b}); b is no
+                # neighbour of itself, so its value against R - b is v_b
+                rest_bound -= 2 * current(node, rest) - intrinsic[node]
                 index += 1
             gain = price * index
             # The rest matters only where it lifts this set above both what
             # the caller holds and what a higher price already gave.
-            candidate = gain + solve(mask & ~buyers, max(need, best) - gain)
-            if candidate > best:
-                best = candidate
+            rest_need = max(need, best) - gain
+            if rest:
+                hit = memo.get(rest)
+                if hit is None:
+                    if len(memo) >= budget:
+                        raise _OutOfBudget
+                    if rest_bound <= rest_need:
+                        memo[rest] = (rest_bound, False, 0)
+                        bound_prunes += 1
+                        gain += rest_bound
+                    else:
+                        gain += solve(rest, rest_bound, rest_need)
+                elif hit[1] or hit[0] <= rest_need:
+                    gain += hit[0]
+                else:
+                    gain += solve(rest, rest_bound, rest_need)
+            if gain > best:
+                best = gain
                 best_price = price
         memo[mask] = (best, best > need, best_price)
         return best
 
+    top = sum(instance.initial_values)  # the full set's bound
     try:
-        revenue = solve(full, -1)  # every optimum is >= 0, so the root's entry is exact
+        revenue = solve(full, top, -1)  # every optimum is >= 0, so the root's entry is exact
     except _OutOfBudget:
         lower = greedy_iterative(instance).revenue
-        raise OracleBudgetError(len(memo), lower, sum(instance.initial_values)) from None
+        raise OracleBudgetError(len(memo), lower, top) from None
 
     prices = []
     mask = full
@@ -182,4 +237,4 @@ def exact_opt(instance: PncInstance, config: OracleConfig | None = None) -> Orac
         raise RuntimeError(f"oracle realizer {realizer} does not decrease")
     if simulate(instance, realizer).total_revenue != revenue:
         raise RuntimeError(f"oracle realizer {realizer} does not reproduce revenue {revenue}")
-    return OracleResult(revenue, realizer, len(memo))
+    return OracleResult(revenue, realizer, len(memo), bound_prunes)

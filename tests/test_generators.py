@@ -4,10 +4,12 @@ import hashlib
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from netprice import (
     GenSpec,
+    PncInstance,
     dumps_instance,
     gen_ba,
     gen_er,
@@ -163,6 +165,42 @@ def test_example1_counts(k):
 def test_example1_validation():
     with pytest.raises(ValueError, match="k >= 2"):
         gen_example1(1)
+
+
+def _list_spider(k):
+    pairs = []
+    for leg in range(k):
+        middle = 1 + 2 * leg
+        pairs += [(0, middle), (middle, middle + 1)]
+    return PncInstance.unweighted(2 * k + 1, pairs)
+
+
+def _list_example1(k):
+    fact = math.factorial(k)
+    n = k * fact + 1
+    edges = [(0, v, 1) for v in range(1, n)]
+    start = 1
+    for i in range(1, k + 1):
+        size = fact // i
+        for _ in range(i):
+            edges += [(a, b, 1) for a in range(start, start + size) for b in range(a + 1, start + size)]
+            start += size
+    return PncInstance.from_edges(n, edges)
+
+
+@pytest.mark.parametrize("build, reference, ks", [
+    (gen_spider, _list_spider, range(1, 9)),
+    (gen_example1, _list_example1, range(2, 5)),
+], ids=["spider", "example1"])
+def test_array_built_families_match_list_built_references(build, reference, ks):
+    # The generators build their edges as arrays; the graphs must be the
+    # ones an edge-by-edge list gives, down to the CSR arrays and dtypes.
+    for k in ks:
+        got, want = build(k), reference(k)
+        assert got == want and got.intrinsic == want.intrinsic
+        for name in ("u", "v", "w", "indptr", "indices", "weights"):
+            a, b = getattr(got.graph, name), getattr(want.graph, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), (k, name)
 
 
 @pytest.mark.parametrize("k", [7, 8, 9, 10**6])

@@ -69,15 +69,22 @@ def _reference_opt(instance):
     return revenue, tuple(prices), len(memo)
 
 
-def _random_weighted(rng, max_n):
+def _random_weighted(rng, max_n, large=0.0):
+    """Weights 1-9, each replaced with probability ``large`` by one of up to 70 bits."""
     n = rng.randint(1, max_n)
     density = rng.choice((0.2, 0.5, 0.8))
     edges = [
-        (u, v, rng.randint(1, 9))
+        (u, v, rng.randint(2**40, 2**70) if rng.random() < large else rng.randint(1, 9))
         for u in range(n)
         for v in range(u + 1, n)
         if rng.random() < density
     ]
+    return PncInstance.from_edges(n, edges, [rng.randint(0, 9) for _ in range(n)])
+
+
+def _dense_weighted(n, rng):
+    """The benchmark's dense weighted G(n, 0.5): weights 1-9, intrinsic values 0-9."""
+    edges = [(u, v, rng.randint(1, 9)) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5]
     return PncInstance.from_edges(n, edges, [rng.randint(0, 9) for _ in range(n)])
 
 
@@ -164,15 +171,25 @@ def test_config_validation():
         OracleConfig(state_budget=0)
     with pytest.raises(ValueError):
         OracleConfig(node_limit=0)
+    # Every non-integer limit is a ValueError, bools included.
+    for limits in ({"state_budget": "5"}, {"state_budget": True}, {"state_budget": 5.0},
+                   {"node_limit": None}, {"node_limit": 2.5}, {"node_limit": False}):
+        with pytest.raises(ValueError, match="must be an integer"):
+            OracleConfig(**limits)
 
 
 def test_matches_reference_search():
     # The bound only skips residual sets that cannot beat what is already
     # held, so revenue and the first-best realizer must be the plain
-    # search's, reached through a subset of its states.
+    # search's, reached through a subset of its states. A node whose
+    # weights set fewer bits than it has distinct weights (as any five of
+    # 1-9 do) keeps one kernel pair per weight bit, others one per distinct
+    # weight; the last draws add weights of 41-70 bits, and those past
+    # 2**63 make the graph's weights Python ints.
     rng = random.Random(33)
-    for _ in range(320):
-        inst = _random_weighted(rng, 12)
+    draws = [_random_weighted(rng, 12) for _ in range(320)]
+    draws += [_random_weighted(rng, 12, large=0.15) for _ in range(160)]
+    for inst in draws:
         revenue, prices, states = _reference_opt(inst)
         result = exact_opt(inst)
         assert result.revenue == revenue
@@ -190,20 +207,24 @@ def test_exact_equals_brute_force_property(inst):
 
 def test_state_counts_are_pinned():
     # Deterministic counters gate the search effort; the plain search
-    # (_reference_opt) needs 4,282 and 24,038 states on these instances.
+    # (_reference_opt) needs 4,282, 24,038 and 72,854 states on these
+    # instances. Most visited sets are settled by their bound at once.
     reduction = build_reduction(parse_dimacs(CNF_4X4)).instance
     result = exact_opt(reduction, OracleConfig(node_limit=32))
     assert result.revenue == 1522932
     assert result.states_explored == 701 < 4282
+    assert result.bound_prunes == 480
 
-    # Drawn as the benchmark's dense weighted G(40, 0.5) with base seed 1.
-    rng = random.Random(1)
-    n = 40
-    edges = [(u, v, rng.randint(1, 9)) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5]
-    inst = PncInstance.from_edges(n, edges, [rng.randint(0, 9) for _ in range(n)])
-    result = exact_opt(inst, OracleConfig(node_limit=n))
+    # The benchmark's dense weighted G(40, 0.5) and G(50, 0.5) graphs.
+    result = exact_opt(_dense_weighted(40, random.Random(1)))
     assert result.revenue == 2838
     assert result.states_explored == 3359 < 24038
+    assert result.bound_prunes == 2755
+
+    result = exact_opt(_dense_weighted(50, random.Random(0)))
+    assert result.revenue == 4221
+    assert result.states_explored == 12336 < 72854
+    assert result.bound_prunes == 10138
 
 
 def test_depth_limit():
