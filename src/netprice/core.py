@@ -1,11 +1,11 @@
 """Core data model: weighted graphs, pricing instances, and sale traces.
 
 Nodes are dense 0-based integer ids. A graph holds its canonical edges as
-numpy arrays ``u, v, w`` and as compressed sparse rows ``indptr, indices,
-weights``, built once and read-only. Every quantity is an exact integer: an
-array of weights or values is int64 when its largest possible sum fits, else
-an object array of Python ints, and the same numpy code runs on either. What
-leaves the package is Python ints.
+numpy arrays ``u, v, w`` and, from their first use, as compressed sparse
+rows ``indptr, indices, weights``; all are read-only. Every quantity is an
+exact integer: an array of weights or values is int64 when its largest
+possible sum fits, else an object array of Python ints, and the same numpy
+code runs on either. What leaves the package is Python ints.
 """
 
 from __future__ import annotations
@@ -33,9 +33,19 @@ def _as_int(value: object, what: str) -> int:
     return value
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
 def _exact_dtype(top: int) -> np.dtype:
     """int64 when every number up to ``top`` fits in it, else object (Python ints)."""
     return np.dtype(np.int64 if top <= INT64_MAX else object)
+
+
+def _all_ints(values: Iterable) -> bool:
+    """Whether every value is an int, and none a bool: ``_as_int``'s test in bulk."""
+    return all(issubclass(t, int) and t is not bool for t in set(map(type, values)))
 
 
 def _edge_table(edges) -> np.ndarray | None:
@@ -49,8 +59,7 @@ def _edge_table(edges) -> np.ndarray | None:
         lengths = set(map(len, edges))
     except TypeError:  # an edge without a length
         return None
-    types = set(map(type, chain.from_iterable(edges)))
-    if lengths - {3} or not all(issubclass(t, int) and t is not bool for t in types):
+    if lengths - {3} or not _all_ints(chain.from_iterable(edges)):
         return None
     try:
         return np.fromiter(chain.from_iterable(edges), np.int64, 3 * len(edges)).reshape(-1, 3)
@@ -85,7 +94,12 @@ class WeightedGraph:
     ``edges`` holds ``(u, v, w)`` triples (or is an (m, 3) integer array) in
     any orientation and order. ``u, v, w`` are canonical: ``u < v``, sorted
     by endpoint pair, no duplicates, no self loops. Node ``x``'s neighbours
-    are ``indices[indptr[x]:indptr[x + 1]]``, ascending, weighed by ``weights``.
+    are ``indices[indptr[x]:indptr[x + 1]]``, ascending, weighed by
+    ``weights``; those three are built on first use.
+
+    An edge array is kept as it is when it is read-only and owns its data,
+    as the loader's and the generators' tables are; any other is copied
+    first, so a graph never changes under its caller's writes.
     """
 
     def __init__(self, node_count: int, edges: Iterable | np.ndarray) -> None:
@@ -98,9 +112,13 @@ class WeightedGraph:
         table = _edge_table(rows)
         valid = table is not None
         if valid:
+            if table is rows and (table.flags.writeable or table.base is not None):
+                table = table.copy()
             u, v, w = table.T
-            lo, hi = np.minimum(u, v), np.maximum(u, v)
-            valid = bool((u != v).all() and (lo >= 0).all() and (hi < n).all() and (w >= 1).all())
+            forward = bool((u < v).all())
+            lo, hi = (u, v) if forward else (np.minimum(u, v), np.maximum(u, v))
+            valid = bool((forward or (u != v).all()) and (lo >= 0).all() and (hi < n).all()
+                         and (w >= 1).all())
         if valid and not ((lo[1:] > lo[:-1]) | ((lo[1:] == lo[:-1]) & (hi[1:] > hi[:-1]))).all():
             order = np.lexsort((hi, lo))
             lo, hi, w = lo[order], hi[order], w[order]
@@ -111,16 +129,12 @@ class WeightedGraph:
             _scan_edges(n, rows.tolist() if isinstance(rows, np.ndarray) else rows)
             raise RuntimeError("the per-edge scan accepted edges that a bulk check rejected")
         self.node_count = n
-        self.u, self.v = u, v = lo.astype(np.int64), hi.astype(np.int64)
-        degrees = np.bincount(u, minlength=n) + np.bincount(v, minlength=n)
+        self.u, self.v = u, v = lo.astype(np.int64, copy=False), hi.astype(np.int64, copy=False)
+        self._degrees = np.bincount(u, minlength=n) + np.bincount(v, minlength=n)
         # no weighted degree exceeds the top weight times the top degree
-        self.w = w = w.astype(_exact_dtype(int(w.max()) * int(degrees.max()) if len(w) else 0))
-        self.indptr = np.concatenate(([0], np.cumsum(degrees)))
-        # row x: the neighbours below x, then those above, each ascending
-        order = np.argsort(np.concatenate((v, u)), kind="stable")
-        self.indices = np.concatenate((u, v))[order]
-        self.weights = np.concatenate((w, w))[order]
-        for array in (self.u, self.v, self.w, self.indptr, self.indices, self.weights):
+        top = int(w.max()) * int(self._degrees.max()) if len(w) else 0
+        self.w = w.astype(_exact_dtype(top), copy=False)
+        for array in (self.u, self.v, self.w, self._degrees):
             array.setflags(write=False)
 
     def __eq__(self, other: object) -> bool:
@@ -147,7 +161,32 @@ class WeightedGraph:
 
     @cached_property
     def degrees(self) -> tuple[int, ...]:
-        return tuple(np.diff(self.indptr).tolist())
+        return tuple(self._degrees.tolist())
+
+    @cached_property
+    def indptr(self) -> np.ndarray:
+        return _read_only(np.concatenate(([0], np.cumsum(self._degrees))))
+
+    @cached_property
+    def _rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """``indices`` and ``weights``. Row x holds the neighbours below x,
+        then those above, each ascending: a stable sort by the other end."""
+        u, v, n = self.u, self.v, self.node_count
+        # in the smallest unsigned type that holds every node, numpy's stable
+        # sort is a radix sort up to 65,536 nodes; ids are in range, so the
+        # cast is exact
+        ends = np.concatenate((v, u), dtype=np.min_scalar_type(n - 1), casting="unsafe")
+        order = np.argsort(ends, kind="stable")
+        indices = np.concatenate((u, v))[order]
+        return _read_only(indices), _read_only(np.concatenate((self.w, self.w))[order])
+
+    @property
+    def indices(self) -> np.ndarray:
+        return self._rows[0]
+
+    @property
+    def weights(self) -> np.ndarray:
+        return self._rows[1]
 
     @cached_property
     def weighted_degrees(self) -> tuple[int, ...]:
@@ -173,12 +212,15 @@ class PncInstance:
     intrinsic: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        values = tuple(_as_int(x, f"intrinsic[{i}]") for i, x in enumerate(self.intrinsic))
+        values = tuple(self.intrinsic)
+        if not _all_ints(values):  # the scan names the first bad value
+            for i, x in enumerate(values):
+                _as_int(x, f"intrinsic[{i}]")
         if len(values) != self.graph.node_count:
             raise ValueError(
                 f"intrinsic has {len(values)} entries for {self.graph.node_count} nodes"
             )
-        if any(x < 0 for x in values):
+        if values and min(values) < 0:
             raise ValueError("intrinsic values must be nonnegative")
         object.__setattr__(self, "intrinsic", values)
 
@@ -279,21 +321,39 @@ def validate_prices(prices: Sequence[int]) -> PriceSequence:
 #
 # loads_instance takes any JSON whitespace and key order, and a later
 # duplicate key wins, as with json.loads. json's decoder reads the keys and
-# every value but "edges"; the edge list is read in one numpy pass and never
-# becomes Python lists. Numbers past int64 stay exact (object arrays). A file
-# the readers turn down goes to json.loads, which only names the error.
+# every value but "edges"; the edge list is read by numpy and never becomes
+# Python lists. Numbers past int64 stay exact (object arrays). A file the
+# readers turn down goes to json.loads, which only names the error.
+#
+# Both directions run through an edge list in blocks of a fixed size, so a
+# large instance passes through cache-sized temporaries rather than fresh
+# whole-list arrays: touching a fresh page costs about 2 ms per MiB on a
+# 2-vCPU host, more than parsing the bytes on it. A small file is one block.
 # ---------------------------------------------------------------------------
+
+# characters of edge list read per block, which ends just after a "]"
+_READ_BLOCK = 1 << 16
+# edges formatted per block
+_WRITE_ROWS = 1 << 12
 
 
 def dumps_instance(instance: PncInstance) -> str:
     graph = instance.graph
-    flat = np.column_stack((graph.u, graph.v, graph.w)).ravel().tolist()
-    # One C-level format call: for ints this is exactly json.dumps's text.
-    edges = ",".join(["[%d,%d,%d]"] * graph.edge_count) % tuple(flat)
-    text = f'{{"n":{instance.node_count},"edges":[{edges}]'
+    parts = [f'{{"n":{instance.node_count},"edges":[']
+    for start in range(0, graph.edge_count, _WRITE_ROWS):
+        rows = slice(start, start + _WRITE_ROWS)
+        flat = np.column_stack((graph.u[rows], graph.v[rows], graph.w[rows])).ravel().tolist()
+        # One C-level format call a block: for ints this is exactly
+        # json.dumps's text. Each edge is led by a comma, as are all but the
+        # first in the list.
+        parts.append(",[%d,%d,%d]" * (len(flat) // 3) % tuple(flat))
+    if len(parts) > 1:
+        parts[1] = parts[1][1:]
+    parts.append("]")
     if any(instance.intrinsic):
-        text += ',"nu":' + json.dumps(list(instance.intrinsic), separators=(",", ":"))
-    return text + "}\n"
+        parts.append(',"nu":' + json.dumps(list(instance.intrinsic), separators=(",", ":")))
+    parts.append("}\n")
+    return "".join(parts)
 
 
 _DECODER = json.JSONDecoder()
@@ -302,6 +362,7 @@ _SPACE = re.compile(r"[ \t\n\r]*")  # JSON whitespace
 _EDGE_RUN = re.compile(r"[-0-9\[\], \t\n\r]*\]")
 _BLANK_BRACKETS = bytes.maketrans(b"[]", b"  ")
 _NUMBER_AS_N = bytes.maketrans(b"-0123456789", b"N" * 11)
+_TRIPLE = b",[N,N,N]"
 # an integer of at most 18 digits is below this; np.fromstring clamps longer
 # ones to the int64 limits without a warning
 _SHORT_INT_BOUND = 10**18
@@ -311,14 +372,11 @@ def _skip_space(text: str, at: int) -> int:
     return _SPACE.match(text, at).end()
 
 
-def _read_edges(text: str, at: int) -> tuple[np.ndarray, int] | None:
-    """The edge list at ``text[at]`` as an (m, 3) table, and the index just
-    past it; None unless it is ``[[t,t,t],...]`` with JSON integers ``t``."""
-    run = _EDGE_RUN.match(text, at)
-    if run is None:
-        return None
-    body = text[at:run.end()].encode()
-    chars = np.frombuffer(body, np.uint8)
+def _block_shape(block: bytes) -> bytes | None:
+    """``block``'s numbers each as one "N", its whitespace dropped; None
+    unless every number is a JSON integer. The checks read each byte's
+    neighbours, so a block must start and end beside a non-number byte."""
+    chars = np.frombuffer(block, np.uint8)
     digit = (chars >= ord("0")) & (chars <= ord("9"))
     minus = chars == ord("-")
     number = digit | minus
@@ -331,19 +389,59 @@ def _read_edges(text: str, at: int) -> tuple[np.ndarray, int] | None:
     if ((minus & ~first).any() or (minus[:-1] & ~digit[1:]).any()
             or ((chars[:-1] == ord("0")) & opening[:-1] & digit[1:]).any()):
         return None
-    # Each number as one "N", whitespace dropped: a blank inside a number
-    # leaves "NN", so the shape is exact only for [[N,N,N],...].
-    shape = chars[first | (~number & (chars > ord(" ")))].tobytes().translate(_NUMBER_AS_N)
-    m = len(shape) // 8
-    if shape != b"[" + (b"[N,N,N]," * m)[:-1] + b"]":
+    # a blank inside a number leaves "NN", so the shape is exact
+    return chars[first | (~number & (chars > ord(" ")))].tobytes().translate(_NUMBER_AS_N)
+
+
+def _read_edges(text: str, at: int) -> tuple[np.ndarray, int] | None:
+    """The edge list at ``text[at]`` as an (m, 3) table, and the index just
+    past it; None unless it is ``[[t,t,t],...]`` with JSON integers ``t``.
+
+    The list is checked and parsed in blocks of about ``_READ_BLOCK``
+    characters, each cut just after a "]", into one table sized from the
+    count of "[".
+    """
+    run = _EDGE_RUN.match(text, at)
+    if run is None or not text.startswith("[", at):
         return None
-    if not m:  # fromstring reads a blank string as one 0
-        return np.zeros((0, 3), np.int64), run.end()
-    values = np.fromstring(body.translate(_BLANK_BRACKETS), np.int64, sep=",")
-    if ((values >= _SHORT_INT_BOUND) | (values <= -_SHORT_INT_BOUND)).any():
-        tokens = body.translate(None, b"[] \t\n\r").split(b",")
-        values = np.array([int(token) for token in tokens], dtype=object)
-    return values.reshape(m, 3), run.end()
+    end = run.end()
+    m = text.count("[", at, end) - 1  # the triples, if the shape holds
+    if not m:  # "[]", the one list shape without a triple
+        return (np.zeros((0, 3), np.int64), end) if _skip_space(text, at + 1) == end - 1 else None
+    if 8 * m + 1 > end - at:  # each triple takes 8 characters or more
+        return None
+    table = np.empty((m, 3), np.int64)
+    row = 0
+    start = at
+    while start < end:
+        cut = min(start + _READ_BLOCK, end)
+        stop = (text.rfind("]", start, cut) + 1) or (text.index("]", cut, end) + 1)
+        block = text[start:stop].encode()  # every character of the run is ASCII
+        shape = _block_shape(block)
+        if shape is None:
+            return None
+        # As a whole the shape is "[" + ",[N,N,N]" * m with the first comma
+        # dropped, then "]": each block holds whole triples of it.
+        if start == at:
+            shape = b"," + shape[1:]
+        if stop == end:
+            shape = shape[:-1]
+        count = len(shape) // 8
+        if shape != _TRIPLE * count:
+            return None
+        if count:
+            # a later block starts with the comma before its first triple
+            body = block if start == at else block[block.index(b",") + 1:]
+            values = np.fromstring(body.translate(_BLANK_BRACKETS), np.int64, sep=",")
+            if ((values >= _SHORT_INT_BOUND) | (values <= -_SHORT_INT_BOUND)).any():
+                tokens = body.translate(None, b"[] \t\n\r").split(b",")
+                values = np.array([int(token) for token in tokens], dtype=object)
+                table = table.astype(object, copy=False)
+            table[row:row + count] = values.reshape(count, 3)
+            row += count
+        start = stop
+    table.setflags(write=False)
+    return table, end
 
 
 def _read_object(text: str) -> dict | None:

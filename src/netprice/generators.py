@@ -23,12 +23,21 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
-def _unit_edges(us: np.ndarray, vs: np.ndarray) -> np.ndarray:
-    """An (m, 3) edge array of weight-1 edges, handed to the graph as it is."""
-    return np.column_stack((us, vs, np.ones(len(us), dtype=us.dtype)))
+def _unit_edges(us: list[np.ndarray], vs: list[np.ndarray]) -> np.ndarray:
+    """A read-only (m, 3) table of weight-1 edges whose endpoints are the
+    arrays in ``us`` and in ``vs``, each list joined in order: the graph
+    keeps it as it is."""
+    table = np.empty((sum(map(len, us)), 3), np.int64)
+    np.concatenate(us, out=table[:, 0])
+    np.concatenate(vs, out=table[:, 1])
+    table[:, 2] = 1
+    table.setflags(write=False)
+    return table
 
 
 _DENSE_PAIR_LIMIT = 30_000_000
+# pairs gen_er draws per block of rows
+_ER_BLOCK = 1 << 16
 
 
 def _check_size(count: int, call: str, items: str = "edges") -> None:
@@ -43,12 +52,22 @@ def gen_er(n: int, eta: float, seed: int) -> PncInstance:
         raise ValueError(f"gen_er needs n >= 2, got {n}")
     if not 0 <= eta <= 1:
         raise ValueError(f"eta must be in [0, 1], got {eta}")
-    if n * (n - 1) // 2 > _DENSE_PAIR_LIMIT:
-        raise ValueError("gen_er samples all pairs at once; n is too large for that")
+    _check_size(n * (n - 1) // 2, f"gen_er({n}, {eta})", "candidate pairs")
     rng = _rng(seed)
-    us, vs = np.triu_indices(n, k=1)
-    keep = rng.random(len(us)) < eta
-    return PncInstance.from_edges(n, _unit_edges(us[keep], vs[keep]))
+    # Pairs (u, v > u) in row-major order, drawn a block of rows at a time.
+    # Generator.random takes one 64-bit output per double, so the blocks read
+    # the stream that one draw over every pair would. Each block's ends are
+    # kept in the smallest type that holds a node.
+    rows, ids = max(1, _ER_BLOCK // n), np.min_scalar_type(n - 1)
+    us, vs = [], []
+    for top in range(0, n - 1, rows):
+        pairs = np.arange(n) > np.arange(top, min(top + rows, n - 1))[:, None]
+        kept = np.zeros_like(pairs)
+        kept[pairs] = rng.random(np.count_nonzero(pairs)) < eta
+        block_us, block_vs = np.nonzero(kept)
+        us.append((block_us + top).astype(ids))
+        vs.append(block_vs.astype(ids))
+    return PncInstance.from_edges(n, _unit_edges(us, vs))
 
 
 def gen_ba(n: int, beta: int, seed: int) -> PncInstance:
@@ -63,28 +82,27 @@ def gen_ba(n: int, beta: int, seed: int) -> PncInstance:
         raise ValueError(f"beta must be a positive integer, got {beta!r}")
     if n <= beta:
         raise ValueError(f"gen_ba needs n > beta, got n={n}, beta={beta}")
-    _check_size(math.comb(beta, 2) + beta * (n - beta), f"gen_ba({n}, {beta})")
+    edge_count = math.comb(beta, 2) + beta * (n - beta)
+    _check_size(edge_count, f"gen_ba({n}, {beta})")
     rng = _rng(seed)
-    edges = []
-    # one entry per edge endpoint, so uniform picks are degree-proportional
-    targets: list[int] = []
-    for i in range(beta):
-        for j in range(i + 1, beta):
-            edges.append((i, j, 1))
-            targets.append(i)
-            targets.append(j)
-    for arrival in range(beta, n):
-        if arrival == beta:
-            chosen = set(range(beta))
-        else:
-            chosen = set()
-            while len(chosen) < beta:
-                chosen.add(targets[int(rng.integers(0, len(targets)))])
-        for node in sorted(chosen):
-            edges.append((node, arrival, 1))
-            targets.append(node)
-            targets.append(arrival)
-    return PncInstance.from_edges(n, edges)
+    # Entries 2e and 2e + 1 are edge e's ends, in the order the edges are
+    # made: one entry per edge endpoint, so a uniform pick among the entries
+    # made so far is degree-proportional.
+    ends = np.empty(2 * edge_count, np.int64)
+    clique = np.triu_indices(beta, k=1)
+    made = 2 * len(clique[0])
+    ends[0:made:2], ends[1:made:2] = clique
+    # the first arrival takes the whole seed clique
+    ends[made:made + 2 * beta:2], ends[made + 1:made + 2 * beta:2] = range(beta), beta
+    made += 2 * beta
+    entry = memoryview(ends)  # reads a Python int, not a numpy scalar
+    for arrival in range(beta + 1, n):
+        chosen = set()
+        while len(chosen) < beta:
+            chosen.add(entry[rng.integers(0, made)])
+        ends[made:made + 2 * beta:2], ends[made + 1:made + 2 * beta:2] = sorted(chosen), arrival
+        made += 2 * beta
+    return PncInstance.from_edges(n, _unit_edges([ends[0::2]], [ends[1::2]]))
 
 
 def gen_spider(k: int) -> PncInstance:
@@ -99,7 +117,7 @@ def gen_spider(k: int) -> PncInstance:
     # centre-to-middle edges, then middle-to-foot: already in canonical order
     us = np.concatenate((np.zeros(k, dtype=middles.dtype), middles))
     vs = np.concatenate((middles, middles + 1))
-    return PncInstance.from_edges(2 * k + 1, _unit_edges(us, vs))
+    return PncInstance.from_edges(2 * k + 1, _unit_edges([us], [vs]))
 
 
 def gen_example1(k: int) -> PncInstance:
@@ -128,7 +146,7 @@ def gen_example1(k: int) -> PncInstance:
         us.append((offsets + a).ravel())
         vs.append((offsets + b).ravel())
         start += i * size
-    return PncInstance.from_edges(n, _unit_edges(np.concatenate(us), np.concatenate(vs)))
+    return PncInstance.from_edges(n, _unit_edges(us, vs))
 
 
 def gen_split(
@@ -150,10 +168,12 @@ def gen_split(
     k = math.ceil(clique_fraction * n)
     _check_size(math.comb(k, 2) + k * (n - k), f"gen_split({n}, {clique_fraction})", "candidate pairs")
     rng = _rng(seed)
-    us, vs = np.triu_indices(k, k=1)
+    clique_us, clique_vs = np.triu_indices(k, k=1)
+    us, vs = [clique_us], [clique_vs]
     if k < n:
         hits, outside = np.nonzero(rng.random((k, n - k)) < edge_prob)
-        us, vs = np.concatenate((us, hits)), np.concatenate((vs, k + outside))
+        us.append(hits)
+        vs.append(k + outside)
     instance = PncInstance.from_edges(n, _unit_edges(us, vs))
     degrees = instance.graph.degrees
     partition = SplitPartition(

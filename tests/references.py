@@ -1,8 +1,9 @@
 """Pure-Python reference implementations the array engine is checked against,
 the small weighted instances that brute force can solve, the brute-force
 optimum that certifies the oracle, the ``json.loads`` instance loader the
-edge-list reader is checked against, and the forest-count recurrence the
-closed form is checked against.
+edge-list reader is checked against, the forest-count recurrence the
+closed form is checked against, and the one-draw Erdős–Rényi generator the
+row-block one is checked against.
 
 The engine and oracle references read only ``graph.edges``,
 ``instance.intrinsic`` and ``instance.initial_values`` and keep every number
@@ -133,6 +134,14 @@ def json_loads_instance(text):
     if len(backwards):
         raise ValueError(f"edges[{backwards[0]}]: endpoints must satisfy u < v")
     return instance
+
+
+def triu_gen_er(n, eta, seed):
+    """G(n, eta) from one draw over every pair (u, v > u) in row-major order."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    us, vs = np.triu_indices(n, k=1)
+    keep = rng.random(len(us)) < eta
+    return PncInstance.from_edges(n, np.column_stack((us[keep], vs[keep], np.ones(keep.sum(), np.int64))))
 
 
 def naive_opt(instance):

@@ -5,6 +5,7 @@ import json
 import random
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -157,12 +158,29 @@ def test_graph_views():
     assert WeightedGraph(2, ((0, 1, 1),)).is_unweighted()
 
 
+def test_graph_copies_an_edge_array_its_caller_can_write():
+    table = np.array([[0, 1, 2], [1, 2, 3]])
+    view = table[:]
+    view.setflags(write=False)  # read-only, but table still writes to it
+    graphs = [WeightedGraph(3, table), WeightedGraph(3, view)]
+    table[0] = [0, 2, 9]
+    assert [g.edges for g in graphs] == [((0, 1, 2), (1, 2, 3))] * 2
+    # a read-only array that owns its data is kept as it is
+    table.setflags(write=False)
+    assert np.shares_memory(WeightedGraph(3, table).u, table)
+
+
 def test_instance_validation():
     g = WeightedGraph(2, ((0, 1, 1),))
     with pytest.raises(ValueError, match="intrinsic"):
         PncInstance(g, (1,))
     with pytest.raises(ValueError, match="nonnegative"):
         PncInstance(g, (1, -1))
+    # checked in bulk, and a bad value is still named by the first index
+    with pytest.raises(ValueError, match=r"^intrinsic\[1\] must be an integer, got True$"):
+        PncInstance(g, (1, True, 2.5))
+    with pytest.raises(ValueError, match=r"^intrinsic\[0\] must be an integer, got 2\.5$"):
+        PncInstance(g, (2.5,))
     inst = PncInstance(g, (3, 0))
     assert inst.initial_values == (4, 1)
     assert inst.node_count == 2
@@ -203,7 +221,44 @@ def test_dumps_is_canonical():
     assert dumps_instance(with_nu) == '{"n":2,"edges":[[0,1,1]],"nu":[0,4]}\n'
 
 
+def test_dumps_matches_json_across_blocks(monkeypatch):
+    # 21 edges in blocks of 4, the second-to-last block holding a weight past
+    # int64; read back in blocks of 7 characters
+    monkeypatch.setattr(core, "_WRITE_ROWS", 4)
+    monkeypatch.setattr(core, "_READ_BLOCK", 7)
+    edges = [(u, u + d, 1 + (u * d) % 9) for u in range(12) for d in (1, 2) if u + d < 12]
+    edges[-3] = (*edges[-3][:2], 2**70)
+    nu = [x % 3 for x in range(12)]
+    inst = PncInstance.from_edges(12, edges, nu)
+    assert inst.graph.w.dtype == object
+    for instance, payload in ((inst, {"edges": [list(e) for e in inst.graph.edges], "nu": nu}),
+                              (PncInstance.from_edges(3, []), {"edges": []})):
+        text = json.dumps({"n": instance.node_count, **payload}, separators=(",", ":")) + "\n"
+        assert dumps_instance(instance) == text
+        assert _load(loads_instance, text) == _load(json_loads_instance, text)
+
+
+def test_backwards_edge_in_a_late_block_names_its_own_index(monkeypatch):
+    monkeypatch.setattr(core, "_READ_BLOCK", 16)
+    edges = [[0, v, 1] for v in range(1, 40)]
+    edges[33] = [34, 0, 1]
+    edges[36] = [37, 0, 1]
+    text = json.dumps({"n": 40, "edges": edges})
+    with pytest.raises(ValueError, match=r"^edges\[33\]: endpoints must satisfy u < v$"):
+        loads_instance(text)
+
+
 def test_loads_round_trip_random():
+    _round_trip_random()
+
+
+def test_loads_round_trip_random_in_small_blocks(monkeypatch):
+    monkeypatch.setattr(core, "_READ_BLOCK", 3)
+    monkeypatch.setattr(core, "_WRITE_ROWS", 2)
+    _round_trip_random()
+
+
+def _round_trip_random():
     rng = random.Random(7)
     for _ in range(50):
         n = rng.randint(1, 12)
@@ -313,6 +368,18 @@ def test_loader_matches_json_reference(text):
     # Same instance (and weight dtype), or the same ValueError message, as
     # the loader that reads the whole file with json.loads.
     assert _load(loads_instance, text) == _load(json_loads_instance, text)
+
+
+@settings(max_examples=150)
+@given(instance_texts(), st.integers(1, 12))
+@example('{"n":3,"edges":[[0,1,1] [1,2,1]]}', 9)
+@example('{"n":3,"edges":[[0,1,-1],[1,2,1]]}', 9)
+@example('{"n":3,"edges":[[0,1,1],01,[1,2,1]]}', 10)
+@example('{"n":3,"edges":[[0,1,1],[1,2,10000000000000000000]]}', 9)
+def test_loader_matches_json_reference_in_small_blocks(text, block):
+    # blocks of a few characters cut the list beside every kind of byte
+    with mock.patch.object(core, "_READ_BLOCK", block):
+        assert _load(loads_instance, text) == _load(json_loads_instance, text)
 
 
 @pytest.mark.parametrize("weight", [5, 2**63 - 1, 2**63, 10**19])

@@ -19,8 +19,9 @@ from netprice import (
     gen_split,
     recognize_split,
 )
+from netprice import generators
 from netprice.generators import _forest_count
-from references import forest_counts
+from references import forest_counts, triu_gen_er
 
 
 def _component_count(instance):
@@ -67,6 +68,19 @@ def test_er_density_tracks_eta():
     total = sum(len(gen_er(60, 0.25, seed=s).graph.edges) for s in range(30))
     expected = 30 * 0.25 * (60 * 59 // 2)
     assert abs(total - expected) < 0.08 * expected
+
+
+@pytest.mark.parametrize("n", [2, 3, 257, 2000])
+def test_er_matches_one_draw_reference(monkeypatch, n):
+    # gen_er draws a block of rows at a time (63 blocks at n = 2000, and one
+    # row a block in the second pass): its edges must be those of one draw
+    # over every pair
+    for block in (generators._ER_BLOCK, 1)[:1 if n == 2000 else 2]:
+        monkeypatch.setattr(generators, "_ER_BLOCK", block)
+        # eta = 0 and eta = 1 keep the same edges whatever the draws
+        for eta, seeds in ((0, (0,)), (0.3, (0, 1, 7)), (1, (0,))):
+            for seed in seeds:
+                assert gen_er(n, eta, seed) == triu_gen_er(n, eta, seed), (block, eta, seed)
 
 
 def test_er_validation():
@@ -188,19 +202,41 @@ def _list_example1(k):
     return PncInstance.from_edges(n, edges)
 
 
-@pytest.mark.parametrize("build, reference, ks", [
-    (gen_spider, _list_spider, range(1, 9)),
-    (gen_example1, _list_example1, range(2, 5)),
-], ids=["spider", "example1"])
-def test_array_built_families_match_list_built_references(build, reference, ks):
+def _list_ba(n, beta, seed):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    edges = []
+    targets = []
+    for i in range(beta):
+        for j in range(i + 1, beta):
+            edges.append((i, j, 1))
+            targets += [i, j]
+    for arrival in range(beta, n):
+        if arrival == beta:
+            chosen = set(range(beta))
+        else:
+            chosen = set()
+            while len(chosen) < beta:
+                chosen.add(targets[int(rng.integers(0, len(targets)))])
+        for node in sorted(chosen):
+            edges.append((node, arrival, 1))
+            targets += [node, arrival]
+    return PncInstance.from_edges(n, edges)
+
+
+@pytest.mark.parametrize("build, reference, cases", [
+    (gen_spider, _list_spider, [(k,) for k in range(1, 9)]),
+    (gen_example1, _list_example1, [(k,) for k in range(2, 5)]),
+    (gen_ba, _list_ba, [(2, 1, 0), (9, 4, 3), (50, 3, 2), (600, 2, 5), (2000, 7, 1), (5000, 3, 9)]),
+], ids=["spider", "example1", "ba"])
+def test_array_built_families_match_list_built_references(build, reference, cases):
     # The generators build their edges as arrays; the graphs must be the
     # ones an edge-by-edge list gives, down to the CSR arrays and dtypes.
-    for k in ks:
-        got, want = build(k), reference(k)
+    for args in cases:
+        got, want = build(*args), reference(*args)
         assert got == want and got.intrinsic == want.intrinsic
         for name in ("u", "v", "w", "indptr", "indices", "weights"):
             a, b = getattr(got.graph, name), getattr(want.graph, name)
-            assert a.dtype == b.dtype and np.array_equal(a, b), (k, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), (args, name)
 
 
 @pytest.mark.parametrize("k", [7, 8, 9, 10**6])

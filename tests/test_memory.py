@@ -1,0 +1,61 @@
+"""Traced peak memory of instance I/O and generation on G(2000, 0.3).
+
+numpy reports its buffers to tracemalloc, so these peaks are byte counts of
+every Python object and array a step holds at once: deterministic, unlike a
+resident set size. Each bound is the measured peak with about 10% headroom.
+Before edge lists were read and written in blocks, the peaks were 73 MiB
+(loads), 73 MiB (dumps) and 106 MiB (gen_er).
+"""
+
+import gc
+import tracemalloc
+
+import pytest
+
+from netprice import dumps_instance, gen_er, loads_instance
+
+MIB = 1 << 20
+
+
+def _traced(step):
+    """``step()``'s result, and the peak and the kept bytes it traced above
+    what was held before it."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = step()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak - before, kept - before
+
+
+@pytest.fixture(scope="module")
+def dense():
+    """G(2000, 0.3): about 600k edges and 7.4 MB of instance text."""
+    instance = gen_er(2000, 0.3, seed=3)
+    return instance, dumps_instance(instance)
+
+
+def test_gen_er_peak():
+    instance, peak, _ = _traced(lambda: gen_er(2000, 0.3, seed=3))
+    assert instance.graph.edge_count > 590_000
+    assert peak < 23.5 * MIB, peak / MIB  # measured 21.4 MiB
+
+
+def test_dumps_peak(dense):
+    instance, text = dense
+    again, peak, _ = _traced(lambda: dumps_instance(instance))
+    assert again == text
+    # the text, 7.4 MB, and one block's temporaries
+    assert peak < 16.5 * MIB, peak / MIB  # measured 14.8 MiB
+
+
+def test_loads_peak(dense):
+    instance, text = dense
+    again, peak, kept = _traced(lambda: loads_instance(text))
+    assert again == instance
+    assert peak < 20 * MIB, peak / MIB  # measured 18.3 MiB
+    # the (m, 3) edge table, which the graph keeps without a copy
+    assert kept < 15 * MIB, kept / MIB  # measured 13.7 MiB
