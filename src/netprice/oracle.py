@@ -16,23 +16,20 @@ so when buyers ``B`` with current values ``v`` leave ``S``,
 ``bound(S - B) = bound(S) - 2 sum_B v_b + bound(B)``, in exact integers. The
 price loop applies it one buyer at a time (``bound({b})`` is ``b``'s
 intrinsic value), and the parent settles each child from its memo entry or
-its bound before any call: only a set that must be expanded is searched, and
-only then are its current values computed.
+its bound before any call: only a set that must be expanded is searched.
 
-Current values come from one kernel: each node keeps ``(coefficient,
-neighbour bitmask)`` pairs, one per distinct weight or one per weight bit,
-whichever is fewer, so its current value is its intrinsic value plus a few
-``int.bit_count`` calls.
+Current values pass down the search: each set's ``(value, node)`` list is
+its parent's, less the weights from the graph's CSR rows of the buyers that
+left. The realizer replays the memo's prices through ``engine.Market``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 from .algorithms import greedy_iterative
 from .core import PncInstance, PriceSequence, _as_int
-from .engine import simulate
+from .engine import Market, simulate
 
 
 # exact_opt recurses once per sale round, up to once per node; this keeps
@@ -83,43 +80,6 @@ class _OutOfBudget(Exception):
     """Unwinds the search; ``exact_opt`` reraises it as OracleBudgetError with bounds."""
 
 
-def _value_kernel(instance: PncInstance) -> Callable[[int, int], int]:
-    """A function from a node and the non-owners (bitmask) to the node's current value.
-
-    Each node keeps ``(coefficient, neighbour bitmask)`` pairs, and its value
-    is its intrinsic value plus ``coefficient * (neighbours & mask).bit_count()``
-    over them. The pairs are one per distinct weight of the node's edges, or,
-    when that makes fewer, one per set bit ``2**k`` of those weights (holding
-    the neighbours whose weight has that bit): at most four for weights 1-9.
-    """
-    by_weight: list[dict[int, int]] = [{} for _ in range(instance.node_count)]
-    for u, v, w in instance.graph.edges:
-        by_weight[u][w] = by_weight[u].get(w, 0) | 1 << v
-        by_weight[v][w] = by_weight[v].get(w, 0) | 1 << u
-    table = []
-    for nu, groups in zip(instance.intrinsic, by_weight):
-        weight_bits = 0
-        for weight in groups:
-            weight_bits |= weight
-        if weight_bits.bit_count() < len(groups):
-            by_bit: dict[int, int] = {}
-            for weight, neighbours in groups.items():
-                while weight:
-                    low = weight & -weight
-                    by_bit[low] = by_bit.get(low, 0) | neighbours
-                    weight ^= low
-            groups = by_bit
-        table.append((nu, tuple(groups.items())))
-
-    def current(node: int, mask: int) -> int:
-        value, pairs = table[node]
-        for coefficient, neighbours in pairs:
-            value += coefficient * (neighbours & mask).bit_count()
-        return value
-
-    return current
-
-
 def exact_opt(instance: PncInstance, config: OracleConfig | None = None) -> OracleResult:
     """Optimal revenue over all decreasing price sequences, with a realizer.
 
@@ -137,7 +97,12 @@ def exact_opt(instance: PncInstance, config: OracleConfig | None = None) -> Orac
         raise ValueError(f"instance has {n} nodes, above the oracle node limit {cfg.node_limit}")
     if n > DEPTH_LIMIT:
         raise ValueError(f"instance has {n} nodes, above the oracle depth limit {DEPTH_LIMIT}")
-    current = _value_kernel(instance)
+    # each node's CSR row as (neighbour, weight) pairs of Python ints, so
+    # weights past int64 stay exact
+    indptr = instance.graph.indptr.tolist()
+    neighbours = instance.graph.indices.tolist()
+    weights = instance.graph.weights.tolist()
+    rows = [tuple(zip(neighbours[a:b], weights[a:b])) for a, b in zip(indptr, indptr[1:])]
     intrinsic = instance.intrinsic
     budget = cfg.state_budget
     full = (1 << n) - 1
@@ -146,27 +111,18 @@ def exact_opt(instance: PncInstance, config: OracleConfig | None = None) -> Orac
     memo: dict[int, tuple[int, bool, int]] = {}
     bound_prunes = 0
 
-    def values(mask: int) -> list[tuple[int, int]]:
-        """The ``(current value, node)`` list of the residual set ``mask``."""
-        items = []
-        bits = mask
-        while bits:
-            low = bits & -bits
-            node = low.bit_length() - 1
-            bits ^= low
-            items.append((current(node, mask), node))
-        return items
-
-    def solve(mask: int, bound: int, need: int) -> int:
+    def solve(items: list[tuple[int, int]], mask: int, bound: int, need: int) -> int:
         """The optimum from ``mask`` if it exceeds ``need``, else an upper bound <= ``need``.
 
-        ``bound``, the sum of the set's current values, exceeds ``need``: the
-        caller settles every other set itself.
+        ``items`` is the set's ``(current value, node)`` list, and ``bound``,
+        the sum of those values, exceeds ``need``: the caller settles every
+        other set itself.
         """
         nonlocal bound_prunes
-        items = values(mask)
         memo[mask] = (bound, False, 0)  # counts toward the budget from here on
         items.sort(reverse=True)
+        # drop[x]: the weight of x's edges to the buyers taken out so far
+        drop = [0] * n
         best = 0
         best_price = 0
         rest = mask
@@ -181,8 +137,11 @@ def exact_opt(instance: PncInstance, config: OracleConfig | None = None) -> Orac
                 node = items[index][1]
                 rest ^= 1 << node
                 # bound(R - b) = bound(R) - 2 v_b + bound({b}); b is no
-                # neighbour of itself, so its value against R - b is v_b
-                rest_bound -= 2 * current(node, rest) - intrinsic[node]
+                # neighbour of itself, so v_b, its value against R - b, is
+                # its value here (the price) less its edges to earlier buyers
+                rest_bound -= 2 * (price - drop[node]) - intrinsic[node]
+                for neighbour, weight in rows[node]:
+                    drop[neighbour] += weight
                 index += 1
             gain = price * index
             # The rest matters only where it lifts this set above both what
@@ -194,15 +153,13 @@ def exact_opt(instance: PncInstance, config: OracleConfig | None = None) -> Orac
                     if len(memo) >= budget:
                         raise _OutOfBudget
                     if rest_bound <= rest_need:
-                        memo[rest] = (rest_bound, False, 0)
+                        hit = memo[rest] = (rest_bound, False, 0)
                         bound_prunes += 1
-                        gain += rest_bound
-                    else:
-                        gain += solve(rest, rest_bound, rest_need)
-                elif hit[1] or hit[0] <= rest_need:
+                if hit is not None and (hit[1] or hit[0] <= rest_need):
                     gain += hit[0]
                 else:
-                    gain += solve(rest, rest_bound, rest_need)
+                    remaining = [(value - drop[node], node) for value, node in items[index:]]
+                    gain += solve(remaining, rest, rest_bound, rest_need)
             if gain > best:
                 best = gain
                 best_price = price
@@ -210,13 +167,15 @@ def exact_opt(instance: PncInstance, config: OracleConfig | None = None) -> Orac
         return best
 
     top = sum(instance.initial_values)  # the full set's bound
+    start = [(value, node) for node, value in enumerate(instance.initial_values)]
     try:
-        revenue = solve(full, top, -1)  # every optimum is >= 0, so the root's entry is exact
+        revenue = solve(start, full, top, -1)  # every optimum is >= 0, so the root's entry is exact
     except _OutOfBudget:
         lower = greedy_iterative(instance).revenue
         raise OracleBudgetError(len(memo), lower, top) from None
 
     prices = []
+    market = Market(instance)
     mask = full
     while mask:
         entry = memo.get(mask)
@@ -226,11 +185,8 @@ def exact_opt(instance: PncInstance, config: OracleConfig | None = None) -> Orac
         if price == 0:
             break
         prices.append(price)
-        buyers = 0
-        for value, node in values(mask):
-            if value >= price:
-                buyers |= 1 << node
-        mask &= ~buyers
+        for node in market.sell(price).tolist():
+            mask ^= 1 << node
     realizer = tuple(prices)
 
     if any(a <= b for a, b in zip(realizer, realizer[1:])):

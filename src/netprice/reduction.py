@@ -19,6 +19,7 @@ scales of about 5^n; it is not the paper's reduction.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -49,8 +50,10 @@ class CnfFormula:
             raise CnfError("at least 3 variables are required")
         if len(self.clauses) < 3:
             raise CnfError("at least 3 clauses are required")
-        positive = [0] * (self.variable_count + 1)
-        negative = [0] * (self.variable_count + 1)
+        # counts per variable that occurs, so memory follows the clauses,
+        # not the header's variable count
+        positive: Counter[int] = Counter()
+        negative: Counter[int] = Counter()
         for index, clause in enumerate(self.clauses, start=1):
             if len(clause) != 3:
                 raise CnfError(f"clause {index}: has {len(clause)} literals, expected 3")
@@ -64,6 +67,8 @@ class CnfFormula:
                     negative[variable] += 1
             if len({abs(literal) for literal in clause}) != 3:
                 raise CnfError(f"clause {index}: variables must be distinct")
+        # At most 3 * len(clauses) variables occur, so when the header names
+        # more, this loop stops at variable 3 * len(clauses) + 1 at the latest.
         for variable in range(1, self.variable_count + 1):
             pos, neg = positive[variable], negative[variable]
             if pos + neg == 0:

@@ -7,8 +7,8 @@ row-block one is checked against.
 
 The engine and oracle references read only ``graph.edges``,
 ``instance.intrinsic`` and ``instance.initial_values`` and keep every number
-a Python int, so they share no code with the numpy paths or the oracle's
-bitmask kernel.
+a Python int, so they share no code with the numpy paths or with the CSR
+rows the engine and the oracle both read.
 """
 
 import heapq

@@ -1,10 +1,12 @@
-"""Traced peak memory of instance I/O and generation on G(2000, 0.3).
+"""Traced peak memory of instance loading and generation on G(2000, 0.3),
+and of dumping on G(1000, 0.3).
 
 numpy reports its buffers to tracemalloc, so these peaks are byte counts of
 every Python object and array a step holds at once: deterministic, unlike a
 resident set size. Each bound is the measured peak with about 10% headroom.
 Before edge lists were read and written in blocks, the peaks were 73 MiB
-(loads), 73 MiB (dumps) and 106 MiB (gen_er).
+(loads), 73 MiB (dumps) and 106 MiB (gen_er) on G(2000, 0.3), and the
+dumper's was 17.1 MiB on G(1000, 0.3).
 """
 
 import gc
@@ -44,12 +46,14 @@ def test_gen_er_peak():
     assert peak < 23.5 * MIB, peak / MIB  # measured 21.4 MiB
 
 
-def test_dumps_peak(dense):
-    instance, text = dense
-    again, peak, _ = _traced(lambda: dumps_instance(instance))
-    assert again == text
-    # the text, 7.4 MB, and one block's temporaries
-    assert peak < 16.5 * MIB, peak / MIB  # measured 14.8 MiB
+def test_dumps_peak():
+    # tracemalloc traces every Python int the dumper formats, about 1.6 us
+    # each, so this graph has a quarter of the others' edges
+    instance = gen_er(1000, 0.3, seed=3)
+    text, peak, _ = _traced(lambda: dumps_instance(instance))
+    assert loads_instance(text) == instance
+    # the text, 1.8 MB, and one block's temporaries
+    assert peak < 3.85 * MIB, peak / MIB  # measured 3.50 MiB
 
 
 def test_loads_peak(dense):

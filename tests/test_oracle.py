@@ -12,6 +12,8 @@ from netprice import (
     PncInstance,
     build_reduction,
     exact_opt,
+    gen_ba,
+    gen_forest,
     gen_spider,
     parse_dimacs,
     simulate,
@@ -28,8 +30,8 @@ def _reference_opt(instance):
     """Plain memoized search over residual sets, with no bound: (revenue, prices, states).
 
     Tries every current total value as the next price, highest first, and
-    keeps the first best; values come from the adjacency lists, not from the
-    oracle's bitmask kernel.
+    keeps the first best; each set's values are summed afresh from the
+    adjacency lists, not passed down from its parent as the oracle does.
     """
     adj = adjacency(instance.graph)
 
@@ -181,11 +183,9 @@ def test_config_validation():
 def test_matches_reference_search():
     # The bound only skips residual sets that cannot beat what is already
     # held, so revenue and the first-best realizer must be the plain
-    # search's, reached through a subset of its states. A node whose
-    # weights set fewer bits than it has distinct weights (as any five of
-    # 1-9 do) keeps one kernel pair per weight bit, others one per distinct
-    # weight; the last draws add weights of 41-70 bits, and those past
-    # 2**63 make the graph's weights Python ints.
+    # search's, reached through a subset of its states. The last draws add
+    # weights of 41-70 bits: those past 2**63 make the graph's CSR weights
+    # an object array and the realizer's Market values Python ints.
     rng = random.Random(33)
     draws = [_random_weighted(rng, 12) for _ in range(320)]
     draws += [_random_weighted(rng, 12, large=0.15) for _ in range(160)]
@@ -225,6 +225,18 @@ def test_state_counts_are_pinned():
     assert result.revenue == 4221
     assert result.states_explored == 12336 < 72854
     assert result.bound_prunes == 10138
+
+    # Sparse unweighted graphs of hundreds of nodes, where a set's values
+    # come from long chains of parents and each buyer's row is short.
+    result = exact_opt(gen_ba(600, 2, 0))
+    assert result.revenue == 1341
+    assert result.states_explored == 854
+    assert result.bound_prunes == 596
+
+    result = exact_opt(gen_forest(800, 1, 0))
+    assert result.revenue == 1019
+    assert result.states_explored == 31
+    assert result.bound_prunes == 15
 
 
 def test_depth_limit():

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import tracemalloc
 
 import pytest
 
@@ -140,6 +141,24 @@ def test_parse_clause_errors():
 def test_parse_applies_formula_restrictions():
     with pytest.raises(CnfError, match="missing a positive occurrence"):
         parse_dimacs("p cnf 3 3\n-1 2 3 0\n-1 -2 3 0\n-1 -2 -3 0\n")
+
+
+def test_header_variable_count_costs_no_memory():
+    # Counts are kept only for variables that occur, so a header naming ten
+    # million variables over three clauses is turned down, with the error
+    # the first bad variable gives, without a list per variable (two such
+    # lists trace 160 MB).
+    clauses = "1 2 3 0\n-1 -2 3 0\n1 -2 -3 0\n"
+    tracemalloc.start()
+    try:
+        with pytest.raises(CnfError, match="variable 4: never occurs"):
+            parse_dimacs("p cnf 10000000 3\n" + clauses)
+        with pytest.raises(CnfError, match="variable 3: missing a negative occurrence"):
+            CnfFormula(10_000_000, ((1, 2, 3), (-1, -2, 3), (1, -2, 3)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
 
 
 # --- construction ----------------------------------------------------------------
