@@ -36,7 +36,7 @@ from .algorithms import (
     min_degree_independent,
     split_dp,
 )
-from .core import PncInstance, dumps_instance, load_instance, loads_instance
+from .core import PncInstance, _as_int, dumps_instance, load_instance, loads_instance
 from .engine import simulate
 from .generators import FAMILIES, GenSpec, gen_ba, gen_er, gen_forest
 from .oracle import OracleBudgetError, OracleConfig, exact_opt
@@ -56,14 +56,11 @@ def _forest_ratio_trial(seed: int, params: dict) -> list[str]:
     n = params["n"]
     instance = gen_forest(n, params["trees"], seed)
     result = forest_single_price(instance)
-    row = [str(seed), str(n), str(instance.graph.edge_count), str(result.prices[0]), str(result.revenue)]
-    if n <= params["oracle_limit"]:
-        opt = exact_opt(instance).revenue
-        row.append(str(opt))
-        row.append(_fmt(opt / result.revenue) if result.revenue else "")
-    else:
-        row.extend(["", ""])
-    return row
+    opt = exact_opt(instance).revenue
+    return [
+        str(seed), str(n), str(instance.graph.edge_count), str(result.prices[0]), str(result.revenue),
+        str(opt), _fmt(opt / result.revenue) if result.revenue else "",
+    ]
 
 
 def _er_ratio_trial(seed: int, params: dict) -> list[str]:
@@ -122,7 +119,7 @@ EXPERIMENTS: dict[str, Experiment] = {
     "forest_ratio": Experiment(
         _forest_ratio_trial,
         ("seed", "n", "edges", "price", "single_revenue", "oracle_revenue", "opt_over_single"),
-        {"n": 12, "trees": 2, "oracle_limit": 14},
+        {"n": 12, "trees": 2},
     ),
     "er_ratio": Experiment(
         _er_ratio_trial,
@@ -166,8 +163,9 @@ class ExperimentSpec:
         experiment = EXPERIMENTS.get(self.experiment)
         if experiment is None:
             raise ValueError(f"unknown experiment {self.experiment!r}")
-        if self.trials < 1:
+        if _as_int(self.trials, "trials") < 1:
             raise ValueError("trials must be at least 1")
+        _as_int(self.master_seed, "master_seed")
         unknown = [name for name in self.params if name not in experiment.defaults]
         if unknown:
             names = ", ".join(map(repr, unknown))
@@ -184,7 +182,7 @@ def experiment_tasks(spec: ExperimentSpec) -> list[tuple[str, int, dict]]:
     params = {**EXPERIMENTS[spec.experiment].defaults, **spec.params}
     grid = [params]
     if "n_min" in params:  # a size sweep: every n in [n_min, n_max], trials per size
-        n_min, n_max = params["n_min"], params["n_max"]
+        n_min, n_max = _as_int(params["n_min"], "n_min"), _as_int(params["n_max"], "n_max")
         if n_min > n_max:
             raise ValueError(f"n_min ({n_min}) must not exceed n_max ({n_max})")
         grid = [{**params, "n": n} for n in range(n_min, n_max + 1)]
@@ -199,7 +197,7 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> str:
     are pure functions of their seed, so parallel execution merges results
     in seed order and the output is byte-reproducible.
     """
-    if jobs < 1:
+    if _as_int(jobs, "jobs") < 1:
         raise ValueError("jobs must be at least 1")
     tasks = experiment_tasks(spec)
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
@@ -306,8 +304,9 @@ def _cmd_strategy(args: argparse.Namespace) -> int:
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
     instance = _read_instance(args.instance)
-    config = OracleConfig(state_budget=args.state_budget, node_limit=args.node_limit)
-    result = exact_opt(instance, config)
+    if args.node_limit is not None and instance.node_count > args.node_limit:
+        raise ValueError(f"instance has {instance.node_count} nodes, above the oracle node limit {args.node_limit}")
+    result = exact_opt(instance, OracleConfig(state_budget=args.state_budget))
     if args.json:
         print(json.dumps({
             "revenue": result.revenue,
@@ -391,7 +390,7 @@ def _build_parser() -> argparse.ArgumentParser:
     orc = sub.add_parser("oracle", help="exact optimum by branch-and-bound search")
     orc.add_argument("instance", nargs="?", default="-")
     orc.add_argument("--state-budget", type=int, default=OracleConfig.state_budget)
-    orc.add_argument("--node-limit", type=int, default=OracleConfig.node_limit)
+    orc.add_argument("--node-limit", type=int, help="turn away instances with more nodes (default: no cap)")
     orc.add_argument("--json", action="store_true")
     orc.set_defaults(handler=_cmd_oracle)
 

@@ -16,11 +16,11 @@ from typing import Callable
 import numpy as np
 
 from .algorithms import SplitPartition
-from .core import PncInstance
+from .core import PncInstance, _as_int
 
 
 def _rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(seed))
+    return np.random.Generator(np.random.PCG64(_as_int(seed, "seed")))
 
 
 def _unit_edges(us: list[np.ndarray], vs: list[np.ndarray]) -> np.ndarray:
@@ -48,7 +48,7 @@ def _check_size(count: int, call: str, items: str = "edges") -> None:
 
 def gen_er(n: int, eta: float, seed: int) -> PncInstance:
     """Every unordered pair becomes an edge independently with probability eta."""
-    if n < 2:
+    if _as_int(n, "n") < 2:
         raise ValueError(f"gen_er needs n >= 2, got {n}")
     if not 0 <= eta <= 1:
         raise ValueError(f"eta must be in [0, 1], got {eta}")
@@ -80,7 +80,7 @@ def gen_ba(n: int, beta: int, seed: int) -> PncInstance:
     """
     if not isinstance(beta, int) or isinstance(beta, bool) or beta < 1:
         raise ValueError(f"beta must be a positive integer, got {beta!r}")
-    if n <= beta:
+    if _as_int(n, "n") <= beta:
         raise ValueError(f"gen_ba needs n > beta, got n={n}, beta={beta}")
     edge_count = math.comb(beta, 2) + beta * (n - beta)
     _check_size(edge_count, f"gen_ba({n}, {beta})")
@@ -110,7 +110,7 @@ def gen_spider(k: int) -> PncInstance:
 
     More than ``_DENSE_PAIR_LIMIT`` edges raises ValueError.
     """
-    if k < 1:
+    if _as_int(k, "k") < 1:
         raise ValueError(f"gen_spider needs k >= 1, got {k}")
     _check_size(2 * k, f"gen_spider({k})")
     middles = np.arange(1, 2 * k, 2)
@@ -128,7 +128,7 @@ def gen_example1(k: int) -> PncInstance:
     a k whose edge count is above ``_DENSE_PAIR_LIMIT`` (k >= 7) raises
     ValueError before any edge is built.
     """
-    if k < 2:
+    if _as_int(k, "k") < 2:
         raise ValueError(f"gen_example1 needs k >= 2, got {k}")
     # the count grows with k, and hub edges alone pass the limit at k = 11
     capped = min(k, 11)
@@ -159,7 +159,7 @@ def gen_split(
     partition (clique ordered by nondecreasing degree). More than
     ``_DENSE_PAIR_LIMIT`` candidate pairs raises ValueError before any draw.
     """
-    if n < 2:
+    if _as_int(n, "n") < 2:
         raise ValueError(f"gen_split needs n >= 2, got {n}")
     if not 0 < clique_fraction < 1:
         raise ValueError(f"clique_fraction must be in (0, 1), got {clique_fraction}")
@@ -250,9 +250,9 @@ def gen_forest(n: int, tree_count: int, seed: int) -> PncInstance:
     half a second for any ``tree_count`` at n = 1000. All counting is exact
     integer arithmetic, so the distribution is exactly uniform.
     """
-    if n < 1:
+    if _as_int(n, "n") < 1:
         raise ValueError(f"gen_forest needs n >= 1, got {n}")
-    if not 1 <= tree_count <= n:
+    if not 1 <= _as_int(tree_count, "tree_count") <= n:
         raise ValueError(f"tree_count must be in [1, n], got {tree_count}")
     if n > 1000:
         raise ValueError("gen_forest's exact sampler is limited to n <= 1000")

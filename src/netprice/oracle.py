@@ -32,23 +32,22 @@ from .core import PncInstance, PriceSequence, _as_int
 from .engine import Market, simulate
 
 
-# exact_opt recurses once per sale round, up to once per node; this keeps
-# the deepest search well inside Python's default recursion limit of 1000.
+# exact_opt recurses once per sale round; each round removes a node and posts
+# a positive integer price below the last, so a search is at most
+# min(n, 1 + largest initial value) calls deep. This limit keeps the deepest
+# search well inside Python's default recursion limit of 1000.
 DEPTH_LIMIT = 800
 
 
 @dataclass(frozen=True)
 class OracleConfig:
-    """Search limits; ``node_limit`` only turns larger inputs away."""
+    """Search limits: ``state_budget`` caps the residual sets the memo may hold."""
 
     state_budget: int = 1_000_000
-    node_limit: int = DEPTH_LIMIT
 
     def __post_init__(self) -> None:
         if _as_int(self.state_budget, "state_budget") < 1:
             raise ValueError("state_budget must be positive")
-        if _as_int(self.node_limit, "node_limit") < 1:
-            raise ValueError("node_limit must be positive")
 
 
 class OracleBudgetError(RuntimeError):
@@ -89,14 +88,13 @@ def exact_opt(instance: PncInstance, config: OracleConfig | None = None) -> Orac
     ``bound_prunes`` those of them settled by their bound on first visit.
     Raises OracleBudgetError, carrying a lower and an upper bound on the
     optimum, if more than ``config.state_budget`` residual sets are explored,
-    and ValueError above ``config.node_limit`` or ``DEPTH_LIMIT`` nodes.
+    and ValueError if ``min(n, 1 + largest initial value)`` exceeds ``DEPTH_LIMIT``.
     """
     cfg = config if config is not None else OracleConfig()
     n = instance.node_count
-    if n > cfg.node_limit:
-        raise ValueError(f"instance has {n} nodes, above the oracle node limit {cfg.node_limit}")
-    if n > DEPTH_LIMIT:
-        raise ValueError(f"instance has {n} nodes, above the oracle depth limit {DEPTH_LIMIT}")
+    depth = min(n, 1 + max(instance.initial_values))
+    if depth > DEPTH_LIMIT:
+        raise ValueError(f"instance's search may recurse {depth} deep, above the oracle depth limit {DEPTH_LIMIT}")
     # each node's CSR row as (neighbour, weight) pairs of Python ints, so
     # weights past int64 stay exact
     indptr = instance.graph.indptr.tolist()

@@ -23,7 +23,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import PncInstance, PriceSequence, SaleTrace
+from .core import PncInstance, PriceSequence, SaleTrace, _all_ints
 from .engine import simulate
 
 Clause = tuple[int, int, int]
@@ -46,6 +46,8 @@ class CnfFormula:
     clauses: tuple[Clause, ...]
 
     def __post_init__(self) -> None:
+        if not _all_ints((self.variable_count,)):
+            raise CnfError(f"variable count must be an integer, got {self.variable_count!r}")
         if self.variable_count < 3:
             raise CnfError("at least 3 variables are required")
         if len(self.clauses) < 3:
@@ -57,6 +59,8 @@ class CnfFormula:
         for index, clause in enumerate(self.clauses, start=1):
             if len(clause) != 3:
                 raise CnfError(f"clause {index}: has {len(clause)} literals, expected 3")
+            if not _all_ints(clause):
+                raise CnfError(f"clause {index}: literals must be integers, got {tuple(clause)!r}")
             for literal in clause:
                 variable = abs(literal)
                 if literal == 0 or variable > self.variable_count:

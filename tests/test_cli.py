@@ -9,6 +9,7 @@ from netprice import dumps_instance, gen_er, gen_spider, loads_instance
 from netprice.cli import (
     EXPERIMENTS,
     ExperimentSpec,
+    _build_parser,
     experiment_tasks,
     run_cli,
     run_experiment,
@@ -20,6 +21,9 @@ p cnf 3 3
 -1 -2 3 0
 1 -2 -3 0
 """
+
+# The 4-variable formula of the benchmark's reduction round trip (32 nodes).
+CNF_4X4 = "p cnf 4 4\n1 2 3 0\n-1 2 4 0\n1 -3 -4 0\n-2 3 4 0\n"
 
 
 def _write(tmp_path, name, text):
@@ -204,6 +208,17 @@ def test_oracle_above_depth_limit_is_an_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_oracle_node_limit_is_a_plain_cap(tmp_path, capsys):
+    red = str(tmp_path / "red.json")
+    assert run_cli(["reduce", _write(tmp_path, "red.cnf", CNF_4X4), "--out", red]) == 0
+    assert run_cli(["oracle", red, "--node-limit", "31"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: instance has 32 nodes, above the oracle node limit 31\n"
+    assert run_cli(["oracle", red, "--node-limit", "32", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["revenue"] == 1522932
+    assert _build_parser().parse_args(["oracle", red]).node_limit is None
+
+
 def test_oracle_missing_file(tmp_path, capsys):
     assert run_cli(["oracle", str(tmp_path / "absent.json")]) == 1
     assert "error:" in capsys.readouterr().err
@@ -276,6 +291,20 @@ def test_forest_experiment_csv(tmp_path):
         assert cells[0] == str(seed)
         assert cells[1] == "8"
         assert float(cells[6]) >= 1.0  # optimum at least the 1.5-approx revenue
+
+
+def test_forest_experiment_carries_opt_past_800_nodes(capsys):
+    assert EXPERIMENTS["forest_ratio"].defaults == {"n": 12, "trees": 2}
+    assert run_cli(["experiment", "--family", "forest_ratio", "--trials", "2",
+                    "--n", "1000", "--trees", "3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 3
+    for line in lines[1:]:
+        cells = line.split(",")
+        single, opt = int(cells[4]), int(cells[5])
+        assert single <= opt <= 1.5 * single  # the 1.5-approximation on forests
+    assert run_cli(["experiment", "--family", "forest_ratio", "--oracle-limit", "20"]) == 2
+    assert "--oracle-limit" in capsys.readouterr().err
 
 
 def test_er_experiment_row_content(capsys):

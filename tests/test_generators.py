@@ -20,6 +20,7 @@ from netprice import (
     recognize_split,
 )
 from netprice import generators
+from netprice.cli import ExperimentSpec, run_experiment
 from netprice.generators import _forest_count
 from references import forest_counts, triu_gen_er
 
@@ -237,6 +238,32 @@ def test_array_built_families_match_list_built_references(build, reference, case
         for name in ("u", "v", "w", "indptr", "indices", "weights"):
             a, b = getattr(got.graph, name), getattr(want.graph, name)
             assert a.dtype == b.dtype and np.array_equal(a, b), (args, name)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: gen_er(6.0, 0.5, 0), "n"),
+    (lambda: gen_er(6, 0.5, 1.0), "seed"),
+    (lambda: gen_ba(True, 2, 0), "n"),
+    (lambda: gen_ba(20, 2, 0.5), "seed"),
+    (lambda: gen_spider(3.0), "k"),
+    (lambda: gen_example1(False), "k"),
+    (lambda: gen_split(10.0, 0.3, 0.5, 0), "n"),
+    (lambda: gen_split(10, 0.3, 0.5, True), "seed"),
+    (lambda: gen_forest(10.0, 2, 0), "n"),
+    (lambda: gen_forest(10, 2.0, 0), "tree_count"),
+    (lambda: gen_forest(10, 2, "0"), "seed"),
+    (lambda: ExperimentSpec("forest_ratio", trials=2.5), "trials"),
+    (lambda: ExperimentSpec("forest_ratio", trials=True), "trials"),
+    (lambda: ExperimentSpec("forest_ratio", master_seed=0.0), "master_seed"),
+    (lambda: run_experiment(ExperimentSpec("bound_sweep", params={"n_max": 8.0})), "n_max"),
+    (lambda: run_experiment(ExperimentSpec("forest_ratio", trials=1), jobs=1.5), "jobs"),
+], ids=["er-n", "er-seed", "ba-n", "ba-seed", "spider-k", "example1-k", "split-n", "split-seed",
+        "forest-n", "forest-trees", "forest-seed", "trials", "trials-bool", "master-seed",
+        "n-max", "jobs"])
+def test_integer_parameters_are_checked(call, name):
+    # numpy's seeding and range() would raise TypeError, or read a bool as 0 or 1
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+        call()
 
 
 @pytest.mark.parametrize("k", [7, 8, 9, 10**6])

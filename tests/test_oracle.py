@@ -157,13 +157,11 @@ def test_budget_exhaustion():
 
 
 def test_node_limit():
-    # The default limit is the depth limit, so the benchmark's 32-node
-    # reduction solves as it is; a limit that is given is still enforced.
+    # exact_opt has no node cap, so the benchmark's 32-node reduction solves
+    # as it is; the CLI's --node-limit cap is tested in test_cli.
     reduction = build_reduction(parse_dimacs(CNF_4X4)).instance
     assert reduction.node_count == 32
     assert exact_opt(reduction).revenue == 1522932
-    with pytest.raises(ValueError, match="node limit 31"):
-        exact_opt(reduction, OracleConfig(node_limit=31))
     with pytest.raises(ValueError, match="at most 8"):
         naive_opt(PncInstance.unweighted(9, [(0, 1)]))
 
@@ -171,11 +169,8 @@ def test_node_limit():
 def test_config_validation():
     with pytest.raises(ValueError):
         OracleConfig(state_budget=0)
-    with pytest.raises(ValueError):
-        OracleConfig(node_limit=0)
     # Every non-integer limit is a ValueError, bools included.
-    for limits in ({"state_budget": "5"}, {"state_budget": True}, {"state_budget": 5.0},
-                   {"node_limit": None}, {"node_limit": 2.5}, {"node_limit": False}):
+    for limits in ({"state_budget": "5"}, {"state_budget": True}, {"state_budget": 5.0}):
         with pytest.raises(ValueError, match="must be an integer"):
             OracleConfig(**limits)
 
@@ -210,7 +205,7 @@ def test_state_counts_are_pinned():
     # (_reference_opt) needs 4,282, 24,038 and 72,854 states on these
     # instances. Most visited sets are settled by their bound at once.
     reduction = build_reduction(parse_dimacs(CNF_4X4)).instance
-    result = exact_opt(reduction, OracleConfig(node_limit=32))
+    result = exact_opt(reduction)
     assert result.revenue == 1522932
     assert result.states_explored == 701 < 4282
     assert result.bound_prunes == 480
@@ -238,13 +233,26 @@ def test_state_counts_are_pinned():
     assert result.states_explored == 31
     assert result.bound_prunes == 15
 
+    # Past 800 nodes: unit weights and no intrinsic value keep the search
+    # depth at most 1 + the largest degree.
+    result = exact_opt(gen_forest(1000, 1, 0))
+    assert result.revenue == 1307
+    assert result.states_explored == 40
+    assert result.bound_prunes == 19
+
 
 def test_depth_limit():
     # Distinct values on isolated nodes sell one per round: the deepest search.
     deepest = PncInstance.from_edges(DEPTH_LIMIT, [], range(1, DEPTH_LIMIT + 1))
-    result = exact_opt(deepest, OracleConfig(node_limit=DEPTH_LIMIT))
+    result = exact_opt(deepest)
     assert result.revenue == DEPTH_LIMIT * (DEPTH_LIMIT + 1) // 2
     assert len(result.prices) == DEPTH_LIMIT
-    too_deep = PncInstance.from_edges(DEPTH_LIMIT + 1, [], None)
-    with pytest.raises(ValueError, match="depth limit"):
-        exact_opt(too_deep, OracleConfig(node_limit=2 * DEPTH_LIMIT))
+    # The bound is min(n, 1 + largest initial value): 801 here.
+    too_deep = PncInstance.from_edges(DEPTH_LIMIT + 1, [], range(1, DEPTH_LIMIT + 2))
+    with pytest.raises(ValueError, match=f"recurse {DEPTH_LIMIT + 1} deep, above the oracle depth limit"):
+        exact_opt(too_deep)
+    # Zero values bound the depth at 1, whatever the node count.
+    worthless = PncInstance.from_edges(DEPTH_LIMIT + 1, [], None)
+    result = exact_opt(worthless)
+    assert result.revenue == 0
+    assert result.prices == ()

@@ -69,6 +69,20 @@ def test_formula_clause_shape():
         CnfFormula(3, ((1, 2, 0), (-1, -2, 3), (1, -2, -3)))
 
 
+@pytest.mark.parametrize("count, clauses, message", [
+    (3, ((1, 2, 3), (-1, -2, 3), (1.0, -2, -3)), r"clause 3: literals must be integers, got \(1\.0, -2, -3\)"),
+    (3, ((1, 2, 3), (True, -2, 3), (1, -2, -3)), r"clause 2: literals must be integers, got \(True, -2, 3\)"),
+    (3, ((1, 2, 3), (-1, -2, 3), (None, -2, -3)), "clause 3: literals must be integers"),
+    (3, (("1", 2, 3), (-1, -2, 3), (1, -2, -3)), "clause 1: literals must be integers"),
+    (3.0, ((1, 2, 3), (-1, -2, 3), (1, -2, -3)), "variable count must be an integer, got 3.0"),
+], ids=["float", "bool", "none", "str", "float-count"])
+def test_formula_rejects_non_integers(count, clauses, message):
+    # bool is an int subclass, and abs() takes a float: both would pass as
+    # literals unless checked
+    with pytest.raises(CnfError, match=message):
+        CnfFormula(count, clauses)
+
+
 def test_formula_occurrence_rules():
     with pytest.raises(CnfError, match="variable 1: occurs 4 times"):
         CnfFormula(
