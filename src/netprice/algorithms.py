@@ -25,11 +25,11 @@ class PricingResult:
 
 @dataclass(frozen=True)
 class SplitPartition:
-    """Clique / independent-set partition of a split graph.
+    """Clique / independent-set partition of a split graph, as
+    ``recognize_split`` finds it.
 
     ``clique`` is ordered by nondecreasing degree (ties by node id);
-    ``independent`` is sorted by node id. Consistency with a concrete graph
-    is checked by ``split_dp``, not here.
+    ``independent`` is sorted by node id.
     """
 
     clique: tuple[int, ...]
@@ -141,48 +141,29 @@ def recognize_split(graph: WeightedGraph) -> SplitPartition | None:
     return SplitPartition(tuple(clique), tuple(sorted(order[m:])))
 
 
-def _check_partition(graph: WeightedGraph, partition: SplitPartition) -> None:
-    """Raise ValueError unless ``partition`` splits ``graph`` into a clique
-    and an independent set covering every node exactly once."""
-    clique, independent = partition.clique, partition.independent
-    if sorted([*clique, *independent]) != list(range(graph.node_count)):
-        raise ValueError("partition must cover every node exactly once")
-    indptr, indices = graph.indptr, graph.indices
-    for i, a in enumerate(clique):
-        neighbors = set(indices[indptr[a]:indptr[a + 1]].tolist())
-        for b in clique[i + 1:]:
-            if b not in neighbors:
-                raise ValueError(f"partition clique misses edge ({a}, {b})")
-    in_clique = np.isin(np.arange(graph.node_count), clique)
-    inside = np.flatnonzero(~in_clique[graph.u] & ~in_clique[graph.v])
-    if len(inside):
-        u, v = graph.u[inside[0]], graph.v[inside[0]]
-        raise ValueError(f"partition independent set contains edge ({u}, {v})")
-
-
-def split_dp(instance: PncInstance, partition: SplitPartition | None = None) -> PricingResult:
+def split_dp(instance: PncInstance) -> PricingResult:
     """Exact optimum on a split graph in O(n^2), with a realizing sequence.
 
-    Processes clique prefixes in nondecreasing degree order. The optimum for
-    the subgraph induced by the first i clique nodes and their independent
-    neighbors either sells a clique suffix at that suffix's lowest degree and
-    recurses on a shorter prefix, or sells the whole prefix plus the j
-    highest-degree independent neighbors at one closing price, after which
-    the leftover independent nodes are worthless. Only threshold candidates
-    are scored: a clique-suffix price must strictly exceed both the next
-    clique degree down and every current independent degree, otherwise the
-    posted price would sell a different set than the candidate assumes.
+    The partition comes from ``recognize_split``, and a graph that is not
+    split raises ValueError. Processes clique prefixes in nondecreasing
+    degree order. The optimum for the subgraph induced by the first i clique
+    nodes and their independent neighbors either sells a clique suffix at
+    that suffix's lowest degree and recurses on a shorter prefix, or sells
+    the whole prefix plus the j highest-degree independent neighbors at one
+    closing price, after which the leftover independent nodes are worthless.
+    Only threshold candidates are scored: a clique-suffix price must strictly
+    exceed both the next clique degree down and every current independent
+    degree, otherwise the posted price would sell a different set than the
+    candidate assumes.
     """
     _require_plain(instance, "split_dp")
     graph = instance.graph
     n = graph.node_count
+    partition = recognize_split(graph)
     if partition is None:
-        partition = recognize_split(graph)
-        if partition is None:
-            raise ValueError("split_dp requires a split graph")
-    _check_partition(graph, partition)
+        raise ValueError("split_dp requires a split graph")
     degrees = graph.degrees
-    clique = tuple(sorted(partition.clique, key=lambda v: (degrees[v], v)))
+    clique = partition.clique
     indep_set = set(partition.independent)
 
     k = len(clique)

@@ -25,6 +25,11 @@ PriceSequence = tuple[int, ...]
 
 INT64_MAX = int(np.iinfo(np.int64).max)
 
+# The most nodes a graph may have: 2**25, above the largest graph any
+# generator builds (30,000,001 nodes). A larger count raises ValueError
+# before anything is allocated.
+NODE_LIMIT = 1 << 25
+
 
 def _as_int(value: object, what: str) -> int:
     # bool is an int subclass; reject it so JSON true/false cannot leak in.
@@ -95,7 +100,8 @@ class WeightedGraph:
     any orientation and order. ``u, v, w`` are canonical: ``u < v``, sorted
     by endpoint pair, no duplicates, no self loops. Node ``x``'s neighbours
     are ``indices[indptr[x]:indptr[x + 1]]``, ascending, weighed by
-    ``weights``; those three are built on first use.
+    ``weights``; those three are built on first use. There are 1 to
+    ``NODE_LIMIT`` nodes.
 
     An edge array is kept as it is when it is read-only and owns its data,
     as the loader's and the generators' tables are; any other is copied
@@ -106,6 +112,8 @@ class WeightedGraph:
         n = _as_int(node_count, "node_count")
         if n < 1:
             raise ValueError(f"node_count must be >= 1, got {n}")
+        if n > NODE_LIMIT:
+            raise ValueError(f"node_count {n:,} is above the node limit {NODE_LIMIT:,}")
         # The only edge validator in the package: every loaded or generated
         # graph passes through here once, in bulk.
         rows = edges if isinstance(edges, np.ndarray) else tuple(edges)

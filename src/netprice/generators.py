@@ -15,7 +15,6 @@ from typing import Callable
 
 import numpy as np
 
-from .algorithms import SplitPartition
 from .core import PncInstance, _as_int
 
 
@@ -149,15 +148,14 @@ def gen_example1(k: int) -> PncInstance:
     return PncInstance.from_edges(n, _unit_edges(us, vs))
 
 
-def gen_split(
-    n: int, clique_fraction: float, edge_prob: float, seed: int
-) -> tuple[PncInstance, SplitPartition]:
+def gen_split(n: int, clique_fraction: float, edge_prob: float, seed: int) -> PncInstance:
     """Clique on ceil(clique_fraction * n) nodes, random links to the rest.
 
-    Nodes 0..k-1 form the clique; each (clique, independent) pair is linked
-    independently with probability edge_prob. Returns the generating
-    partition (clique ordered by nondecreasing degree). More than
-    ``_DENSE_PAIR_LIMIT`` candidate pairs raises ValueError before any draw.
+    Nodes 0..k-1 form the clique and k..n-1 an independent set; each
+    (clique, independent) pair is linked independently with probability
+    edge_prob. ``recognize_split`` finds a partition of the result. More
+    than ``_DENSE_PAIR_LIMIT`` candidate pairs raises ValueError before any
+    draw.
     """
     if _as_int(n, "n") < 2:
         raise ValueError(f"gen_split needs n >= 2, got {n}")
@@ -174,13 +172,7 @@ def gen_split(
         hits, outside = np.nonzero(rng.random((k, n - k)) < edge_prob)
         us.append(hits)
         vs.append(k + outside)
-    instance = PncInstance.from_edges(n, _unit_edges(us, vs))
-    degrees = instance.graph.degrees
-    partition = SplitPartition(
-        tuple(sorted(range(k), key=lambda v: (degrees[v], v))),
-        tuple(range(k, n)),
-    )
-    return instance, partition
+    return PncInstance.from_edges(n, _unit_edges(us, vs))
 
 
 # --- uniform labeled forests ------------------------------------------------
@@ -296,7 +288,7 @@ class Family:
     """How to build a graph family: call ``build`` with the ``params`` values
     in that order, then the seed if ``seeded``."""
 
-    build: Callable[..., PncInstance | tuple[PncInstance, SplitPartition]]
+    build: Callable[..., PncInstance]
     params: tuple[str, ...]
     seeded: bool
 
@@ -325,10 +317,6 @@ class GenSpec:
     seed: int = 0
 
     def build(self) -> PncInstance:
-        instance, _ = self.build_with_partition()
-        return instance
-
-    def build_with_partition(self) -> tuple[PncInstance, SplitPartition | None]:
         family = FAMILIES.get(self.family)
         if family is None:
             raise ValueError(f"unknown family {self.family!r}")
@@ -338,5 +326,4 @@ class GenSpec:
         args = [self.params[name] for name in family.params]
         if family.seeded:
             args.append(self.seed)
-        built = family.build(*args)
-        return built if isinstance(built, tuple) else (built, None)
+        return family.build(*args)

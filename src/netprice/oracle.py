@@ -66,6 +66,10 @@ class OracleBudgetError(RuntimeError):
         self.lower = lower
         self.upper = upper
 
+    def __reduce__(self):
+        # rebuild from the fields, so the error crosses a process pool intact
+        return type(self), (self.states_explored, self.lower, self.upper)
+
 
 @dataclass(frozen=True)
 class OracleResult:

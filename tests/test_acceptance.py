@@ -160,8 +160,8 @@ def _criterion_split_dp():
         n = rng.randint(2, 14)
         fraction = rng.uniform(0.2, 0.8)
         prob = rng.uniform(0.0, 1.0)
-        instance, partition = gen_split(n, fraction, prob, seed=MASTER_SEED + 3000 + trial)
-        dp = split_dp(instance, partition).revenue
+        instance = gen_split(n, fraction, prob, seed=MASTER_SEED + 3000 + trial)
+        dp = split_dp(instance).revenue
         opt = exact_opt(instance).revenue
         ok = dp == opt
         violations += not ok

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 
 from netprice import (
     PncInstance,
-    SplitPartition,
     ba_single_price,
     best_single_price,
     degree_bound,
@@ -173,9 +172,12 @@ def test_recognize_split():
     assert recognize_split(c5.graph) is None
 
     for seed in range(40):
-        inst, _ = gen_split(5 + seed % 9, 0.4, 0.5, seed)
+        inst = gen_split(5 + seed % 9, 0.4, 0.5, seed)
         part = recognize_split(inst.graph)
         assert part is not None
+        degrees = inst.graph.degrees
+        assert list(part.clique) == sorted(part.clique, key=lambda v: (degrees[v], v))
+        assert list(part.independent) == sorted(part.independent)
         clique = set(part.clique)
         present = {(u, v) for u, v, _ in inst.graph.edges}
         for u in part.clique:
@@ -188,24 +190,16 @@ def test_recognize_split():
 
 def test_split_dp_matches_oracle():
     for seed in range(60):
-        inst, part = gen_split(4 + seed % 10, 0.3 + 0.05 * (seed % 7), 0.1 + 0.09 * (seed % 10), seed)
+        inst = gen_split(4 + seed % 10, 0.3 + 0.05 * (seed % 7), 0.1 + 0.09 * (seed % 10), seed)
         expected = exact_opt(inst).revenue
-        viaopt = split_dp(inst, part)
-        assert viaopt.revenue == expected
-        assert simulate(inst, viaopt.prices).total_revenue == expected
-        assert split_dp(inst).revenue == expected  # recognition path
+        result = split_dp(inst)
+        assert result.revenue == expected
+        assert simulate(inst, result.prices).total_revenue == expected
 
 
 def test_split_dp_partition_validation():
     inst = PncInstance.unweighted(3, [(0, 1), (1, 2)])  # path: split via clique {1}
-    good = split_dp(inst, SplitPartition((1,), (0, 2)))
-    assert good.revenue == exact_opt(inst).revenue
-    with pytest.raises(ValueError):
-        split_dp(inst, SplitPartition((0, 2), (1,)))  # clique misses its edge
-    with pytest.raises(ValueError):
-        split_dp(inst, SplitPartition((1,), (0,)))  # node 2 uncovered
-    with pytest.raises(ValueError):
-        split_dp(inst, SplitPartition((0,), (1, 2)))  # independent set has an edge
+    assert split_dp(inst).revenue == exact_opt(inst).revenue
     c4 = PncInstance.unweighted(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
     with pytest.raises(ValueError, match="split"):
         split_dp(c4)
@@ -265,13 +259,12 @@ def _only_python_ints(values):
 def test_results_hold_only_python_ints():
     # numpy scalars must not leak out of the array engine
     weighted = PncInstance.from_edges(4, [(0, 1, 3), (1, 2, 2), (2, 3, 5)], (1, 0, 4, 0))
-    split, partition = gen_split(12, 0.4, 0.5, seed=2)
     results = [
         greedy_iterative(weighted),
         greedy_iterative(gen_er(30, 0.3, seed=1)),
         best_single_price(weighted),
         forest_single_price(gen_spider(3)),
-        split_dp(split, partition),
+        split_dp(gen_split(12, 0.4, 0.5, seed=2)),
         ba_single_price(gen_ba(20, 2, seed=3), 2),
         er_single_price(gen_er(40, 0.5, seed=4), 0.5, 0.2),
     ]

@@ -132,6 +132,13 @@ def test_deeply_nested_input_is_one_error_line(monkeypatch, capsys, text):
     assert err == "error: instance JSON nests too deeply\n"
 
 
+def test_node_count_above_the_limit_is_one_error_line(monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO('{"n": 10000000000000, "edges": []}'))
+    assert run_cli(["greedy", "-"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "node limit" in err and err.count("\n") == 1
+
+
 def test_oracle_on_file(tmp_path, capsys):
     assert run_cli(["oracle", _spider_file(tmp_path)]) == 0
     out = capsys.readouterr().out

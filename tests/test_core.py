@@ -293,6 +293,16 @@ def test_loads_rejects_malformed():
         loads_instance('{"n":2,"edges":[[-9223372036854775809,1,1]]}')
 
 
+def test_node_count_above_the_limit_raises_before_allocating():
+    # the limit admits the largest graph a generator builds (a spider or a
+    # path of 30,000,000 edges)
+    assert core.NODE_LIMIT >= 30_000_001
+    with pytest.raises(ValueError, match="above the node limit 33,554,432"):
+        loads_instance('{"n": 10000000000000, "edges": []}')
+    with pytest.raises(ValueError, match="node_count 33,554,433 is above the node limit"):
+        WeightedGraph(core.NODE_LIMIT + 1, [])
+
+
 SPACES = ("", "", " ", "\t", "\r\n", "\n  ")  # mostly none
 ODD_TOKENS = ("-0", "00", "01", "-01", "1.0", "1e2", "true", "null", '"1"', "- 1", "1 2", "-", "--1", "1-2",
               "[]", "[5]", "{}", "NaN", str(2**63 - 1), str(2**63), str(10**19), str(-(2**63) - 1))

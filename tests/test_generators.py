@@ -303,28 +303,18 @@ def test_families_over_the_limit_raise_before_building(build):
 
 
 def test_split_partition_is_valid():
-    inst, part = gen_split(20, 0.4, 0.5, seed=9)
-    assert len(part.clique) == math.ceil(0.4 * 20)
-    assert sorted(part.clique + part.independent) == list(range(20))
+    inst = gen_split(20, 0.4, 0.5, seed=9)
+    k = math.ceil(0.4 * 20)
     adjacency = {(u, v) for u, v, _ in inst.graph.edges}
-    for i, a in enumerate(part.clique):
-        for b in part.clique[i + 1 :]:
-            assert (min(a, b), max(a, b)) in adjacency
-    for i, a in enumerate(part.independent):
-        for b in part.independent[i + 1 :]:
-            assert (a, b) not in adjacency
+    # nodes 0..k-1 form a clique, and nodes k..n-1 an independent set
+    assert {(a, b) for a in range(k) for b in range(a + 1, k)} <= adjacency
+    assert all(u < k for u, _ in adjacency)
     assert recognize_split(inst.graph) is not None
 
 
-def test_split_clique_ordered_by_degree():
-    inst, part = gen_split(25, 0.3, 0.6, seed=2)
-    degs = [inst.graph.degrees[v] for v in part.clique]
-    assert degs == sorted(degs)
-
-
 def test_split_reproducible():
-    a, _ = gen_split(30, 0.5, 0.4, seed=13)
-    b, _ = gen_split(30, 0.5, 0.4, seed=13)
+    a = gen_split(30, 0.5, 0.4, seed=13)
+    b = gen_split(30, 0.5, 0.4, seed=13)
     assert a.graph.edges == b.graph.edges
 
 
@@ -433,37 +423,26 @@ def test_generator_output_is_pinned(build, digest):
 # --- the GenSpec dispatcher ---------------------------------------------------
 
 
+# one small request per FAMILIES entry, with the direct call it stands for
+_GENSPEC_CASES = {
+    "er": ({"n": 15, "eta": 0.4}, 3, lambda: gen_er(15, 0.4, seed=3)),
+    "ba": ({"n": 12, "beta": 2}, 4, lambda: gen_ba(12, 2, seed=4)),
+    "spider": ({"k": 3}, 0, lambda: gen_spider(3)),
+    "example1": ({"k": 2}, 0, lambda: gen_example1(2)),
+    "split": ({"n": 14, "clique_fraction": 0.5, "edge_prob": 0.5}, 6,
+              lambda: gen_split(14, 0.5, 0.5, seed=6)),
+    "core_peripheral": ({"n": 14, "clique_fraction": 0.5, "edge_prob": 0.5}, 6,
+                        lambda: gen_split(14, 0.5, 0.5, seed=6)),
+    "forest": ({"n": 10, "tree_count": 2}, 5, lambda: gen_forest(10, 2, seed=5)),
+}
+
+
 def test_genspec_matches_direct_calls():
-    assert (
-        GenSpec("er", {"n": 15, "eta": 0.4}, seed=3).build().graph.edges
-        == gen_er(15, 0.4, seed=3).graph.edges
-    )
-    assert (
-        GenSpec("ba", {"n": 12, "beta": 2}, seed=4).build().graph.edges
-        == gen_ba(12, 2, seed=4).graph.edges
-    )
-    assert GenSpec("spider", {"k": 3}).build().node_count == 7
-    assert GenSpec("example1", {"k": 2}).build().node_count == 5
-    assert (
-        GenSpec("forest", {"n": 10, "tree_count": 2}, seed=5).build().graph.edges
-        == gen_forest(10, 2, seed=5).graph.edges
-    )
-
-
-def test_genspec_split_alias_and_partition():
-    direct, part_direct = gen_split(14, 0.5, 0.5, seed=6)
-    spec = GenSpec(
-        "core_peripheral", {"n": 14, "clique_fraction": 0.5, "edge_prob": 0.5}, seed=6
-    )
-    inst, part = spec.build_with_partition()
-    assert inst.graph.edges == direct.graph.edges
-    assert part == part_direct
-    assert spec.build().graph.edges == direct.graph.edges
-
-
-def test_genspec_partition_none_for_other_families():
-    _, part = GenSpec("spider", {"k": 2}).build_with_partition()
-    assert part is None
+    assert set(_GENSPEC_CASES) == set(generators.FAMILIES)
+    for family, (params, seed, direct) in _GENSPEC_CASES.items():
+        built = GenSpec(family, params, seed).build()
+        assert isinstance(built, PncInstance), family
+        assert dumps_instance(built) == dumps_instance(direct()), family
 
 
 def test_genspec_unknown_family():

@@ -1,7 +1,9 @@
 """Exact optimum: small closed forms, reference and brute-force agreement,
 state counts, budget and depth handling."""
 
+import pickle
 import random
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 from hypothesis import given, settings
@@ -154,6 +156,24 @@ def test_budget_exhaustion():
     assert error.states_explored >= 3
     assert error.lower <= naive_opt(inst) <= error.upper
     assert f"[{error.lower}, {error.upper}]" in str(error)
+
+
+def _raise_budget_error():
+    raise OracleBudgetError(5, 2, 9)
+
+
+def _budget_fields(error):
+    return (type(error), error.states_explored, error.lower, error.upper, str(error))
+
+
+def test_budget_error_survives_pickling_and_a_process_pool():
+    error = OracleBudgetError(5, 2, 9)
+    assert _budget_fields(pickle.loads(pickle.dumps(error))) == _budget_fields(error)
+    # an experiment's --jobs workers hand their errors back this way
+    with ProcessPoolExecutor(max_workers=2) as pool:
+        with pytest.raises(OracleBudgetError) as info:
+            pool.submit(_raise_budget_error).result()
+    assert _budget_fields(info.value) == _budget_fields(error)
 
 
 def test_node_limit():

@@ -56,6 +56,14 @@ def test_import_loads_no_submodule_or_numpy():
     assert _fresh_interpreter(code) == ["[]", "True", "None"]
 
 
+def test_generators_import_only_core():
+    code = (
+        "import sys, netprice.generators; "
+        "print(sorted(m for m in sys.modules if m.startswith('netprice.')))"
+    )
+    assert _fresh_interpreter(code) == ["['netprice.core', 'netprice.generators']"]
+
+
 def test_cli_import_runs_one_blas_thread_and_no_multiprocessing():
     code = (
         "import os, sys, netprice.cli; "
