@@ -312,6 +312,13 @@ def test_split_partition_is_valid():
     assert recognize_split(inst.graph) is not None
 
 
+def test_split_clique_ordered_by_degree():
+    inst = gen_split(25, 0.3, 0.6, seed=2)
+    part = recognize_split(inst.graph)
+    degs = [inst.graph.degrees[v] for v in part.clique]
+    assert degs == sorted(degs)
+
+
 def test_split_reproducible():
     a = gen_split(30, 0.5, 0.4, seed=13)
     b = gen_split(30, 0.5, 0.4, seed=13)
@@ -443,6 +450,18 @@ def test_genspec_matches_direct_calls():
         built = GenSpec(family, params, seed).build()
         assert isinstance(built, PncInstance), family
         assert dumps_instance(built) == dumps_instance(direct()), family
+
+
+def test_genspec_split_alias_and_partition():
+    direct = gen_split(14, 0.5, 0.5, seed=6)
+    params = {"n": 14, "clique_fraction": 0.5, "edge_prob": 0.5}
+    alias = GenSpec("core_peripheral", params, seed=6).build()
+    assert alias.graph.edges == direct.graph.edges
+    assert alias.graph.edges == GenSpec("split", params, seed=6).build().graph.edges
+    # the partition comes from recognition alone, the same for either name
+    part = recognize_split(alias.graph)
+    assert part is not None
+    assert part == recognize_split(direct.graph)
 
 
 def test_genspec_unknown_family():
