@@ -28,10 +28,10 @@ _EXPORTS = {
     ),
     "engine": ("make_irredundant", "normalize", "simulate"),
     "generators": (
-        "GenSpec", "gen_ba", "gen_er", "gen_example1", "gen_forest", "gen_spider",
-        "gen_split",
+        "gen_ba", "gen_er", "gen_example1", "gen_forest", "gen_spider", "gen_split",
+        "generate",
     ),
-    "oracle": ("OracleBudgetError", "OracleConfig", "OracleResult", "exact_opt"),
+    "oracle": ("OracleBudgetError", "OracleResult", "exact_opt"),
     "reduction": (
         "CnfError", "CnfFormula", "GadgetCheck", "GadgetReport", "ReductionArtifact",
         "artifact_metadata", "assignment_pricing", "best_assignment_revenue",

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PncInstance, PriceSequence, SaleTrace, WeightedGraph
+from .core import PncInstance, PriceSequence, SaleTrace, WeightedGraph, _as_int
 from .engine import Market, simulate
 
 
@@ -257,7 +257,7 @@ def er_single_price(instance: PncInstance, eta: float, delta: float) -> PricingR
 def ba_single_price(instance: PncInstance, beta: int) -> PricingResult:
     """Post the minimum-attachment count beta once; with min degree >= beta
     every consumer buys immediately, for revenue exactly n * beta."""
-    if not isinstance(beta, int) or isinstance(beta, bool) or beta < 1:
+    if _as_int(beta, "beta") < 1:
         raise ValueError(f"beta must be a positive integer, got {beta!r}")
     if min(instance.graph.degrees) < beta:
         raise ValueError("ba_single_price requires minimum degree >= beta")

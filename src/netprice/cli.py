@@ -16,7 +16,7 @@ import math
 import os
 import sys
 from dataclasses import asdict, dataclass, field
-from typing import Callable
+from typing import Callable, Iterable
 
 # The package never calls BLAS, yet numpy's OpenBLAS starts a thread pool on
 # import that spins on another core (about 0.1 s of CPU per command on a
@@ -38,8 +38,8 @@ from .algorithms import (
 )
 from .core import PncInstance, _as_int, dumps_instance, load_instance, loads_instance
 from .engine import simulate
-from .generators import FAMILIES, GenSpec, gen_ba, gen_er, gen_forest
-from .oracle import OracleBudgetError, OracleConfig, exact_opt
+from .generators import FAMILIES, gen_ba, gen_er, gen_forest, generate
+from .oracle import STATE_BUDGET, OracleBudgetError, exact_opt
 from .reduction import (
     artifact_metadata,
     build_reduction,
@@ -107,8 +107,7 @@ def _bound_sweep_trial(seed: int, params: dict) -> list[str]:
 @dataclass(frozen=True)
 class Experiment:
     """One batch experiment: ``trial(seed, params)`` returns a CSV row under
-    ``header``, and ``defaults`` holds every parameter the trial takes (each
-    is also an ``experiment`` flag, typed by its default)."""
+    ``header``, and ``defaults`` holds every parameter the trial takes."""
 
     trial: Callable[[int, dict], list[str]]
     header: tuple[str, ...]
@@ -138,12 +137,6 @@ EXPERIMENTS: dict[str, Experiment] = {
         {"n_min": 6, "n_max": 14, "eta": 0.4},
     ),
 }
-
-# Every experiment parameter with its type, in table order: one flag each.
-_EXPERIMENT_PARAMS = {
-    name: type(value) for experiment in EXPERIMENTS.values() for name, value in experiment.defaults.items()
-}
-
 
 @dataclass(frozen=True)
 class ExperimentSpec:
@@ -236,14 +229,7 @@ def _write_text(text: str, path: str) -> None:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    params = {}
-    for name in FAMILIES[args.family].params:
-        value = getattr(args, name)
-        if value is None:
-            raise ValueError(f"--{name} is required for family {args.family!r}")
-        params[name] = value
-    spec = GenSpec(args.family, params, args.seed)
-    _write_text(dumps_instance(spec.build()), args.out)
+    _write_text(dumps_instance(generate(args.family, args.params, args.seed)), args.out)
     return 0
 
 
@@ -306,7 +292,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     instance = _read_instance(args.instance)
     if args.node_limit is not None and instance.node_count > args.node_limit:
         raise ValueError(f"instance has {instance.node_count} nodes, above the oracle node limit {args.node_limit}")
-    result = exact_opt(instance, OracleConfig(state_budget=args.state_budget))
+    result = exact_opt(instance, args.state_budget)
     if args.json:
         print(json.dumps({
             "revenue": result.revenue,
@@ -345,14 +331,32 @@ def _cmd_verify_gadgets(args: argparse.Namespace) -> int:
 
 
 def _experiment_spec(args: argparse.Namespace) -> ExperimentSpec:
-    # experiment flags default to absent, so only the given ones override
-    params = {name: value for name, value in vars(args).items() if name in _EXPERIMENT_PARAMS}
-    return ExperimentSpec(args.family, args.trials, args.master_seed, params)
+    return ExperimentSpec(args.family, args.trials, args.master_seed, args.params)
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
     _write_text(run_experiment(_experiment_spec(args), jobs=args.jobs), args.out)
     return 0
+
+
+class _Param(argparse.Action):
+    """Adds a given parameter flag's value to ``args.params`` under its name."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        # a new dict, so the empty default is never changed
+        namespace.params = {**namespace.params, self.dest: value}
+
+
+def _add_params(parser: argparse.ArgumentParser, tables: Iterable[dict]) -> None:
+    """A ``--name-with-dashes`` flag for every parameter of the tables, typed
+    by its default, or by the type a parameter without one maps to. Only the
+    given flags reach ``args.params``, so the callee checks and fills in the rest."""
+    kinds = {name: value if isinstance(value, type) else type(value)
+             for table in tables for name, value in table.items()}
+    for name, kind in kinds.items():
+        parser.add_argument("--" + name.replace("_", "-"), dest=name, type=kind, action=_Param,
+                            default=argparse.SUPPRESS)
+    parser.set_defaults(params={})
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -364,13 +368,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen", help="generate an instance from a graph family")
     gen.add_argument("--family", required=True, choices=list(FAMILIES))
-    gen.add_argument("--n", type=int)
-    gen.add_argument("--eta", type=float)
-    gen.add_argument("--beta", type=int)
-    gen.add_argument("--k", type=int)
-    gen.add_argument("--clique-fraction", type=float, default=0.3)
-    gen.add_argument("--edge-prob", type=float, default=0.5)
-    gen.add_argument("--trees", dest="tree_count", type=int, default=1)
+    _add_params(gen, (family.params for family in FAMILIES.values()))
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", default="-")
     gen.set_defaults(handler=_cmd_gen)
@@ -389,7 +387,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     orc = sub.add_parser("oracle", help="exact optimum by branch-and-bound search")
     orc.add_argument("instance", nargs="?", default="-")
-    orc.add_argument("--state-budget", type=int, default=OracleConfig.state_budget)
+    orc.add_argument("--state-budget", type=int, default=STATE_BUDGET)
     orc.add_argument("--node-limit", type=int, help="turn away instances with more nodes (default: no cap)")
     orc.add_argument("--json", action="store_true")
     orc.set_defaults(handler=_cmd_oracle)
@@ -412,8 +410,7 @@ def _build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--trials", type=int, default=20)
     exp.add_argument("--master-seed", type=int, default=0)
     exp.add_argument("--jobs", type=int, default=1, help="parallel workers")
-    for name, kind in _EXPERIMENT_PARAMS.items():
-        exp.add_argument("--" + name.replace("_", "-"), type=kind, default=argparse.SUPPRESS)
+    _add_params(exp, (experiment.defaults for experiment in EXPERIMENTS.values()))
     exp.add_argument("--out", default="-")
     exp.set_defaults(handler=_cmd_experiment)
 

@@ -507,7 +507,7 @@ def loads_instance(text: str) -> PncInstance:
     if not isinstance(edges, (list, np.ndarray)):
         raise ValueError("'edges' must be a list of [u, v, w] triples")
     nu = payload.get("nu")
-    if nu is not None:
+    if "nu" in payload:
         if not isinstance(nu, list):
             raise ValueError("'nu' must be a list of integers")
         if len(nu) != n:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -77,7 +77,7 @@ def gen_ba(n: int, beta: int, seed: int) -> PncInstance:
     arrival necessarily takes the whole seed clique, so the final minimum
     degree is beta. More than ``_DENSE_PAIR_LIMIT`` edges raises ValueError.
     """
-    if not isinstance(beta, int) or isinstance(beta, bool) or beta < 1:
+    if _as_int(beta, "beta") < 1:
         raise ValueError(f"beta must be a positive integer, got {beta!r}")
     if _as_int(n, "n") <= beta:
         raise ValueError(f"gen_ba needs n > beta, got n={n}, beta={beta}")
@@ -285,45 +285,39 @@ def gen_forest(n: int, tree_count: int, seed: int) -> PncInstance:
 
 @dataclass(frozen=True)
 class Family:
-    """How to build a graph family: call ``build`` with the ``params`` values
-    in that order, then the seed if ``seeded``."""
+    """How to build a graph family: ``params`` maps each parameter, in the
+    order ``build`` takes them, to its default, or to its type when the caller
+    must give it; ``build`` takes the seed last."""
 
     build: Callable[..., PncInstance]
-    params: tuple[str, ...]
-    seeded: bool
+    params: dict
 
 
 # The one table of graph families. Builders look their generator up at call
 # time, so a replaced module attribute (a tracing wrapper, say) reaches here.
-_SPLIT = Family(lambda *a: gen_split(*a), ("n", "clique_fraction", "edge_prob"), True)
+_SPLIT = Family(lambda *a: gen_split(*a), {"n": int, "clique_fraction": 0.3, "edge_prob": 0.5})
 FAMILIES: dict[str, Family] = {
-    "er": Family(lambda *a: gen_er(*a), ("n", "eta"), True),
-    "ba": Family(lambda *a: gen_ba(*a), ("n", "beta"), True),
-    "spider": Family(lambda *a: gen_spider(*a), ("k",), False),
-    "example1": Family(lambda *a: gen_example1(*a), ("k",), False),
+    "er": Family(lambda *a: gen_er(*a), {"n": int, "eta": float}),
+    "ba": Family(lambda *a: gen_ba(*a), {"n": int, "beta": int}),
+    "spider": Family(lambda k, seed: gen_spider(k), {"k": int}),
+    "example1": Family(lambda k, seed: gen_example1(k), {"k": int}),
     "split": _SPLIT,
     # a clique core with an independent periphery
     "core_peripheral": _SPLIT,
-    "forest": Family(lambda *a: gen_forest(*a), ("n", "tree_count"), True),
+    "forest": Family(lambda *a: gen_forest(*a), {"n": int, "trees": 1}),
 }
 
 
-@dataclass(frozen=True)
-class GenSpec:
-    """A graph family request: a ``FAMILIES`` name, its parameters, a seed."""
-
-    family: str
-    params: dict = field(default_factory=dict)
-    seed: int = 0
-
-    def build(self) -> PncInstance:
-        family = FAMILIES.get(self.family)
-        if family is None:
-            raise ValueError(f"unknown family {self.family!r}")
-        for name in family.params:
-            if name not in self.params:
-                raise ValueError(f"family {self.family!r} needs parameter {name!r}")
-        args = [self.params[name] for name in family.params]
-        if family.seeded:
-            args.append(self.seed)
-        return family.build(*args)
+def generate(family: str, params: dict, seed: int = 0) -> PncInstance:
+    """The ``FAMILIES`` graph built from ``params`` and ``seed`` (which an
+    unseeded family ignores); a parameter not given takes its default."""
+    spec = FAMILIES.get(family)
+    if spec is None:
+        raise ValueError(f"unknown family {family!r}")
+    unknown = [name for name in params if name not in spec.params]
+    if unknown:
+        raise ValueError(f"family {family!r} takes no parameter {', '.join(map(repr, unknown))}")
+    for name, default in spec.params.items():
+        if isinstance(default, type) and name not in params:
+            raise ValueError(f"family {family!r} needs parameter {name!r}")
+    return spec.build(*(params.get(name, default) for name, default in spec.params.items()), seed)

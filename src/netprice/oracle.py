@@ -39,19 +39,12 @@ from .engine import Market, simulate
 DEPTH_LIMIT = 800
 
 
-@dataclass(frozen=True)
-class OracleConfig:
-    """Search limits: ``state_budget`` caps the residual sets the memo may hold."""
-
-    state_budget: int = 1_000_000
-
-    def __post_init__(self) -> None:
-        if _as_int(self.state_budget, "state_budget") < 1:
-            raise ValueError("state_budget must be positive")
+# the residual sets exact_opt's memo may hold unless the caller says otherwise
+STATE_BUDGET = 1_000_000
 
 
 class OracleBudgetError(RuntimeError):
-    """Raised when the memo table would exceed the configured state budget.
+    """Raised when the memo table would exceed the state budget.
 
     ``lower`` (greedy's revenue) and ``upper`` (the sum of initial values)
     bracket the optimum the search could not finish.
@@ -83,7 +76,7 @@ class _OutOfBudget(Exception):
     """Unwinds the search; ``exact_opt`` reraises it as OracleBudgetError with bounds."""
 
 
-def exact_opt(instance: PncInstance, config: OracleConfig | None = None) -> OracleResult:
+def exact_opt(instance: PncInstance, state_budget: int = STATE_BUDGET) -> OracleResult:
     """Optimal revenue over all decreasing price sequences, with a realizer.
 
     Branch-and-bound, memoized on the residual consumer set (as a bitmask),
@@ -91,10 +84,12 @@ def exact_opt(instance: PncInstance, config: OracleConfig | None = None) -> Orac
     price. ``states_explored`` counts the distinct sets visited, and
     ``bound_prunes`` those of them settled by their bound on first visit.
     Raises OracleBudgetError, carrying a lower and an upper bound on the
-    optimum, if more than ``config.state_budget`` residual sets are explored,
-    and ValueError if ``min(n, 1 + largest initial value)`` exceeds ``DEPTH_LIMIT``.
+    optimum, if more than ``state_budget`` residual sets are explored, and
+    ValueError if ``state_budget`` is not a positive integer or
+    ``min(n, 1 + largest initial value)`` exceeds ``DEPTH_LIMIT``.
     """
-    cfg = config if config is not None else OracleConfig()
+    if _as_int(state_budget, "state_budget") < 1:
+        raise ValueError("state_budget must be positive")
     n = instance.node_count
     depth = min(n, 1 + max(instance.initial_values))
     if depth > DEPTH_LIMIT:
@@ -106,7 +101,6 @@ def exact_opt(instance: PncInstance, config: OracleConfig | None = None) -> Orac
     weights = instance.graph.weights.tolist()
     rows = [tuple(zip(neighbours[a:b], weights[a:b])) for a, b in zip(indptr, indptr[1:])]
     intrinsic = instance.intrinsic
-    budget = cfg.state_budget
     full = (1 << n) - 1
     # mask -> (revenue, exact, price to post next; 0 = stop). An exact entry
     # holds the set's optimum; otherwise revenue is only an upper bound on it.
@@ -152,7 +146,7 @@ def exact_opt(instance: PncInstance, config: OracleConfig | None = None) -> Orac
             if rest:
                 hit = memo.get(rest)
                 if hit is None:
-                    if len(memo) >= budget:
+                    if len(memo) >= state_budget:
                         raise _OutOfBudget
                     if rest_bound <= rest_need:
                         hit = memo[rest] = (rest_bound, False, 0)

@@ -123,7 +123,7 @@ def json_loads_instance(text):
     if not isinstance(raw_edges, list):
         raise ValueError("'edges' must be a list of [u, v, w] triples")
     nu = payload.get("nu")
-    if nu is not None:
+    if "nu" in payload:
         if not isinstance(nu, list):
             raise ValueError("'nu' must be a list of integers")
         if len(nu) != n:

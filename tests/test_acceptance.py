@@ -16,7 +16,6 @@ import time
 from fractions import Fraction
 
 from netprice import (
-    OracleConfig,
     PncInstance,
     assignment_pricing,
     ba_single_price,
@@ -458,7 +457,7 @@ def _criterion_reduction():
     simulated = simulate(
         artifact.instance, assignment_pricing(artifact, assignment)
     ).total_revenue
-    oracle = exact_opt(artifact.instance, OracleConfig(state_budget=10**7))
+    oracle = exact_opt(artifact.instance, state_budget=10**7)
     report = verify_gadget_claims(artifact)
     checks = {
         "assignment satisfies the formula": is_satisfying(formula, assignment),

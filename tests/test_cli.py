@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from netprice import dumps_instance, gen_er, gen_spider, loads_instance
+from netprice import dumps_instance, gen_er, gen_forest, gen_spider, gen_split, loads_instance
 from netprice.cli import (
     EXPERIMENTS,
     ExperimentSpec,
@@ -60,7 +60,24 @@ def test_gen_is_byte_reproducible(tmp_path):
 
 def test_gen_missing_parameter(capsys):
     assert run_cli(["gen", "--family", "er", "--n", "10"]) == 1
-    assert "--eta is required for family 'er'" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: family 'er' needs parameter 'eta'\n"
+
+
+def test_gen_untaken_flag_is_one_error_line(capsys):
+    assert run_cli(["gen", "--family", "er", "--n", "10", "--eta", "0.5", "--k", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: family 'er' takes no parameter 'k'\n"
+
+
+@pytest.mark.parametrize("argv, direct", [
+    (["--family", "split", "--n", "14", "--seed", "6"], lambda: gen_split(14, 0.3, 0.5, 6)),
+    (["--family", "forest", "--n", "10", "--seed", "5"], lambda: gen_forest(10, 1, 5)),
+], ids=["split", "forest"])
+def test_gen_flag_defaults(argv, direct, capsys):
+    # the defaults come from FAMILIES: clique fraction 0.3, edge probability 0.5, one tree
+    assert run_cli(["gen", *argv]) == 0
+    assert capsys.readouterr().out == dumps_instance(direct())
 
 
 def test_gen_forest_with_many_trees(capsys):

@@ -287,6 +287,8 @@ def test_loads_rejects_malformed():
         loads_instance('{"n":2,"edges":[[1,0,1]]}')
     with pytest.raises(ValueError, match="'nu' has"):
         loads_instance('{"n":2,"nu":[1]}')
+    with pytest.raises(ValueError, match="'nu' must be a list of integers"):
+        loads_instance('{"n":2,"edges":[],"nu":null}')  # nu may be omitted, not null
     with pytest.raises(ValueError, match="integer"):
         loads_instance('{"n":2,"edges":[[0,1,true]]}')
     with pytest.raises(ValueError, match=r"\(-9223372036854775809, 1\) out of range"):
@@ -309,7 +311,7 @@ ODD_TOKENS = ("-0", "00", "01", "-01", "1.0", "1e2", "true", "null", '"1"', "- 1
 ODD_FIELDS = (("edges", "[]"), ("edges", "[5]"), ("edges", "[[0,1,1]]"), ("edges", "null"),
               ("edges", "[[0,1,1],5]"), ("x", '"\\"edges\\":[[0,1,1]]"'), ("nu", '[{"edges":[[0,1,1]]}]'),
               ("nu", '{"edges":[[0,1,1]]}'), ("nu", '"edges"'), ("é", '"ü☃"'),
-              ("n", '"ü"'), ("\\u0065dges", "[[0,1,2]]"))
+              ("n", '"ü"'), ("\\u0065dges", "[[0,1,2]]"), ("nu", "null"))
 
 
 @st.composite

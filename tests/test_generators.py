@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from netprice import (
-    GenSpec,
     PncInstance,
+    ba_single_price,
     dumps_instance,
     gen_ba,
     gen_er,
@@ -17,6 +17,7 @@ from netprice import (
     gen_forest,
     gen_spider,
     gen_split,
+    generate,
     recognize_split,
 )
 from netprice import generators
@@ -125,8 +126,6 @@ def test_ba_validation():
         gen_ba(3, 3, seed=0)
     with pytest.raises(ValueError, match="positive integer"):
         gen_ba(10, 0, seed=0)
-    with pytest.raises(ValueError, match="positive integer"):
-        gen_ba(10, True, seed=0)
 
 
 # --- spiders and the hub-of-cliques family ------------------------------------
@@ -245,6 +244,9 @@ def test_array_built_families_match_list_built_references(build, reference, case
     (lambda: gen_er(6, 0.5, 1.0), "seed"),
     (lambda: gen_ba(True, 2, 0), "n"),
     (lambda: gen_ba(20, 2, 0.5), "seed"),
+    (lambda: gen_ba(20, 2.0, 0), "beta"),
+    (lambda: gen_ba(20, True, 0), "beta"),
+    (lambda: ba_single_price(gen_ba(20, 2, 0), 2.0), "beta"),
     (lambda: gen_spider(3.0), "k"),
     (lambda: gen_example1(False), "k"),
     (lambda: gen_split(10.0, 0.3, 0.5, 0), "n"),
@@ -257,9 +259,9 @@ def test_array_built_families_match_list_built_references(build, reference, case
     (lambda: ExperimentSpec("forest_ratio", master_seed=0.0), "master_seed"),
     (lambda: run_experiment(ExperimentSpec("bound_sweep", params={"n_max": 8.0})), "n_max"),
     (lambda: run_experiment(ExperimentSpec("forest_ratio", trials=1), jobs=1.5), "jobs"),
-], ids=["er-n", "er-seed", "ba-n", "ba-seed", "spider-k", "example1-k", "split-n", "split-seed",
-        "forest-n", "forest-trees", "forest-seed", "trials", "trials-bool", "master-seed",
-        "n-max", "jobs"])
+], ids=["er-n", "er-seed", "ba-n", "ba-seed", "ba-beta", "ba-beta-bool", "ba-single-beta",
+        "spider-k", "example1-k", "split-n", "split-seed", "forest-n", "forest-trees", "forest-seed",
+        "trials", "trials-bool", "master-seed", "n-max", "jobs"])
 def test_integer_parameters_are_checked(call, name):
     # numpy's seeding and range() would raise TypeError, or read a bool as 0 or 1
     with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
@@ -427,7 +429,7 @@ def test_generator_output_is_pinned(build, digest):
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
 
-# --- the GenSpec dispatcher ---------------------------------------------------
+# --- the generate dispatcher --------------------------------------------------
 
 
 # one small request per FAMILIES entry, with the direct call it stands for
@@ -440,14 +442,14 @@ _GENSPEC_CASES = {
               lambda: gen_split(14, 0.5, 0.5, seed=6)),
     "core_peripheral": ({"n": 14, "clique_fraction": 0.5, "edge_prob": 0.5}, 6,
                         lambda: gen_split(14, 0.5, 0.5, seed=6)),
-    "forest": ({"n": 10, "tree_count": 2}, 5, lambda: gen_forest(10, 2, seed=5)),
+    "forest": ({"n": 10, "trees": 2}, 5, lambda: gen_forest(10, 2, seed=5)),
 }
 
 
 def test_genspec_matches_direct_calls():
     assert set(_GENSPEC_CASES) == set(generators.FAMILIES)
     for family, (params, seed, direct) in _GENSPEC_CASES.items():
-        built = GenSpec(family, params, seed).build()
+        built = generate(family, params, seed)
         assert isinstance(built, PncInstance), family
         assert dumps_instance(built) == dumps_instance(direct()), family
 
@@ -455,9 +457,9 @@ def test_genspec_matches_direct_calls():
 def test_genspec_split_alias_and_partition():
     direct = gen_split(14, 0.5, 0.5, seed=6)
     params = {"n": 14, "clique_fraction": 0.5, "edge_prob": 0.5}
-    alias = GenSpec("core_peripheral", params, seed=6).build()
+    alias = generate("core_peripheral", params, seed=6)
     assert alias.graph.edges == direct.graph.edges
-    assert alias.graph.edges == GenSpec("split", params, seed=6).build().graph.edges
+    assert alias.graph.edges == generate("split", params, seed=6).graph.edges
     # the partition comes from recognition alone, the same for either name
     part = recognize_split(alias.graph)
     assert part is not None
@@ -466,11 +468,15 @@ def test_genspec_split_alias_and_partition():
 
 def test_genspec_unknown_family():
     with pytest.raises(ValueError, match="unknown family"):
-        GenSpec("smallworld", {"n": 5}).build()
+        generate("smallworld", {"n": 5})
 
 
 def test_genspec_missing_parameter_is_named():
     with pytest.raises(ValueError, match="family 'er' needs parameter 'eta'"):
-        GenSpec("er", {"n": 5}).build()
-    with pytest.raises(ValueError, match="needs parameter 'edge_prob'"):
-        GenSpec("core_peripheral", {"n": 5, "clique_fraction": 0.5}).build()
+        generate("er", {"n": 5})
+    with pytest.raises(ValueError, match="family 'er' takes no parameter 'k'"):
+        generate("er", {"n": 5, "eta": 0.5, "k": 3})
+    # a parameter with a default may be left out
+    defaulted = generate("core_peripheral", {"n": 5, "clique_fraction": 0.5}, seed=2)
+    assert dumps_instance(defaulted) == dumps_instance(gen_split(5, 0.5, 0.5, 2))
+    assert dumps_instance(generate("forest", {"n": 8}, seed=1)) == dumps_instance(gen_forest(8, 1, 1))

@@ -10,7 +10,6 @@ from hypothesis import given, settings
 
 from netprice import (
     OracleBudgetError,
-    OracleConfig,
     PncInstance,
     build_reduction,
     exact_opt,
@@ -151,7 +150,7 @@ def test_matches_unrestricted_brute_force():
 def test_budget_exhaustion():
     inst = PncInstance.unweighted(8, [(u, v) for u in range(8) for v in range(u + 1, 8)][:12])
     with pytest.raises(OracleBudgetError, match="state budget exhausted after") as info:
-        exact_opt(inst, OracleConfig(state_budget=3))
+        exact_opt(inst, state_budget=3)
     error = info.value
     assert error.states_explored >= 3
     assert error.lower <= naive_opt(inst) <= error.upper
@@ -187,12 +186,13 @@ def test_node_limit():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        OracleConfig(state_budget=0)
+    inst = PncInstance.unweighted(3, [(0, 1), (1, 2)])
+    with pytest.raises(ValueError, match="state_budget must be positive"):
+        exact_opt(inst, state_budget=0)
     # Every non-integer limit is a ValueError, bools included.
     for limits in ({"state_budget": "5"}, {"state_budget": True}, {"state_budget": 5.0}):
         with pytest.raises(ValueError, match="must be an integer"):
-            OracleConfig(**limits)
+            exact_opt(inst, **limits)
 
 
 def test_matches_reference_search():

@@ -12,7 +12,7 @@ import netprice
 
 
 def test_exports_are_the_defining_modules_objects():
-    assert len(netprice.__all__) == len(set(netprice.__all__)) == 50
+    assert len(netprice.__all__) == len(set(netprice.__all__)) == 49
     for name in netprice.__all__:
         module = importlib.import_module(f"netprice.{netprice._MODULE_OF[name]}")
         assert getattr(netprice, name) is getattr(module, name), name

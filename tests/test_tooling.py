@@ -1,4 +1,4 @@
-"""Benchmark tooling that the test suite can check without running it."""
+"""Benchmark tooling that the test suite can check without the benchmark harness."""
 
 import importlib
 import importlib.util
@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from netprice.cli import _build_parser, _experiment_spec
+from netprice.cli import _build_parser, _experiment_spec, run_cli
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -34,16 +34,24 @@ def test_traced_attributes_resolve():
 
 
 @pytest.mark.parametrize("size", ["full", "tiny"])
-def test_benchmark_commands_parse(size):
-    # A flag the CLI no longer takes would otherwise surface only as failed
-    # benchmark jobs.
+def test_benchmark_commands_parse(size, tmp_path, monkeypatch, capsys):
+    # A flag the CLI no longer takes, or one that parses but fails when the
+    # command runs, would otherwise surface only as failed benchmark jobs.
+    # The tiny steps are also run, in order, on their own inputs.
     workloads = _load("workloads")
     parser = _build_parser()
+    monkeypatch.chdir(tmp_path)
     for workload in workloads.WORKLOADS.values():
-        for step in workload(size, seed=0).steps():
+        job = workload(size, seed=0)
+        for step in job.steps():
             try:
                 args = parser.parse_args(list(step.argv))
             except SystemExit:
                 pytest.fail(f"{workload.name} step {step.name} does not parse: {step.argv}")
             if args.command == "experiment":
                 _experiment_spec(args)
+        if size == "tiny":
+            job.write_inputs(tmp_path)
+            for step in job.steps():
+                code = run_cli(list(step.argv))
+                assert code == 0, (workload.name, step.name, capsys.readouterr().err)
