@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PncInstance, PriceSequence, SaleTrace, WeightedGraph, _as_int
+from .core import PncInstance, PriceSequence, SaleTrace, WeightedGraph, _as_int, _as_real
 from .engine import Market, simulate
 
 
@@ -41,6 +41,12 @@ def _require_plain(instance: PncInstance, op: str) -> None:
         raise ValueError(f"{op} requires unit edge weights")
     if any(instance.intrinsic):
         raise ValueError(f"{op} requires all intrinsic values to be zero")
+
+
+def _single_price(instance: PncInstance, price: int) -> PricingResult:
+    """The result of posting ``price`` once, as every single-price strategy returns it."""
+    trace = simulate(instance, (price,))
+    return PricingResult((price,), trace.total_revenue, trace)
 
 
 def greedy_iterative(instance: PncInstance) -> PricingResult:
@@ -82,8 +88,7 @@ def best_single_price(instance: PncInstance) -> PricingResult:
         if revenue > best_revenue:
             best_revenue = revenue
             best_price = price
-    trace = simulate(instance, (best_price,))
-    return PricingResult((best_price,), trace.total_revenue, trace)
+    return _single_price(instance, best_price)
 
 
 def _require_forest(graph: WeightedGraph) -> None:
@@ -115,8 +120,7 @@ def forest_single_price(instance: PncInstance) -> PricingResult:
     revenue_at_1 = sum(1 for d in degrees if d >= 1)
     revenue_at_2 = 2 * sum(1 for d in degrees if d >= 2)
     price = 2 if revenue_at_2 >= revenue_at_1 else 1
-    trace = simulate(instance, (price,))
-    return PricingResult((price,), trace.total_revenue, trace)
+    return _single_price(instance, price)
 
 
 def recognize_split(graph: WeightedGraph) -> SplitPartition | None:
@@ -243,15 +247,14 @@ def er_single_price(instance: PncInstance, eta: float, delta: float) -> PricingR
     every degree, so nearly everyone buys in the single round.
     """
     _require_plain(instance, "er_single_price")
-    if not 0 < eta <= 1:
+    if not 0 < _as_real(eta, "eta") <= 1:
         raise ValueError(f"eta must be in (0, 1], got {eta}")
-    if not 0 < delta < 1:
+    if not 0 < _as_real(delta, "delta") < 1:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
     price = math.floor((1 - delta) * (instance.node_count - 1) * eta)
     if price < 1:
         raise ValueError(f"computed price {price} is not positive; n or eta too small for delta")
-    trace = simulate(instance, (price,))
-    return PricingResult((price,), trace.total_revenue, trace)
+    return _single_price(instance, price)
 
 
 def ba_single_price(instance: PncInstance, beta: int) -> PricingResult:
@@ -261,8 +264,7 @@ def ba_single_price(instance: PncInstance, beta: int) -> PricingResult:
         raise ValueError(f"beta must be a positive integer, got {beta!r}")
     if min(instance.graph.degrees) < beta:
         raise ValueError("ba_single_price requires minimum degree >= beta")
-    trace = simulate(instance, (beta,))
-    return PricingResult((beta,), trace.total_revenue, trace)
+    return _single_price(instance, beta)
 
 
 def min_degree_independent(graph: WeightedGraph) -> bool:

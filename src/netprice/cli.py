@@ -15,7 +15,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Callable, Iterable
 
 # The package never calls BLAS, yet numpy's OpenBLAS starts a thread pool on
@@ -48,162 +48,134 @@ from .reduction import (
 )
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.6f}"
-
-
-def _forest_ratio_trial(seed: int, params: dict) -> list[str]:
+def _forest_ratio_trial(seed: int, params: dict) -> dict:
     n = params["n"]
     instance = gen_forest(n, params["trees"], seed)
     result = forest_single_price(instance)
     opt = exact_opt(instance).revenue
-    return [
-        str(seed), str(n), str(instance.graph.edge_count), str(result.prices[0]), str(result.revenue),
-        str(opt), _fmt(opt / result.revenue) if result.revenue else "",
-    ]
+    return {
+        "seed": seed, "n": n, "edges": instance.graph.edge_count, "price": result.prices[0],
+        "single_revenue": result.revenue, "oracle_revenue": opt,
+        "opt_over_single": opt / result.revenue if result.revenue else None,
+    }
 
 
-def _er_ratio_trial(seed: int, params: dict) -> list[str]:
+def _er_ratio_trial(seed: int, params: dict) -> dict:
     n = params["n"]
     instance = gen_er(n, params["eta"], seed)
     result = er_single_price(instance, params["eta"], params["delta"])
     greedy = greedy_iterative(instance)
     edges = instance.graph.edge_count
-    ratio = _fmt(2 * edges / result.revenue) if result.revenue else ""
-    return [
-        str(seed), str(n), str(edges), str(result.prices[0]),
-        str(result.revenue), str(greedy.revenue), ratio,
-    ]
+    return {
+        "seed": seed, "n": n, "edges": edges, "price": result.prices[0],
+        "single_revenue": result.revenue, "greedy_revenue": greedy.revenue,
+        "edge_ratio": 2 * edges / result.revenue if result.revenue else None,
+    }
 
 
-def _ba_ratio_trial(seed: int, params: dict) -> list[str]:
+def _ba_ratio_trial(seed: int, params: dict) -> dict:
     n = params["n"]
     beta = params["beta"]
     instance = gen_ba(n, beta, seed)
     single = ba_single_price(instance, beta)
     greedy = greedy_iterative(instance)
-    degrees = instance.graph.degrees
-    fraction = sum(1 for d in degrees if d == beta) / n
-    independent = min_degree_independent(instance.graph)
-    return [
-        str(seed), str(n), str(instance.graph.edge_count), str(beta),
-        str(single.revenue), str(greedy.revenue), _fmt(fraction), str(int(independent)),
-    ]
+    return {
+        "seed": seed, "n": n, "edges": instance.graph.edge_count, "price": beta,
+        "single_revenue": single.revenue, "greedy_revenue": greedy.revenue,
+        "min_degree_fraction": sum(1 for d in instance.graph.degrees if d == beta) / n,
+        "gamma_independent": int(min_degree_independent(instance.graph)),
+    }
 
 
-def _bound_sweep_trial(seed: int, params: dict) -> list[str]:
+def _bound_sweep_trial(seed: int, params: dict) -> dict:
     n = params["n"]
     instance = gen_er(n, params["eta"], seed)
     opt = exact_opt(instance).revenue
     bound = degree_bound(instance)
     cap = (1 + math.log(n)) * bound
-    ratio = _fmt(cap / opt) if opt else ""
-    return [
-        str(seed), str(n), str(instance.graph.edge_count),
-        str(opt), str(bound), _fmt(cap), ratio,
-    ]
+    return {
+        "seed": seed, "n": n, "edges": instance.graph.edge_count, "oracle_revenue": opt,
+        "degree_bound": bound, "log_cap": cap, "cap_over_opt": cap / opt if opt else None,
+    }
 
 
 @dataclass(frozen=True)
 class Experiment:
-    """One batch experiment: ``trial(seed, params)`` returns a CSV row under
-    ``header``, and ``defaults`` holds every parameter the trial takes."""
+    """One batch experiment: ``trial(seed, params)`` returns a CSV row as a
+    dict from column name to an int, a float or ``None`` (an empty cell), and
+    ``defaults`` holds every parameter the trial takes."""
 
-    trial: Callable[[int, dict], list[str]]
-    header: tuple[str, ...]
+    trial: Callable[[int, dict], dict]
     defaults: dict
 
 
 EXPERIMENTS: dict[str, Experiment] = {
-    "forest_ratio": Experiment(
-        _forest_ratio_trial,
-        ("seed", "n", "edges", "price", "single_revenue", "oracle_revenue", "opt_over_single"),
-        {"n": 12, "trees": 2},
-    ),
-    "er_ratio": Experiment(
-        _er_ratio_trial,
-        ("seed", "n", "edges", "price", "single_revenue", "greedy_revenue", "edge_ratio"),
-        {"n": 2000, "eta": 0.3, "delta": 0.1},
-    ),
-    "ba_ratio": Experiment(
-        _ba_ratio_trial,
-        ("seed", "n", "edges", "price", "single_revenue", "greedy_revenue",
-         "min_degree_fraction", "gamma_independent"),
-        {"n": 5000, "beta": 3},
-    ),
-    "bound_sweep": Experiment(
-        _bound_sweep_trial,
-        ("seed", "n", "edges", "oracle_revenue", "degree_bound", "log_cap", "cap_over_opt"),
-        {"n_min": 6, "n_max": 14, "eta": 0.4},
-    ),
+    "forest_ratio": Experiment(_forest_ratio_trial, {"n": 12, "trees": 2}),
+    "er_ratio": Experiment(_er_ratio_trial, {"n": 2000, "eta": 0.3, "delta": 0.1}),
+    "ba_ratio": Experiment(_ba_ratio_trial, {"n": 5000, "beta": 3}),
+    "bound_sweep": Experiment(_bound_sweep_trial, {"n_min": 6, "n_max": 14, "eta": 0.4}),
 }
 
-@dataclass(frozen=True)
-class ExperimentSpec:
-    """A seeded batch run: an ``EXPERIMENTS`` name, a trial count, and
-    overrides of that experiment's default parameters.
 
-    Trial t uses seed master_seed + t; bound_sweep numbers its (n, trial)
-    grid in that order.
+def experiment_tasks(name: str, params: dict, trials: int, master_seed: int) -> tuple[list[int], list[dict]]:
+    """Each trial's seed and params for an ``EXPERIMENTS`` run, in order:
+    ``params`` overrides the experiment's defaults, and trial t uses seed
+    master_seed + t; bound_sweep numbers its (n, trial) grid in that order.
+
+    The one check of a run's input: an unknown experiment or parameter, a
+    trial count, seed or sweep bound that is not an int, fewer than one
+    trial and n_min above n_max raise ValueError.
     """
-
-    experiment: str
-    trials: int = 20
-    master_seed: int = 0
-    params: dict = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        experiment = EXPERIMENTS.get(self.experiment)
-        if experiment is None:
-            raise ValueError(f"unknown experiment {self.experiment!r}")
-        if _as_int(self.trials, "trials") < 1:
-            raise ValueError("trials must be at least 1")
-        _as_int(self.master_seed, "master_seed")
-        unknown = [name for name in self.params if name not in experiment.defaults]
-        if unknown:
-            names = ", ".join(map(repr, unknown))
-            raise ValueError(f"experiment {self.experiment!r} takes no parameter {names}")
-
-
-def _run_trial(task: tuple[str, int, dict]) -> list[str]:
-    experiment, seed, params = task
-    return EXPERIMENTS[experiment].trial(seed, params)
-
-
-def experiment_tasks(spec: ExperimentSpec) -> list[tuple[str, int, dict]]:
-    """The (experiment, seed, params) list for a spec, in deterministic order."""
-    params = {**EXPERIMENTS[spec.experiment].defaults, **spec.params}
+    experiment = EXPERIMENTS.get(name)
+    if experiment is None:
+        raise ValueError(f"unknown experiment {name!r}")
+    if _as_int(trials, "trials") < 1:
+        raise ValueError("trials must be at least 1")
+    _as_int(master_seed, "master_seed")
+    unknown = [key for key in params if key not in experiment.defaults]
+    if unknown:
+        raise ValueError(f"experiment {name!r} takes no parameter {', '.join(map(repr, unknown))}")
+    params = {**experiment.defaults, **params}
     grid = [params]
     if "n_min" in params:  # a size sweep: every n in [n_min, n_max], trials per size
         n_min, n_max = _as_int(params["n_min"], "n_min"), _as_int(params["n_max"], "n_max")
         if n_min > n_max:
             raise ValueError(f"n_min ({n_min}) must not exceed n_max ({n_max})")
         grid = [{**params, "n": n} for n in range(n_min, n_max + 1)]
-    rows = [row for row in grid for _ in range(spec.trials)]
-    return [(spec.experiment, spec.master_seed + index, row) for index, row in enumerate(rows)]
+    rows = [row for row in grid for _ in range(trials)]
+    return [master_seed + index for index in range(len(rows))], rows
 
 
-def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> str:
-    """Run a spec's trials (optionally in parallel) and return CSV text.
+def _cell(value: int | float | None) -> str:
+    if value is None:
+        return ""
+    return f"{value:.6f}" if isinstance(value, float) else str(value)
+
+
+def run_experiment(name: str, params: dict | None = None, trials: int = 20,
+                   master_seed: int = 0, jobs: int = 1) -> str:
+    """Run an experiment's trials (optionally in parallel) and return CSV text,
+    headed by the first row's column names.
 
     At most ``min(jobs, trials, CPU count)`` worker processes start. Trials
     are pure functions of their seed, so parallel execution merges results
     in seed order and the output is byte-reproducible.
     """
+    seeds, trial_params = experiment_tasks(name, params or {}, trials, master_seed)
     if _as_int(jobs, "jobs") < 1:
         raise ValueError("jobs must be at least 1")
-    tasks = experiment_tasks(spec)
-    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    trial = EXPERIMENTS[name].trial
+    workers = min(jobs, len(seeds), os.cpu_count() or 1)
     if workers == 1:
-        rows = [_run_trial(task) for task in tasks]
+        rows = list(map(trial, seeds, trial_params))
     else:
         # imported here: it loads multiprocessing, which a one-worker run never needs
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_run_trial, tasks))
-    lines = [",".join(EXPERIMENTS[spec.experiment].header)]
-    lines.extend(",".join(row) for row in rows)
+            rows = list(pool.map(trial, seeds, trial_params))
+    lines = [",".join(rows[0])]
+    lines.extend(",".join(map(_cell, row.values())) for row in rows)
     return "\n".join(lines) + "\n"
 
 
@@ -330,12 +302,8 @@ def _cmd_verify_gadgets(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-def _experiment_spec(args: argparse.Namespace) -> ExperimentSpec:
-    return ExperimentSpec(args.family, args.trials, args.master_seed, args.params)
-
-
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    _write_text(run_experiment(_experiment_spec(args), jobs=args.jobs), args.out)
+    _write_text(run_experiment(args.family, args.params, args.trials, args.master_seed, args.jobs), args.out)
     return 0
 
 

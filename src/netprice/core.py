@@ -38,6 +38,13 @@ def _as_int(value: object, what: str) -> int:
     return value
 
 
+def _as_real(value: object, what: str) -> int | float:
+    # comparing a str or None with a number raises TypeError; bool as in _as_int
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    return value
+
+
 def _read_only(array: np.ndarray) -> np.ndarray:
     array.setflags(write=False)
     return array
@@ -485,6 +492,8 @@ def _read_object(text: str) -> dict | None:
 
 
 def loads_instance(text: str) -> PncInstance:
+    if not isinstance(text, str):
+        raise ValueError(f"instance text must be a str, got {type(text).__name__}")
     try:
         payload = _read_object(text)
         if payload is None:

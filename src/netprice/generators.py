@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import PncInstance, _as_int
+from .core import PncInstance, _as_int, _as_real
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -49,7 +49,7 @@ def gen_er(n: int, eta: float, seed: int) -> PncInstance:
     """Every unordered pair becomes an edge independently with probability eta."""
     if _as_int(n, "n") < 2:
         raise ValueError(f"gen_er needs n >= 2, got {n}")
-    if not 0 <= eta <= 1:
+    if not 0 <= _as_real(eta, "eta") <= 1:
         raise ValueError(f"eta must be in [0, 1], got {eta}")
     _check_size(n * (n - 1) // 2, f"gen_er({n}, {eta})", "candidate pairs")
     rng = _rng(seed)
@@ -159,9 +159,9 @@ def gen_split(n: int, clique_fraction: float, edge_prob: float, seed: int) -> Pn
     """
     if _as_int(n, "n") < 2:
         raise ValueError(f"gen_split needs n >= 2, got {n}")
-    if not 0 < clique_fraction < 1:
+    if not 0 < _as_real(clique_fraction, "clique_fraction") < 1:
         raise ValueError(f"clique_fraction must be in (0, 1), got {clique_fraction}")
-    if not 0 <= edge_prob <= 1:
+    if not 0 <= _as_real(edge_prob, "edge_prob") <= 1:
         raise ValueError(f"edge_prob must be in [0, 1], got {edge_prob}")
     k = math.ceil(clique_fraction * n)
     _check_size(math.comb(k, 2) + k * (n - k), f"gen_split({n}, {clique_fraction})", "candidate pairs")

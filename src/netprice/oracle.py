@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algorithms import greedy_iterative
+from .algorithms import best_single_price, greedy_iterative
 from .core import PncInstance, PriceSequence, _as_int
 from .engine import Market, simulate
 
@@ -46,8 +46,9 @@ STATE_BUDGET = 1_000_000
 class OracleBudgetError(RuntimeError):
     """Raised when the memo table would exceed the state budget.
 
-    ``lower`` (greedy's revenue) and ``upper`` (the sum of initial values)
-    bracket the optimum the search could not finish.
+    ``lower`` (the better of greedy's and the best single price's revenue)
+    and ``upper`` (the sum of initial values) bracket the optimum the search
+    could not finish.
     """
 
     def __init__(self, states_explored: int, lower: int, upper: int):
@@ -167,7 +168,7 @@ def exact_opt(instance: PncInstance, state_budget: int = STATE_BUDGET) -> Oracle
     try:
         revenue = solve(start, full, top, -1)  # every optimum is >= 0, so the root's entry is exact
     except _OutOfBudget:
-        lower = greedy_iterative(instance).revenue
+        lower = max(greedy_iterative(instance).revenue, best_single_price(instance).revenue)
         raise OracleBudgetError(len(memo), lower, top) from None
 
     prices = []

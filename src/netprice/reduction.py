@@ -104,9 +104,12 @@ def parse_dimacs(text: str) -> CnfFormula:
     """Parse DIMACS CNF text ('p cnf' header, zero-terminated clauses).
 
     Comment lines start with 'c'; a '%' line ends the input. Clauses may
-    span lines. Raises CnfError with a line number for syntax problems and
-    with a clause or variable index for violated restrictions.
+    span lines. Raises CnfError with a line number for syntax problems,
+    with a clause or variable index for violated restrictions, and for text
+    that is not a str.
     """
+    if not isinstance(text, str):
+        raise CnfError(f"CNF text must be a str, got {type(text).__name__}")
     variable_count = clause_target = None
     clauses: list[Clause] = []
     pending: list[int] = []

@@ -8,7 +8,6 @@ import pytest
 from netprice import dumps_instance, gen_er, gen_forest, gen_spider, gen_split, loads_instance
 from netprice.cli import (
     EXPERIMENTS,
-    ExperimentSpec,
     _build_parser,
     experiment_tasks,
     run_cli,
@@ -302,13 +301,34 @@ def test_verify_gadgets(tmp_path, capsys):
 
 # --- experiments ---------------------------------------------------------------------
 
+# Each trial names its own columns, so a header is pinned only here.
+HEADERS = {
+    "forest_ratio": "seed,n,edges,price,single_revenue,oracle_revenue,opt_over_single",
+    "er_ratio": "seed,n,edges,price,single_revenue,greedy_revenue,edge_ratio",
+    "ba_ratio": "seed,n,edges,price,single_revenue,greedy_revenue,min_degree_fraction,gamma_independent",
+    "bound_sweep": "seed,n,edges,oracle_revenue,degree_bound,log_cap,cap_over_opt",
+}
+
+
+@pytest.mark.parametrize("name, params", [
+    ("forest_ratio", {"n": 8}),
+    ("er_ratio", {"n": 40}),
+    ("ba_ratio", {"n": 60, "beta": 2}),
+    ("bound_sweep", {"n_min": 5, "n_max": 5}),
+])
+def test_experiment_headers(name, params):
+    lines = run_experiment(name, params, trials=2).splitlines()
+    assert lines[0] == HEADERS[name]
+    assert len(lines) == 3
+    assert all(line.count(",") == HEADERS[name].count(",") for line in lines[1:])
+
 
 def test_forest_experiment_csv(tmp_path):
     out = str(tmp_path / "forest.csv")
     assert run_cli(["experiment", "--family", "forest_ratio", "--trials", "3",
                     "--n", "8", "--trees", "2", "--out", out]) == 0
     lines = open(out, encoding="utf-8").read().splitlines()
-    assert lines[0] == ",".join(EXPERIMENTS["forest_ratio"].header)
+    assert lines[0] == HEADERS["forest_ratio"]
     assert len(lines) == 4
     for seed, line in enumerate(lines[1:]):
         cells = line.split(",")
@@ -335,7 +355,7 @@ def test_er_experiment_row_content(capsys):
     assert run_cli(["experiment", "--family", "er_ratio", "--trials", "2",
                     "--n", "40", "--eta", "0.3"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == ",".join(EXPERIMENTS["er_ratio"].header)
+    assert lines[0] == HEADERS["er_ratio"]
     for line in lines[1:]:
         cells = line.split(",")
         assert cells[3] == "10"  # floor(0.9 * 39 * 0.3)
@@ -362,19 +382,19 @@ def test_bound_sweep_grid_order(capsys):
 
 
 def test_parallel_experiment_is_byte_identical():
-    spec = ExperimentSpec("forest_ratio", trials=4, master_seed=2, params={"n": 8})
-    assert run_experiment(spec, jobs=2) == run_experiment(spec, jobs=1)
+    params = {"n": 8}
+    assert run_experiment("forest_ratio", params, 4, 2, jobs=2) == run_experiment("forest_ratio", params, 4, 2)
 
 
 def test_experiment_spec_validation():
     with pytest.raises(ValueError, match="unknown experiment"):
-        ExperimentSpec("volume_sweep")
+        experiment_tasks("volume_sweep", {}, 20, 0)
     with pytest.raises(ValueError, match="at least 1"):
-        ExperimentSpec("er_ratio", trials=0)
+        experiment_tasks("er_ratio", {}, 0, 0)
     with pytest.raises(ValueError, match="experiment 'er_ratio' takes no parameter 'trees'"):
-        ExperimentSpec("er_ratio", params={"n": 40, "trees": 9})
+        experiment_tasks("er_ratio", {"n": 40, "trees": 9}, 20, 0)
     with pytest.raises(ValueError, match="experiment 'bound_sweep' takes no parameter 'n'"):
-        ExperimentSpec("bound_sweep", params={"n": 40})
+        experiment_tasks("bound_sweep", {"n": 40}, 20, 0)
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -391,11 +411,9 @@ def test_experiment_flag_errors(argv, message, capsys):
 
 
 def test_experiment_tasks_respect_overrides():
-    spec = ExperimentSpec("er_ratio", trials=2, params={"n": 50, "eta": 0.2})
-    tasks = experiment_tasks(spec)
-    assert [seed for _, seed, _ in tasks] == [0, 1]
-    assert all(params["n"] == 50 and params["eta"] == 0.2 for _, _, params in tasks)
-    assert all(params["delta"] == 0.1 for _, _, params in tasks)
+    seeds, rows = experiment_tasks("er_ratio", {"n": 50, "eta": 0.2}, 2, 0)
+    assert seeds == [0, 1]
+    assert rows == [{"n": 50, "eta": 0.2, "delta": 0.1}] * 2
 
 
 class _SerialPool:
@@ -412,8 +430,8 @@ class _SerialPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, items):
-        return map(fn, items)
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
 
 
 def test_experiment_workers_are_capped(monkeypatch):
@@ -423,23 +441,24 @@ def test_experiment_workers_are_capped(monkeypatch):
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _SerialPool)
     monkeypatch.setattr(netprice.cli.os, "cpu_count", lambda: 3)
     _SerialPool.created.clear()
-    spec = ExperimentSpec("forest_ratio", trials=5, master_seed=2, params={"n": 8})
-    serial = run_experiment(spec, jobs=1)
+
+    def run(trials, jobs):
+        return run_experiment("forest_ratio", {"n": 8}, trials, master_seed=2, jobs=jobs)
+
+    serial = run(5, 1)
     assert _SerialPool.created == []
-    assert run_experiment(spec, jobs=64) == serial
+    assert run(5, 64) == serial
     assert _SerialPool.created == [3]  # the CPU count
-    few = ExperimentSpec("forest_ratio", trials=2, master_seed=2, params={"n": 8})
-    run_experiment(few, jobs=64)
+    run(2, 64)
     assert _SerialPool.created == [3, 2]  # the task count
     monkeypatch.setattr(netprice.cli.os, "cpu_count", lambda: None)
-    run_experiment(spec, jobs=64)
+    run(5, 64)
     assert _SerialPool.created == [3, 2]  # unknown CPU count: one worker, in-process
 
 
 def test_run_experiment_rejects_bad_jobs():
-    spec = ExperimentSpec("er_ratio", trials=1, params={"n": 30})
     with pytest.raises(ValueError, match="jobs must be at least 1"):
-        run_experiment(spec, jobs=0)
+        run_experiment("er_ratio", {"n": 30}, trials=1, jobs=0)
 
 
 # --- top-level dispatch ---------------------------------------------------------------

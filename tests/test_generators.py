@@ -2,15 +2,18 @@
 
 import hashlib
 import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from netprice import (
+    CnfError,
     PncInstance,
     ba_single_price,
     dumps_instance,
+    er_single_price,
     gen_ba,
     gen_er,
     gen_example1,
@@ -18,10 +21,12 @@ from netprice import (
     gen_spider,
     gen_split,
     generate,
+    loads_instance,
+    parse_dimacs,
     recognize_split,
 )
 from netprice import generators
-from netprice.cli import ExperimentSpec, run_experiment
+from netprice.cli import run_experiment
 from netprice.generators import _forest_count
 from references import forest_counts, triu_gen_er
 
@@ -254,17 +259,41 @@ def test_array_built_families_match_list_built_references(build, reference, case
     (lambda: gen_forest(10.0, 2, 0), "n"),
     (lambda: gen_forest(10, 2.0, 0), "tree_count"),
     (lambda: gen_forest(10, 2, "0"), "seed"),
-    (lambda: ExperimentSpec("forest_ratio", trials=2.5), "trials"),
-    (lambda: ExperimentSpec("forest_ratio", trials=True), "trials"),
-    (lambda: ExperimentSpec("forest_ratio", master_seed=0.0), "master_seed"),
-    (lambda: run_experiment(ExperimentSpec("bound_sweep", params={"n_max": 8.0})), "n_max"),
-    (lambda: run_experiment(ExperimentSpec("forest_ratio", trials=1), jobs=1.5), "jobs"),
+    (lambda: run_experiment("forest_ratio", trials=2.5), "trials"),
+    (lambda: run_experiment("forest_ratio", trials=True), "trials"),
+    (lambda: run_experiment("forest_ratio", master_seed=0.0), "master_seed"),
+    (lambda: run_experiment("bound_sweep", {"n_max": 8.0}), "n_max"),
+    (lambda: run_experiment("forest_ratio", trials=1, jobs=1.5), "jobs"),
 ], ids=["er-n", "er-seed", "ba-n", "ba-seed", "ba-beta", "ba-beta-bool", "ba-single-beta",
         "spider-k", "example1-k", "split-n", "split-seed", "forest-n", "forest-trees", "forest-seed",
         "trials", "trials-bool", "master-seed", "n-max", "jobs"])
 def test_integer_parameters_are_checked(call, name):
     # numpy's seeding and range() would raise TypeError, or read a bool as 0 or 1
     with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+        call()
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: gen_er(10, "0.5", 0), ValueError, "eta must be a number, got '0.5'"),
+    (lambda: gen_er(10, True, 0), ValueError, "eta must be a number, got True"),
+    (lambda: gen_er(10, float("nan"), 0), ValueError, "eta must be in [0, 1], got nan"),
+    (lambda: gen_split(10, "0.3", 0.5, 0), ValueError, "clique_fraction must be a number, got '0.3'"),
+    (lambda: gen_split(10, 0.3, None, 0), ValueError, "edge_prob must be a number, got None"),
+    (lambda: generate("er", {"n": 10, "eta": None}), ValueError, "eta must be a number, got None"),
+    (lambda: er_single_price(gen_er(20, 0.5, 0), "0.5", 0.1), ValueError, "eta must be a number, got '0.5'"),
+    (lambda: er_single_price(gen_er(20, 0.5, 0), 0.5, "0.1"), ValueError, "delta must be a number, got '0.1'"),
+    (lambda: run_experiment("er_ratio", {"n": 30, "eta": "0.3"}, trials=1), ValueError,
+     "eta must be a number, got '0.3'"),
+    (lambda: run_experiment("er_ratio", {"n": 30, "delta": None}, trials=1), ValueError,
+     "delta must be a number, got None"),
+    (lambda: parse_dimacs(b"p cnf 1 1\n1 0\n"), CnfError, "CNF text must be a str, got bytes"),
+    (lambda: loads_instance(b'{"n": 1}'), ValueError, "instance text must be a str, got bytes"),
+], ids=["er-eta", "er-eta-bool", "er-eta-nan", "split-clique-fraction", "split-edge-prob", "generate-eta",
+        "er-single-eta", "er-single-delta", "experiment-eta", "experiment-delta", "dimacs-bytes",
+        "instance-bytes"])
+def test_real_parameters_are_checked(call, error, message):
+    # comparing a str or None with a number would raise TypeError
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call()
 
 

@@ -11,11 +11,13 @@ from hypothesis import given, settings
 from netprice import (
     OracleBudgetError,
     PncInstance,
+    best_single_price,
     build_reduction,
     exact_opt,
     gen_ba,
     gen_forest,
     gen_spider,
+    greedy_iterative,
     parse_dimacs,
     simulate,
 )
@@ -153,6 +155,8 @@ def test_budget_exhaustion():
         exact_opt(inst, state_budget=3)
     error = info.value
     assert error.states_explored >= 3
+    # the single price (14) beats greedy (12) here, so the bracket's lower end is its revenue
+    assert error.lower == max(greedy_iterative(inst).revenue, best_single_price(inst).revenue) == 14
     assert error.lower <= naive_opt(inst) <= error.upper
     assert f"[{error.lower}, {error.upper}]" in str(error)
 

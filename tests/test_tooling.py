@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from netprice.cli import _build_parser, _experiment_spec, run_cli
+from netprice.cli import _build_parser, experiment_tasks, run_cli
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -49,7 +49,7 @@ def test_benchmark_commands_parse(size, tmp_path, monkeypatch, capsys):
             except SystemExit:
                 pytest.fail(f"{workload.name} step {step.name} does not parse: {step.argv}")
             if args.command == "experiment":
-                _experiment_spec(args)
+                experiment_tasks(args.family, args.params, args.trials, args.master_seed)
         if size == "tiny":
             job.write_inputs(tmp_path)
             for step in job.steps():
