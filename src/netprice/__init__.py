@@ -17,9 +17,9 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "algorithms": (
-        "PricingResult", "SplitPartition", "ba_single_price", "best_single_price",
-        "degree_bound", "er_single_price", "forest_single_price", "greedy_iterative",
-        "min_degree_independent", "recognize_split", "split_dp",
+        "SplitPartition", "ba_single_price", "best_single_price", "degree_bound",
+        "er_single_price", "forest_single_price", "greedy_iterative", "min_degree_independent",
+        "recognize_split", "split_dp",
     ),
     "core": (
         "PncInstance", "PriceSequence", "SaleRound", "SaleTrace", "WeightedGraph",

@@ -1,8 +1,8 @@
 """Pricing strategies and structural helpers.
 
-Every strategy returns a PricingResult whose trace comes from the engine's
-rounds (re-simulating the chosen prices, or for greedy the rounds it sold),
-so reported revenue is always the engine's, not a formula's.
+Every strategy returns the engine's ``SaleTrace`` of the prices it chose
+(re-simulating them, or for greedy the rounds it sold), so reported revenue
+is always the engine's, not a formula's.
 """
 
 from __future__ import annotations
@@ -12,15 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PncInstance, PriceSequence, SaleTrace, WeightedGraph, _as_int, _as_real
+from .core import PncInstance, SaleTrace, WeightedGraph, _as_int, _as_real
 from .engine import Market, simulate
-
-
-@dataclass(frozen=True)
-class PricingResult:
-    prices: PriceSequence
-    revenue: int
-    trace: SaleTrace
 
 
 @dataclass(frozen=True)
@@ -43,13 +36,7 @@ def _require_plain(instance: PncInstance, op: str) -> None:
         raise ValueError(f"{op} requires all intrinsic values to be zero")
 
 
-def _single_price(instance: PncInstance, price: int) -> PricingResult:
-    """The result of posting ``price`` once, as every single-price strategy returns it."""
-    trace = simulate(instance, (price,))
-    return PricingResult((price,), trace.total_revenue, trace)
-
-
-def greedy_iterative(instance: PncInstance) -> PricingResult:
+def greedy_iterative(instance: PncInstance) -> SaleTrace:
     """Repeatedly post the highest current total value until everyone owns.
 
     Each round sells exactly the argmax set. Revenue is at least the sum of
@@ -65,11 +52,10 @@ def greedy_iterative(instance: PncInstance) -> PricingResult:
     rounds = []
     while (price := int(market.values.max())) >= 0:
         rounds.append(market.sale(price))
-    trace = market.trace(rounds)
-    return PricingResult(trace.prices, trace.total_revenue, trace)
+    return market.trace(rounds)
 
 
-def best_single_price(instance: PncInstance) -> PricingResult:
+def best_single_price(instance: PncInstance) -> SaleTrace:
     """Best revenue from posting one price, over all initial total values.
 
     Only initial total values can be optimal single prices (any other price
@@ -88,7 +74,7 @@ def best_single_price(instance: PncInstance) -> PricingResult:
         if revenue > best_revenue:
             best_revenue = revenue
             best_price = price
-    return _single_price(instance, best_price)
+    return simulate(instance, (best_price,))
 
 
 def _require_forest(graph: WeightedGraph) -> None:
@@ -107,7 +93,7 @@ def _require_forest(graph: WeightedGraph) -> None:
         parent[ru] = rv
 
 
-def forest_single_price(instance: PncInstance) -> PricingResult:
+def forest_single_price(instance: PncInstance) -> SaleTrace:
     """Better of the single prices 1 and 2 on an unweighted forest.
 
     Price 1 sells every non-isolated node; price 2 sells every node of degree
@@ -120,7 +106,7 @@ def forest_single_price(instance: PncInstance) -> PricingResult:
     revenue_at_1 = sum(1 for d in degrees if d >= 1)
     revenue_at_2 = 2 * sum(1 for d in degrees if d >= 2)
     price = 2 if revenue_at_2 >= revenue_at_1 else 1
-    return _single_price(instance, price)
+    return simulate(instance, (price,))
 
 
 def recognize_split(graph: WeightedGraph) -> SplitPartition | None:
@@ -145,7 +131,7 @@ def recognize_split(graph: WeightedGraph) -> SplitPartition | None:
     return SplitPartition(tuple(clique), tuple(sorted(order[m:])))
 
 
-def split_dp(instance: PncInstance) -> PricingResult:
+def split_dp(instance: PncInstance) -> SaleTrace:
     """Exact optimum on a split graph in O(n^2), with a realizing sequence.
 
     The partition comes from ``recognize_split``, and a graph that is not
@@ -235,12 +221,12 @@ def split_dp(instance: PncInstance) -> PricingResult:
             break
     realizer = tuple(prices)
     trace = simulate(instance, realizer)
-    if trace.total_revenue != opt[k]:
+    if trace.revenue != opt[k]:
         raise RuntimeError(f"split_dp realizer {realizer} does not reproduce revenue {opt[k]}")
-    return PricingResult(realizer, opt[k], trace)
+    return trace
 
 
-def er_single_price(instance: PncInstance, eta: float, delta: float) -> PricingResult:
+def er_single_price(instance: PncInstance, eta: float, delta: float) -> SaleTrace:
     """Post floor((1 - delta) * (n - 1) * eta) once, for near-average-degree graphs.
 
     On a dense random graph with edge probability eta this undercuts almost
@@ -254,17 +240,17 @@ def er_single_price(instance: PncInstance, eta: float, delta: float) -> PricingR
     price = math.floor((1 - delta) * (instance.node_count - 1) * eta)
     if price < 1:
         raise ValueError(f"computed price {price} is not positive; n or eta too small for delta")
-    return _single_price(instance, price)
+    return simulate(instance, (price,))
 
 
-def ba_single_price(instance: PncInstance, beta: int) -> PricingResult:
+def ba_single_price(instance: PncInstance, beta: int) -> SaleTrace:
     """Post the minimum-attachment count beta once; with min degree >= beta
     every consumer buys immediately, for revenue exactly n * beta."""
     if _as_int(beta, "beta") < 1:
         raise ValueError(f"beta must be a positive integer, got {beta!r}")
     if min(instance.graph.degrees) < beta:
         raise ValueError("ba_single_price requires minimum degree >= beta")
-    return _single_price(instance, beta)
+    return simulate(instance, (beta,))
 
 
 def min_degree_independent(graph: WeightedGraph) -> bool:

@@ -26,7 +26,6 @@ from typing import Callable, Iterable
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .algorithms import (
-    PricingResult,
     ba_single_price,
     best_single_price,
     degree_bound,
@@ -36,7 +35,7 @@ from .algorithms import (
     min_degree_independent,
     split_dp,
 )
-from .core import PncInstance, _as_int, dumps_instance, load_instance, loads_instance
+from .core import PncInstance, SaleTrace, _as_int, dumps_instance, load_instance, loads_instance
 from .engine import simulate
 from .generators import FAMILIES, gen_ba, gen_er, gen_forest, generate
 from .oracle import STATE_BUDGET, OracleBudgetError, exact_opt
@@ -123,15 +122,19 @@ def experiment_tasks(name: str, params: dict, trials: int, master_seed: int) -> 
     master_seed + t; bound_sweep numbers its (n, trial) grid in that order.
 
     The one check of a run's input: an unknown experiment or parameter, a
-    trial count, seed or sweep bound that is not an int, fewer than one
-    trial and n_min above n_max raise ValueError.
+    trial count, seed or sweep bound that is not an int, params that are not
+    a dict, fewer than one trial, a negative seed and n_min above n_max raise
+    ValueError.
     """
     experiment = EXPERIMENTS.get(name)
     if experiment is None:
         raise ValueError(f"unknown experiment {name!r}")
     if _as_int(trials, "trials") < 1:
         raise ValueError("trials must be at least 1")
-    _as_int(master_seed, "master_seed")
+    if _as_int(master_seed, "master_seed") < 0:
+        raise ValueError(f"master_seed must be nonnegative, got {master_seed}")
+    if not isinstance(params, dict):
+        raise ValueError(f"params must be a dict, got {params!r}")
     unknown = [key for key in params if key not in experiment.defaults]
     if unknown:
         raise ValueError(f"experiment {name!r} takes no parameter {', '.join(map(repr, unknown))}")
@@ -205,7 +208,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
-def _trace_json(prices: tuple[int, ...], trace) -> str:
+def _trace_json(trace: SaleTrace) -> str:
     """The text ``json.dumps`` gives for the trace's dict of prices, rounds,
     total revenue and unsold consumers, written without building the dict."""
     def ints(values) -> str:
@@ -215,33 +218,32 @@ def _trace_json(prices: tuple[int, ...], trace) -> str:
         f'{{"price": {sale.price}, "buyers": {ints(sorted(sale.buyers))}, "revenue": {sale.revenue}}}'
         for sale in trace.rounds
     )
-    return (f'{{"prices": {ints(prices)}, "rounds": [{rounds}], '
-            f'"total_revenue": {trace.total_revenue}, "unsold": {ints(sorted(trace.residual))}}}')
+    return (f'{{"prices": {ints(trace.prices)}, "rounds": [{rounds}], '
+            f'"total_revenue": {trace.revenue}, "unsold": {ints(sorted(trace.residual))}}}')
 
 
-def _print_trace(prices: tuple[int, ...], trace) -> None:
+def _print_trace(trace: SaleTrace) -> None:
     print(f"{'round':>5} {'price':>14} {'buyers':>7} {'revenue':>14}")
     for index, sale in enumerate(trace.rounds):
         print(f"{index:>5} {sale.price:>14} {len(sale.buyers):>7} {sale.revenue:>14}")
-    print(f"total revenue: {trace.total_revenue}")
+    print(f"total revenue: {trace.revenue}")
     print(f"unsold: {len(trace.residual)}")
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     instance = _read_instance(args.instance)
-    prices = tuple(args.prices)
-    trace = simulate(instance, prices)
+    trace = simulate(instance, args.prices)
     if args.json:
-        print(_trace_json(prices, trace))
+        print(_trace_json(trace))
     else:
-        _print_trace(prices, trace)
+        _print_trace(trace)
     return 0
 
 
 # Pricing subcommands: name -> (help, strategy). Each strategy looks its
 # function up at call time, so a replaced module attribute (a tracing
 # wrapper, say) is reached.
-STRATEGIES: dict[str, tuple[str, Callable[[PncInstance], PricingResult]]] = {
+STRATEGIES: dict[str, tuple[str, Callable[[PncInstance], SaleTrace]]] = {
     "greedy": ("iterative argmax pricing (2-approximation)", lambda i: greedy_iterative(i)),
     "single": ("best single posted price", lambda i: best_single_price(i)),
     "forest-single": ("better of prices 1 and 2 on a forest (1.5-approximation)",
@@ -251,12 +253,12 @@ STRATEGIES: dict[str, tuple[str, Callable[[PncInstance], PricingResult]]] = {
 
 
 def _cmd_strategy(args: argparse.Namespace) -> int:
-    result = args.strategy(_read_instance(args.instance))
+    trace = args.strategy(_read_instance(args.instance))
     if args.json:
-        print(_trace_json(result.prices, result.trace))
+        print(_trace_json(trace))
     else:
-        print(f"prices: {' '.join(str(p) for p in result.prices)}")
-        print(f"revenue: {result.revenue}")
+        print(f"prices: {' '.join(str(p) for p in trace.prices)}")
+        print(f"revenue: {trace.revenue}")
     return 0
 
 

@@ -45,6 +45,16 @@ def _as_real(value: object, what: str) -> int | float:
     return value
 
 
+def _as_tuple(value: object, what: str, error: type[ValueError] = ValueError) -> tuple:
+    # tuple() of a non-iterable raises TypeError; an error raised while
+    # iterating is the iterable's own, so only iter() is guarded
+    try:
+        items = iter(value)
+    except TypeError:
+        raise error(f"{what} must be a sequence, got {value!r}") from None
+    return tuple(items)
+
+
 def _read_only(array: np.ndarray) -> np.ndarray:
     array.setflags(write=False)
     return array
@@ -123,7 +133,7 @@ class WeightedGraph:
             raise ValueError(f"node_count {n:,} is above the node limit {NODE_LIMIT:,}")
         # The only edge validator in the package: every loaded or generated
         # graph passes through here once, in bulk.
-        rows = edges if isinstance(edges, np.ndarray) else tuple(edges)
+        rows = edges if isinstance(edges, np.ndarray) else _as_tuple(edges, "edges")
         table = _edge_table(rows)
         valid = table is not None
         if valid:
@@ -227,7 +237,7 @@ class PncInstance:
     intrinsic: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        values = tuple(self.intrinsic)
+        values = _as_tuple(self.intrinsic, "intrinsic")
         if not _all_ints(values):  # the scan names the first bad value
             for i, x in enumerate(values):
                 _as_int(x, f"intrinsic[{i}]")
@@ -249,7 +259,7 @@ class PncInstance:
         graph = WeightedGraph(node_count, edges)
         if intrinsic is None:
             intrinsic = (0,) * node_count
-        return cls(graph, tuple(intrinsic))
+        return cls(graph, intrinsic)
 
     @classmethod
     def unweighted(
@@ -296,7 +306,7 @@ class SaleTrace:
 
     rounds: tuple[SaleRound, ...]
     residual: frozenset[int]
-    total_revenue: int
+    revenue: int
 
     @property
     def prices(self) -> PriceSequence:
@@ -315,7 +325,7 @@ class SaleTrace:
 
 
 def validate_prices(prices: Sequence[int]) -> PriceSequence:
-    out = tuple(_as_int(p, f"prices[{i}]") for i, p in enumerate(prices))
+    out = tuple(_as_int(p, f"prices[{i}]") for i, p in enumerate(_as_tuple(prices, "prices")))
     if any(p < 0 for p in out):
         raise ValueError("prices must be nonnegative")
     return out

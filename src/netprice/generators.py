@@ -19,7 +19,10 @@ from .core import PncInstance, _as_int, _as_real
 
 
 def _rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(_as_int(seed, "seed")))
+    # numpy's own error for a negative seed does not name it
+    if _as_int(seed, "seed") < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
+    return np.random.Generator(np.random.PCG64(seed))
 
 
 def _unit_edges(us: list[np.ndarray], vs: list[np.ndarray]) -> np.ndarray:
@@ -314,6 +317,8 @@ def generate(family: str, params: dict, seed: int = 0) -> PncInstance:
     spec = FAMILIES.get(family)
     if spec is None:
         raise ValueError(f"unknown family {family!r}")
+    if not isinstance(params, dict):
+        raise ValueError(f"params must be a dict, got {params!r}")
     unknown = [name for name in params if name not in spec.params]
     if unknown:
         raise ValueError(f"family {family!r} takes no parameter {', '.join(map(repr, unknown))}")

@@ -188,6 +188,6 @@ def exact_opt(instance: PncInstance, state_budget: int = STATE_BUDGET) -> Oracle
 
     if any(a <= b for a, b in zip(realizer, realizer[1:])):
         raise RuntimeError(f"oracle realizer {realizer} does not decrease")
-    if simulate(instance, realizer).total_revenue != revenue:
+    if simulate(instance, realizer).revenue != revenue:
         raise RuntimeError(f"oracle realizer {realizer} does not reproduce revenue {revenue}")
     return OracleResult(revenue, realizer, len(memo), bound_prunes)

@@ -23,7 +23,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import PncInstance, PriceSequence, SaleTrace, _all_ints
+from .core import PncInstance, PriceSequence, SaleTrace, _all_ints, _as_tuple
 from .engine import simulate
 
 Clause = tuple[int, int, int]
@@ -39,7 +39,8 @@ class CnfFormula:
 
     Variables are 1-based; a negative literal negates its variable. Every
     clause names three distinct variables; every variable occurs at most
-    three times overall and at least once in each polarity.
+    three times overall and at least once in each polarity. ``clauses`` is
+    kept as a tuple of tuples.
     """
 
     variable_count: int
@@ -50,17 +51,20 @@ class CnfFormula:
             raise CnfError(f"variable count must be an integer, got {self.variable_count!r}")
         if self.variable_count < 3:
             raise CnfError("at least 3 variables are required")
-        if len(self.clauses) < 3:
+        clauses = _as_tuple(self.clauses, "clauses", CnfError)
+        clauses = tuple(_as_tuple(clause, f"clause {index}", CnfError)
+                        for index, clause in enumerate(clauses, start=1))
+        if len(clauses) < 3:
             raise CnfError("at least 3 clauses are required")
         # counts per variable that occurs, so memory follows the clauses,
         # not the header's variable count
         positive: Counter[int] = Counter()
         negative: Counter[int] = Counter()
-        for index, clause in enumerate(self.clauses, start=1):
+        for index, clause in enumerate(clauses, start=1):
             if len(clause) != 3:
                 raise CnfError(f"clause {index}: has {len(clause)} literals, expected 3")
             if not _all_ints(clause):
-                raise CnfError(f"clause {index}: literals must be integers, got {tuple(clause)!r}")
+                raise CnfError(f"clause {index}: literals must be integers, got {clause!r}")
             for literal in clause:
                 variable = abs(literal)
                 if literal == 0 or variable > self.variable_count:
@@ -82,6 +86,7 @@ class CnfFormula:
             if pos == 0 or neg == 0:
                 missing = "positive" if pos == 0 else "negative"
                 raise CnfError(f"variable {variable}: missing a {missing} occurrence")
+        object.__setattr__(self, "clauses", clauses)
 
     def occurrences(self, variable: int) -> tuple[int, int]:
         """Counts of positive and negative occurrences of ``variable``."""
@@ -92,6 +97,7 @@ class CnfFormula:
 
 def is_satisfying(formula: CnfFormula, assignment: Sequence[bool]) -> bool:
     """Whether ``assignment`` (index i-1 holds variable i) satisfies every clause."""
+    assignment = _as_tuple(assignment, "assignment")
     if len(assignment) != formula.variable_count:
         raise ValueError("assignment must cover every variable exactly once")
     return all(
@@ -163,7 +169,7 @@ def parse_dimacs(text: str) -> CnfFormula:
         raise CnfError(f"line {pending_line}: unterminated clause")
     if len(clauses) != clause_target:
         raise CnfError(f"header declares {clause_target} clauses, found {len(clauses)}")
-    return CnfFormula(variable_count, tuple(clauses))
+    return CnfFormula(variable_count, clauses)
 
 
 def variable_gadget_edges(
@@ -273,6 +279,7 @@ def assignment_pricing(artifact: ReductionArtifact, assignment: Sequence[bool]) 
     sequence strictly decreasing. Simulated revenue equals the artifact's
     threshold exactly when the assignment satisfies the formula.
     """
+    assignment = _as_tuple(assignment, "assignment")
     if len(assignment) != len(artifact.variable_scales):
         raise ValueError("assignment must cover every variable exactly once")
     prices: list[int] = []
@@ -473,7 +480,7 @@ def best_assignment_revenue(artifact: ReductionArtifact) -> tuple[int, tuple[boo
     best_assignment = (False,) * n
     for bits in range(1 << n):
         assignment = tuple(bool((bits >> k) & 1) for k in range(n))
-        revenue = simulate(artifact.instance, assignment_pricing(artifact, assignment)).total_revenue
+        revenue = simulate(artifact.instance, assignment_pricing(artifact, assignment)).revenue
         if revenue > best_revenue:
             best_revenue = revenue
             best_assignment = assignment

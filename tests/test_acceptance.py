@@ -235,8 +235,8 @@ def _criterion_example_family():
         single = best_single_price(instance)
         literal_prices, literal_want = want["literal"]
         realizing_prices, realizing_want = want["realizing"]
-        literal = simulate(instance, literal_prices).total_revenue
-        realized = simulate(instance, realizing_prices).total_revenue
+        literal = simulate(instance, literal_prices).revenue
+        realized = simulate(instance, realizing_prices).revenue
         checks = {
             "single": (single.prices, single.revenue) == want["single"],
             "target": realizing_want == target,
@@ -456,7 +456,7 @@ def _criterion_reduction():
     assignment = (True, True, True)
     simulated = simulate(
         artifact.instance, assignment_pricing(artifact, assignment)
-    ).total_revenue
+    ).revenue
     oracle = exact_opt(artifact.instance, state_budget=10**7)
     report = verify_gadget_claims(artifact)
     checks = {

@@ -49,7 +49,6 @@ def test_greedy_on_star():
     result = greedy_iterative(star)
     assert result.prices == (3, 0)
     assert result.revenue == 3
-    assert result.trace.total_revenue == 3
     assert exact_opt(star).revenue == 4
 
 
@@ -117,7 +116,7 @@ def test_best_single_is_best_over_all_prices():
         best = best_single_price(inst)
         top = max(inst.initial_values)
         brute = max(
-            simulate(inst, (p,)).total_revenue for p in range(1, top + 1)
+            simulate(inst, (p,)).revenue for p in range(1, top + 1)
         ) if top else 0
         assert best.revenue == brute
 
@@ -136,7 +135,7 @@ def test_forest_single_price():
     # Isolated nodes never buy at price 1.
     sparse = PncInstance.unweighted(4, [(0, 1)])
     assert forest_single_price(sparse).revenue == 2
-    assert simulate(sparse, (1,)).total_revenue == 2
+    assert simulate(sparse, (1,)).revenue == 2
 
 
 def test_forest_single_requirements():
@@ -194,7 +193,7 @@ def test_split_dp_matches_oracle():
         expected = exact_opt(inst).revenue
         result = split_dp(inst)
         assert result.revenue == expected
-        assert simulate(inst, result.prices).total_revenue == expected
+        assert simulate(inst, result.prices).revenue == expected
 
 
 def test_split_dp_partition_validation():
@@ -259,19 +258,22 @@ def _only_python_ints(values):
 def test_results_hold_only_python_ints():
     # numpy scalars must not leak out of the array engine
     weighted = PncInstance.from_edges(4, [(0, 1, 3), (1, 2, 2), (2, 3, 5)], (1, 0, 4, 0))
-    results = [
-        greedy_iterative(weighted),
-        greedy_iterative(gen_er(30, 0.3, seed=1)),
-        best_single_price(weighted),
-        forest_single_price(gen_spider(3)),
-        split_dp(gen_split(12, 0.4, 0.5, seed=2)),
-        ba_single_price(gen_ba(20, 2, seed=3), 2),
-        er_single_price(gen_er(40, 0.5, seed=4), 0.5, 0.2),
+    er, split, spider = gen_er(40, 0.5, seed=4), gen_split(12, 0.4, 0.5, seed=2), gen_spider(3)
+    ba, dense = gen_ba(20, 2, seed=3), gen_er(30, 0.3, seed=1)
+    runs = [
+        (weighted, greedy_iterative(weighted)),
+        (dense, greedy_iterative(dense)),
+        (weighted, best_single_price(weighted)),
+        (spider, forest_single_price(spider)),
+        (split, split_dp(split)),
+        (ba, ba_single_price(ba, 2)),
+        (er, er_single_price(er, 0.5, 0.2)),
     ]
-    for result in results:
-        assert _only_python_ints(result.prices) and type(result.revenue) is int
-        trace = result.trace
-        assert type(trace.total_revenue) is int and _only_python_ints(trace.residual)
+    for instance, trace in runs:
+        # every strategy returns the engine's trace of the prices it chose
+        assert trace == simulate(instance, trace.prices)
+        assert _only_python_ints(trace.prices) and type(trace.revenue) is int
+        assert _only_python_ints(trace.residual)
         for sale in trace.rounds:
             assert type(sale.price) is int and type(sale.revenue) is int
             assert _only_python_ints(sale.buyers)

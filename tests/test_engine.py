@@ -32,7 +32,7 @@ def test_path3_two_prices():
     assert trace.prices == (2, 1)
     assert trace.buyers_by_round == (frozenset({1}), frozenset())
     assert [r.revenue for r in trace.rounds] == [2, 0]
-    assert trace.total_revenue == 2
+    assert trace.revenue == 2
     assert trace.residual == frozenset({0, 2})
 
 
@@ -42,7 +42,7 @@ def test_round_is_simultaneous():
     triangle = PncInstance.unweighted(3, [(0, 1), (1, 2), (0, 2)])
     trace = simulate(triangle, (2,))
     assert trace.buyers_by_round == (frozenset({0, 1, 2}),)
-    assert trace.total_revenue == 6
+    assert trace.revenue == 6
 
 
 def test_drops_visible_next_round():
@@ -51,14 +51,14 @@ def test_drops_visible_next_round():
     # sells nothing, price 0 clears the market for free.
     assert trace.buyers_by_round[1] == frozenset()
     assert trace.buyers_by_round[2] == frozenset({0, 2})
-    assert trace.total_revenue == 2
+    assert trace.revenue == 2
     assert trace.residual == frozenset()
 
 
 def test_price_zero_sells_to_everyone():
     trace = simulate(path3(), (0,))
     assert trace.buyers_by_round == (frozenset({0, 1, 2}),)
-    assert trace.total_revenue == 0
+    assert trace.revenue == 0
 
 
 def test_market_values_track_remaining():
@@ -87,12 +87,12 @@ def test_weighted_and_intrinsic():
         frozenset(),
         frozenset({2}),  # dropped from 5 to 3 when the middle node left
     )
-    assert trace.total_revenue == 8
+    assert trace.revenue == 8
     assert trace.residual == frozenset({0})
 
 
 def test_empty_and_unsorted_sequences():
-    assert simulate(path3(), ()).total_revenue == 0
+    assert simulate(path3(), ()).revenue == 0
     # Prices may rise; a higher later price just sells to nobody new.
     trace = simulate(path3(), (1, 5))
     assert trace.buyers_by_round == (frozenset({0, 1, 2}), frozenset())
@@ -124,7 +124,7 @@ def test_make_irredundant_preserves_sales():
         before = simulate(inst, prices)
         after = simulate(inst, pruned)
         assert all(p > q for p, q in zip(pruned, pruned[1:]))
-        assert after.total_revenue == before.total_revenue
+        assert after.revenue == before.revenue
         assert after.all_buyers == before.all_buyers
         assert all(r.buyers for r in after.rounds)
 
@@ -137,7 +137,7 @@ def test_normalize_raises_revenue_keeps_partition():
         base = simulate(inst, make_irredundant(inst, prices))
         norm = normalize(inst, prices)
         result = simulate(inst, norm)
-        assert result.total_revenue >= base.total_revenue
+        assert result.revenue >= base.revenue
         assert result.buyers_by_round == base.buyers_by_round
         # Each normalized price is its round's cheapest buyer value, so
         # normalizing again changes nothing.
@@ -170,15 +170,14 @@ def test_simulate_and_greedy_match_references(case):
     greedy = greedy_iterative(instance)
     assert greedy.prices == heap_greedy(instance)
     # greedy's trace is made of the rounds it sold, with no replay
-    assert greedy.trace == rescan_simulate(instance, greedy.prices)
-    assert greedy.revenue == greedy.trace.total_revenue
+    assert greedy == rescan_simulate(instance, greedy.prices)
 
 
 @given(priced_instances())
 def test_normalize_and_make_irredundant_properties(case):
     instance, prices = case
-    revenue = simulate(instance, prices).total_revenue
-    assert simulate(instance, normalize(instance, prices)).total_revenue >= revenue
+    revenue = simulate(instance, prices).revenue
+    assert simulate(instance, normalize(instance, prices)).revenue >= revenue
     pruned = make_irredundant(instance, prices)
     assert all(p > q for p, q in zip(pruned, pruned[1:]))
 
@@ -193,7 +192,7 @@ def test_shared_neighbour_exact_near_2_60():
     trace = simulate(inst, (first, 5))
     assert trace == rescan_simulate(inst, (first, 5))
     assert trace.buyers_by_round == (frozenset({0, 1}), frozenset({2, 3}))
-    assert trace.total_revenue == 2 * first + 10
+    assert trace.revenue == 2 * first + 10
     assert normalize(inst, (first, 5)) == (first, 5)
     assert greedy_iterative(inst).prices == heap_greedy(inst)
 
@@ -214,7 +213,7 @@ def test_values_past_int64_use_python_ints():
     assert inst.value_array.dtype == object
     prices = assignment_pricing(artifact, (True,) * 26)
     trace = simulate(inst, prices)
-    assert trace.total_revenue == artifact.threshold
+    assert trace.revenue == artifact.threshold
     assert trace == rescan_simulate(inst, prices)
     assert greedy_iterative(inst).prices == heap_greedy(inst)
     assert loads_instance(dumps_instance(inst)) == inst
@@ -223,5 +222,5 @@ def test_values_past_int64_use_python_ints():
 def test_price_past_int64_sells_nobody():
     trace = simulate(path3(), (2**63, 2**64 + 1, 1))
     assert trace.buyers_by_round == (frozenset(), frozenset(), frozenset({0, 1, 2}))
-    assert trace.total_revenue == 3
+    assert trace.revenue == 3
     assert normalize(path3(), (2**63, 2)) == (2,)

@@ -10,8 +10,12 @@ import pytest
 
 from netprice import (
     CnfError,
+    CnfFormula,
     PncInstance,
+    WeightedGraph,
+    assignment_pricing,
     ba_single_price,
+    build_reduction,
     dumps_instance,
     er_single_price,
     gen_ba,
@@ -21,12 +25,16 @@ from netprice import (
     gen_spider,
     gen_split,
     generate,
+    is_satisfying,
     loads_instance,
+    make_irredundant,
     parse_dimacs,
     recognize_split,
+    simulate,
+    validate_prices,
 )
 from netprice import generators
-from netprice.cli import run_experiment
+from netprice.cli import experiment_tasks, run_experiment
 from netprice.generators import _forest_count
 from references import forest_counts, triu_gen_er
 
@@ -295,6 +303,46 @@ def test_real_parameters_are_checked(call, error, message):
     # comparing a str or None with a number would raise TypeError
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call()
+
+
+_FORMULA = ((1, 2, 3), (-1, -2, 3), (1, -2, -3))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: gen_er(10, 0.5, -1), ValueError, "seed must be nonnegative, got -1"),
+    (lambda: gen_forest(5, 1, -2), ValueError, "seed must be nonnegative, got -2"),
+    (lambda: generate("split", {"n": 10}, -3), ValueError, "seed must be nonnegative, got -3"),
+    (lambda: run_experiment("forest_ratio", trials=2, master_seed=-1), ValueError,
+     "master_seed must be nonnegative, got -1"),
+    (lambda: validate_prices(5), ValueError, "prices must be a sequence, got 5"),
+    (lambda: simulate(gen_spider(2), None), ValueError, "prices must be a sequence, got None"),
+    (lambda: make_irredundant(gen_spider(2), 3), ValueError, "prices must be a sequence, got 3"),
+    (lambda: WeightedGraph(3, 5), ValueError, "edges must be a sequence, got 5"),
+    (lambda: WeightedGraph(3, None), ValueError, "edges must be a sequence, got None"),
+    (lambda: PncInstance.from_edges(3, [], 5), ValueError, "intrinsic must be a sequence, got 5"),
+    (lambda: PncInstance(WeightedGraph(3, []), None), ValueError, "intrinsic must be a sequence, got None"),
+    (lambda: generate("er", None), ValueError, "params must be a dict, got None"),
+    (lambda: experiment_tasks("forest_ratio", 5, 2, 0), ValueError, "params must be a dict, got 5"),
+    (lambda: CnfFormula(3, None), CnfError, "clauses must be a sequence, got None"),
+    (lambda: CnfFormula(3, [5, 5, 5]), CnfError, "clause 1 must be a sequence, got 5"),
+    (lambda: is_satisfying(CnfFormula(3, _FORMULA), None), ValueError,
+     "assignment must be a sequence, got None"),
+    (lambda: assignment_pricing(build_reduction(CnfFormula(3, _FORMULA)), 5), ValueError,
+     "assignment must be a sequence, got 5"),
+], ids=["er-seed", "forest-seed", "generate-seed", "master-seed", "prices", "simulate-prices",
+        "irredundant-prices", "graph-edges", "graph-edges-none", "from-edges-intrinsic",
+        "instance-intrinsic", "generate-params", "experiment-params", "formula-clauses",
+        "formula-clause", "satisfying-assignment", "assignment-pricing"])
+def test_seeds_and_sequences_are_checked(call, error, message):
+    # numpy refuses a negative seed without naming it; len() and iteration of
+    # a non-sequence raise TypeError
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_unseeded_families_ignore_a_negative_seed():
+    assert generate("spider", {"k": 3}, -1) == gen_spider(3)
+    assert generate("example1", {"k": 2}, -1) == gen_example1(2)
 
 
 @pytest.mark.parametrize("k", [7, 8, 9, 10**6])

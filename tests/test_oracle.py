@@ -127,7 +127,7 @@ def test_realizer_reproduces_revenue():
         inst = PncInstance.from_edges(n, edges, nu)
         result = exact_opt(inst)
         assert all(p > q for p, q in zip(result.prices, result.prices[1:]))
-        assert simulate(inst, result.prices).total_revenue == result.revenue
+        assert simulate(inst, result.prices).revenue == result.revenue
         assert result.states_explored >= 1
 
 
@@ -214,7 +214,7 @@ def test_matches_reference_search():
         assert result.revenue == revenue
         assert result.prices == prices
         assert all(p > q for p, q in zip(result.prices, result.prices[1:]))
-        assert simulate(inst, result.prices).total_revenue == revenue
+        assert simulate(inst, result.prices).revenue == revenue
         assert 1 <= result.states_explored <= states
 
 

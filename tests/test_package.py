@@ -2,6 +2,7 @@
 
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +13,7 @@ import netprice
 
 
 def test_exports_are_the_defining_modules_objects():
-    assert len(netprice.__all__) == len(set(netprice.__all__)) == 49
+    assert len(netprice.__all__) == len(set(netprice.__all__)) == 48
     for name in netprice.__all__:
         module = importlib.import_module(f"netprice.{netprice._MODULE_OF[name]}")
         assert getattr(netprice, name) is getattr(module, name), name
@@ -44,6 +45,16 @@ def _fresh_interpreter(code: str, **env: str) -> list[str]:
                             capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
     return result.stdout.splitlines()
+
+
+def test_readme_quick_start_prints_its_comments():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme, re.DOTALL | re.MULTILINE)
+    assert len(blocks) == 1
+    # each print's expected output is the first word of its "# " comment
+    expected = [re.search(r"#\s*(\S+)", line).group(1)
+                for line in blocks[0].splitlines() if line.startswith("print(")]
+    assert expected and _fresh_interpreter(blocks[0]) == expected
 
 
 def test_import_loads_no_submodule_or_numpy():

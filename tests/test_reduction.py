@@ -49,6 +49,8 @@ def test_formula_accepts_sample():
     assert formula.occurrences(1) == (2, 1)
     assert formula.occurrences(2) == (1, 2)
     assert formula.occurrences(3) == (2, 1)
+    # lists, or one pass of an iterator, are kept as tuples
+    assert CnfFormula(3, iter([list(clause) for clause in SAMPLE_CLAUSES])) == formula
 
 
 def test_formula_size_floors():
@@ -196,10 +198,10 @@ def test_variable_gadget_standalone_revenue():
     gadget = PncInstance.from_edges(5, variable_gadget_edges(0, 1, 2, 3, 4, s))
     assert gadget.initial_values == (6 * s, 2 * s, 10 * s, 10 * s, 6 * s)
     keep_x = simulate(gadget, (10 * s, 2 * s))
-    assert keep_x.total_revenue == 24 * s
+    assert keep_x.revenue == 24 * s
     assert 0 not in keep_x.all_buyers and 1 in keep_x.all_buyers
     sell_x = simulate(gadget, (6 * s,))
-    assert sell_x.total_revenue == 24 * s
+    assert sell_x.revenue == 24 * s
     assert 0 in sell_x.all_buyers and 1 not in sell_x.all_buyers
     # those two patterns are the standalone optimum
     assert exact_opt(gadget).revenue == 24 * s
@@ -283,7 +285,7 @@ def test_assignment_pricing_shape(sample):
 
 def test_threshold_reached_iff_satisfying(sample):
     for bits in itertools.product((False, True), repeat=3):
-        revenue = simulate(sample.instance, assignment_pricing(sample, bits)).total_revenue
+        revenue = simulate(sample.instance, assignment_pricing(sample, bits)).revenue
         if is_satisfying(sample.formula, bits):
             assert revenue == SAMPLE_THRESHOLD
         else:
@@ -293,7 +295,7 @@ def test_threshold_reached_iff_satisfying(sample):
 def test_falsifying_assignment_loses_one_clause(sample):
     # all-false falsifies only the first clause, whose c node then never buys
     trace = simulate(sample.instance, assignment_pricing(sample, (False,) * 3))
-    assert trace.total_revenue == SAMPLE_THRESHOLD - (2 * sample.clause_scale + 1)
+    assert trace.revenue == SAMPLE_THRESHOLD - (2 * sample.clause_scale + 1)
     c1 = sample.clause_nodes[0][0]
     assert c1 not in trace.all_buyers
 
