@@ -148,27 +148,25 @@ def split_dp(instance: PncInstance) -> SaleTrace:
     """
     _require_plain(instance, "split_dp")
     graph = instance.graph
-    n = graph.node_count
     partition = recognize_split(graph)
     if partition is None:
         raise ValueError("split_dp requires a split graph")
-    degrees = graph.degrees
     clique = partition.clique
     indep_set = set(partition.independent)
 
     k = len(clique)
-    clique_deg = [degrees[v] for v in clique]  # nondecreasing
+    clique_deg = [graph.degrees[v] for v in clique]  # nondecreasing
     indptr, indices = graph.indptr, graph.indices
 
     # prefix_deg[u]: neighbors of independent node u among the first i clique nodes
-    prefix_deg = [0] * n
+    prefix_deg = [0] * graph.node_count
     bucket = [0] * (k + 2)  # count of independent nodes at each prefix degree
     max_indep_deg = 0
     opt = [0] * (k + 1)
-    # back[i]: ("clique", h) sells clique[h:i] then recurses at h,
-    #          ("indep", d, j) sells the whole prefix plus j independents and stops,
-    #          None sells nothing (prefix is worthless).
-    back: list[tuple | None] = [None] * (k + 1)
+    # back[i]: (price, h) posts price, selling clique[h:i], then prices prefix
+    # h; a closing price d is (d, 0) and also sells independents of degree
+    # >= d. None: the prefix is worthless, as prefix 0 always is.
+    back: list[tuple[int, int] | None] = [None] * (k + 1)
 
     for i in range(1, k + 1):
         node = clique[i - 1]
@@ -182,7 +180,6 @@ def split_dp(instance: PncInstance) -> SaleTrace:
                 if old + 1 > max_indep_deg:
                     max_indep_deg = old + 1
         best = 0
-        choice: tuple | None = None
         for h in range(i):
             if h > 0 and clique_deg[h - 1] == clique_deg[h]:
                 continue  # price would also sell clique[h-1]
@@ -192,7 +189,7 @@ def split_dp(instance: PncInstance) -> SaleTrace:
             candidate = opt[h] + price * (i - h)
             if candidate > best:
                 best = candidate
-                choice = ("clique", h)
+                back[i] = (price, h)
         lowest_clique_deg = clique_deg[0] - (k - i)
         ahead = 0
         for d in range(k, 0, -1):
@@ -204,25 +201,17 @@ def split_dp(instance: PncInstance) -> SaleTrace:
             candidate = (i + ahead) * d
             if candidate > best:
                 best = candidate
-                choice = ("indep", d, ahead)
+                back[i] = (d, 0)
         opt[i] = best
-        back[i] = choice
 
     prices = []
     i = k
-    while i > 0 and back[i] is not None:
-        step = back[i]
-        if step[0] == "clique":
-            h = step[1]
-            prices.append(clique_deg[h] - (k - i))
-            i = h
-        else:
-            prices.append(step[1])
-            break
-    realizer = tuple(prices)
-    trace = simulate(instance, realizer)
+    while back[i] is not None:
+        price, i = back[i]
+        prices.append(price)
+    trace = simulate(instance, prices)
     if trace.revenue != opt[k]:
-        raise RuntimeError(f"split_dp realizer {realizer} does not reproduce revenue {opt[k]}")
+        raise RuntimeError(f"split_dp realizer {trace.prices} does not reproduce revenue {opt[k]}")
     return trace
 
 

@@ -268,7 +268,14 @@ class PncInstance:
         pairs: Iterable[tuple[int, int]],
         intrinsic: Sequence[int] | None = None,
     ) -> "PncInstance":
-        return cls.from_edges(node_count, ((u, v, 1) for u, v in pairs), intrinsic)
+        edges = []
+        for idx, pair in enumerate(_as_tuple(pairs, "pairs")):
+            try:
+                u, v = pair
+            except (TypeError, ValueError):
+                raise ValueError(f"pairs[{idx}]: expected (u, v), got {pair!r}") from None
+            edges.append((u, v, 1))
+        return cls.from_edges(node_count, edges, intrinsic)
 
     @property
     def node_count(self) -> int:

@@ -20,7 +20,8 @@ its bound before any call: only a set that must be expanded is searched.
 
 Current values pass down the search: each set's ``(value, node)`` list is
 its parent's, less the weights from the graph's CSR rows of the buyers that
-left. The realizer replays the memo's prices through ``engine.Market``.
+left. An exact memo entry keeps its best price and the set that price
+leaves; the realizer follows these links, and ``simulate`` checks it.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 
 from .algorithms import best_single_price, greedy_iterative
 from .core import PncInstance, PriceSequence, _as_int
-from .engine import Market, simulate
+from .engine import simulate
 
 
 # exact_opt recurses once per sale round; each round removes a node and posts
@@ -73,10 +74,6 @@ class OracleResult:
     bound_prunes: int = 0
 
 
-class _OutOfBudget(Exception):
-    """Unwinds the search; ``exact_opt`` reraises it as OracleBudgetError with bounds."""
-
-
 def exact_opt(instance: PncInstance, state_budget: int = STATE_BUDGET) -> OracleResult:
     """Optimal revenue over all decreasing price sequences, with a realizer.
 
@@ -103,9 +100,9 @@ def exact_opt(instance: PncInstance, state_budget: int = STATE_BUDGET) -> Oracle
     rows = [tuple(zip(neighbours[a:b], weights[a:b])) for a, b in zip(indptr, indptr[1:])]
     intrinsic = instance.intrinsic
     full = (1 << n) - 1
-    # mask -> (revenue, exact, price to post next; 0 = stop). An exact entry
-    # holds the set's optimum; otherwise revenue is only an upper bound on it.
-    memo: dict[int, tuple[int, bool, int]] = {}
+    # mask -> (revenue, exact, next price (0 = stop), the set it leaves). An
+    # exact entry holds the set's optimum; otherwise revenue only bounds it.
+    memo: dict[int, tuple[int, bool, int, int]] = {}
     bound_prunes = 0
 
     def solve(items: list[tuple[int, int]], mask: int, bound: int, need: int) -> int:
@@ -116,12 +113,12 @@ def exact_opt(instance: PncInstance, state_budget: int = STATE_BUDGET) -> Oracle
         other set itself.
         """
         nonlocal bound_prunes
-        memo[mask] = (bound, False, 0)  # counts toward the budget from here on
+        memo[mask] = (bound, False, 0, 0)  # counts toward the budget from here on
         items.sort(reverse=True)
         # drop[x]: the weight of x's edges to the buyers taken out so far
         drop = [0] * n
         best = 0
-        best_price = 0
+        best_price = best_rest = 0
         rest = mask
         rest_bound = bound
         index = 0
@@ -148,9 +145,10 @@ def exact_opt(instance: PncInstance, state_budget: int = STATE_BUDGET) -> Oracle
                 hit = memo.get(rest)
                 if hit is None:
                     if len(memo) >= state_budget:
-                        raise _OutOfBudget
+                        lower = max(greedy_iterative(instance).revenue, best_single_price(instance).revenue)
+                        raise OracleBudgetError(len(memo), lower, top)
                     if rest_bound <= rest_need:
-                        hit = memo[rest] = (rest_bound, False, 0)
+                        hit = memo[rest] = (rest_bound, False, 0, 0)
                         bound_prunes += 1
                 if hit is not None and (hit[1] or hit[0] <= rest_need):
                     gain += hit[0]
@@ -160,30 +158,23 @@ def exact_opt(instance: PncInstance, state_budget: int = STATE_BUDGET) -> Oracle
             if gain > best:
                 best = gain
                 best_price = price
-        memo[mask] = (best, best > need, best_price)
+                best_rest = rest
+        memo[mask] = (best, best > need, best_price, best_rest)
         return best
 
     top = sum(instance.initial_values)  # the full set's bound
     start = [(value, node) for node, value in enumerate(instance.initial_values)]
-    try:
-        revenue = solve(start, full, top, -1)  # every optimum is >= 0, so the root's entry is exact
-    except _OutOfBudget:
-        lower = max(greedy_iterative(instance).revenue, best_single_price(instance).revenue)
-        raise OracleBudgetError(len(memo), lower, top) from None
+    revenue = solve(start, full, top, -1)  # every optimum is >= 0, so the root's entry is exact
 
     prices = []
-    market = Market(instance)
     mask = full
     while mask:
         entry = memo.get(mask)
         if entry is None or not entry[1]:
             raise RuntimeError(f"oracle realizer reached residual set {mask:#x} without an exact entry")
-        price = entry[2]
-        if price == 0:
-            break
-        prices.append(price)
-        for node in market.sell(price).tolist():
-            mask ^= 1 << node
+        if entry[2]:  # a stop (price 0) leaves the empty set
+            prices.append(entry[2])
+        mask = entry[3]
     realizer = tuple(prices)
 
     if any(a <= b for a, b in zip(realizer, realizer[1:])):

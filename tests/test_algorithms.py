@@ -196,6 +196,19 @@ def test_split_dp_matches_oracle():
         assert simulate(inst, result.prices).revenue == expected
 
 
+@pytest.mark.parametrize("args, prices, revenue", [
+    ((14, 0.4, 0.5, 0), (8, 1), 43),
+    ((14, 0.4, 0.5, 11), (10, 4, 1), 47),
+    ((12, 0.5, 0.3, 369), (9, 5, 2), 31),
+    ((40, 0.3, 0.5, 5), (25, 13, 1), 274),
+    ((120, 0.2, 0.3, 0), (47, 23, 1), 1079),
+])
+def test_split_dp_realizers_are_pinned(args, prices, revenue):
+    # The first best realizer the DP's back-pointers give, not only its revenue.
+    result = split_dp(gen_split(*args))
+    assert (result.prices, result.revenue) == (prices, revenue)
+
+
 def test_split_dp_partition_validation():
     inst = PncInstance.unweighted(3, [(0, 1), (1, 2)])  # path: split via clique {1}
     assert split_dp(inst).revenue == exact_opt(inst).revenue

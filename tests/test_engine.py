@@ -65,16 +65,16 @@ def test_market_values_track_remaining():
     inst = PncInstance.from_edges(3, [(0, 1, 2), (1, 2, 3)], (1, 0, 0))
     market = Market(inst)
     assert market.values.tolist() == [3, 5, 3]
-    assert market.sell(4).tolist() == [1]
+    assert market.sale(4).buyers == {1}
     # the buyer's neighbours drop by their edge weights; the buyer reads -1
     assert market.values.tolist() == [1, -1, 0]
-    assert market.sell(6).tolist() == []
-    assert market.sell(1).tolist() == [0]
+    assert market.sale(6).buyers == frozenset()
+    assert market.sale(1).buyers == {0}
     # an owner is never lowered again, and the last consumer keeps its value
     assert market.values.tolist() == [-1, -1, 0]
     # buyers in one round do not lower each other
     triangle = Market(PncInstance.unweighted(3, [(0, 1), (1, 2), (0, 2)]))
-    assert triangle.sell(2).tolist() == [0, 1, 2]
+    assert triangle.sale(2).buyers == {0, 1, 2}
     assert triangle.values.tolist() == [-1, -1, -1]
 
 

@@ -225,23 +225,27 @@ def test_exact_equals_brute_force_property(inst):
 
 
 def test_state_counts_are_pinned():
-    # Deterministic counters gate the search effort; the plain search
+    # Deterministic counters gate the search effort, and the realizers are
+    # the first best sequences the memo leads to; the plain search
     # (_reference_opt) needs 4,282, 24,038 and 72,854 states on these
     # instances. Most visited sets are settled by their bound at once.
     reduction = build_reduction(parse_dimacs(CNF_4X4)).instance
     result = exact_opt(reduction)
     assert result.revenue == 1522932
+    assert result.prices == (507810, 101562, 101560, 20312, 20310, 4062, 4060, 812, 163)
     assert result.states_explored == 701 < 4282
     assert result.bound_prunes == 480
 
     # The benchmark's dense weighted G(40, 0.5) and G(50, 0.5) graphs.
     result = exact_opt(_dense_weighted(40, random.Random(1)))
     assert result.revenue == 2838
+    assert result.prices == (97, 20, 10, 8, 1)
     assert result.states_explored == 3359 < 24038
     assert result.bound_prunes == 2755
 
     result = exact_opt(_dense_weighted(50, random.Random(0)))
     assert result.revenue == 4221
+    assert result.prices == (86, 7)
     assert result.states_explored == 12336 < 72854
     assert result.bound_prunes == 10138
 
@@ -249,11 +253,13 @@ def test_state_counts_are_pinned():
     # come from long chains of parents and each buyer's row is short.
     result = exact_opt(gen_ba(600, 2, 0))
     assert result.revenue == 1341
+    assert result.prices == (84, 46, 36, 33, 26, 22, 20, 17, 15, 14, 13, 12, 11, 10, 9, 8, 7, 2, 1)
     assert result.states_explored == 854
     assert result.bound_prunes == 596
 
     result = exact_opt(gen_forest(800, 1, 0))
     assert result.revenue == 1019
+    assert result.prices == (6, 5, 3, 1)
     assert result.states_explored == 31
     assert result.bound_prunes == 15
 
@@ -261,6 +267,7 @@ def test_state_counts_are_pinned():
     # depth at most 1 + the largest degree.
     result = exact_opt(gen_forest(1000, 1, 0))
     assert result.revenue == 1307
+    assert result.prices == (7, 6, 2)
     assert result.states_explored == 40
     assert result.bound_prunes == 19
 
