@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PncInstance, SaleTrace, WeightedGraph, _as_int, _as_real
+from .core import PncInstance, SaleRound, SaleTrace, WeightedGraph, _as_int, _as_real
 from .engine import Market, simulate
 
 
@@ -36,6 +36,32 @@ def _require_plain(instance: PncInstance, op: str) -> None:
         raise ValueError(f"{op} requires all intrinsic values to be zero")
 
 
+def _sell_run(market: Market, want: int) -> tuple[list[SaleRound], int]:
+    """Sell greedy's next rounds from one scan of the values, as
+    ``greedy_iterative`` describes, and count the scan's candidates. No
+    rounds means no unsold value was above the ``want``-th largest."""
+    values = market.values
+    top = np.argpartition(values, len(values) - want)[len(values) - want:]
+    candidates = top[values[top] > values[top[0]]]
+    if not len(candidates):
+        return [], 0
+    candidates = candidates[np.argsort(values[candidates])[::-1]]
+    own = values[candidates]
+    rows, lengths = market.rows(candidates)
+    owners = np.repeat(own, lengths)
+    # a neighbour above its row's owner is a candidate of a higher group; rows
+    # run from the top group down, so the first such row is in the first
+    # blocked group
+    blocked = np.flatnonzero(values[market.indices[rows]] > owners)
+    sold = int(np.count_nonzero(own > owners[blocked[0]])) if len(blocked) else len(own)
+    market.settle(candidates[:sold], rows[:lengths[:sold].sum()])
+    prices = own[:sold].tolist()
+    buyers = candidates[:sold].tolist()
+    cuts = [i for i in range(1, sold) if prices[i] != prices[i - 1]]
+    return [SaleRound(prices[a], frozenset(buyers[a:b]), prices[a] * (b - a))
+            for a, b in zip([0] + cuts, cuts + [sold])], len(candidates)
+
+
 def greedy_iterative(instance: PncInstance) -> SaleTrace:
     """Repeatedly post the highest current total value until everyone owns.
 
@@ -44,13 +70,48 @@ def greedy_iterative(instance: PncInstance) -> SaleTrace:
     earlier-selling endpoint charged for it, and intrinsic value is always
     charged. A price of 0 can only appear in the final round.
 
-    Each round is a max over the values plus one ``Market.sale``, and the
-    trace is made of those rounds. Owners read -1, so the max turns negative
-    once everyone owns.
+    One scan of the values sells a run of rounds (``_sell_run``). Take the
+    unsold nodes strictly above the ``want``-th largest value and group them
+    by tied value, highest first. Sell the groups in that order, stopping at
+    the first group with a member adjacent to an earlier group. This is
+    greedy exactly: values only fall (weights are >= 1), so a group with no
+    neighbour in an earlier group still holds its value when its turn comes,
+    while every other unsold node is in a later group or at or below the
+    threshold. Each sold group is therefore the next argmax set, and the first
+    group, never blocked, makes every scan sell at least one round. The run
+    is settled once, from the rows the adjacency test gathered.
+
+    The batch size depends only on what earlier scans of this call sold:
+    ``want`` starts at 2, doubles when a scan sells every candidate, and is
+    otherwise twice the nodes sold. A scan that sells a single round is
+    followed by plain rounds (a max over the values plus one
+    ``Market.sale``): one after the first such scan, then 2, 4, ... while
+    scans keep selling one round, so a graph whose scans keep blocking (dense
+    graphs) wastes few of them. When the top value's ties fill the batch,
+    the scan sells nothing, ``want`` doubles and one plain round sells the
+    ties. Owners read -1, so the max turns negative once everyone owns.
     """
     market = Market(instance)
     rounds = []
-    while (price := int(market.values.max())) >= 0:
+    want, pause, plain = 2, 1, 0
+    while True:
+        if plain:
+            plain -= 1
+        else:
+            run, scanned = _sell_run(market, min(want, instance.node_count))
+            if run:
+                rounds += run
+                sold = sum(len(r.buyers) for r in run)
+                want = 2 * want if sold == scanned else 2 * sold
+                if len(run) == 1:
+                    plain, pause = pause, 2 * pause
+                else:
+                    pause = 1
+                continue
+            want *= 2
+        price = int(market.values.max())
+        if price < 0:
+            break
         rounds.append(market.sale(price))
     return market.trace(rounds)
 

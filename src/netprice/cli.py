@@ -11,6 +11,7 @@ single-instance subcommand with the row's seed.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -402,7 +403,11 @@ def run_cli(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run_cli(sys.argv[1:]))
+    status = run_cli(sys.argv[1:])
+    # the interpreter's last cyclic collections would walk numpy's ~22k tracked
+    # objects, about 25 ms of every command, to free what exit frees anyway
+    gc.freeze()
+    sys.exit(status)
 
 
 if __name__ == "__main__":

@@ -274,7 +274,7 @@ class PncInstance:
                 u, v = pair
             except (TypeError, ValueError):
                 raise ValueError(f"pairs[{idx}]: expected (u, v), got {pair!r}") from None
-            edges.append((u, v, 1))
+            edges.append((_as_int(u, f"pairs[{idx}]: endpoint"), _as_int(v, f"pairs[{idx}]: endpoint"), 1))
         return cls.from_edges(node_count, edges, intrinsic)
 
     @property

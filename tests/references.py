@@ -65,6 +65,25 @@ def rescan_simulate(instance, prices):
     return SaleTrace(tuple(rounds), frozenset(remaining), total)
 
 
+def rescan_greedy(instance):
+    """Greedy iterative prices by a full scan of the remaining consumers per
+    round: post the highest current value, sell everyone at it."""
+    values = list(instance.initial_values)
+    remaining = set(range(instance.node_count))
+    adj = adjacency(instance.graph)
+    prices = []
+    while remaining:
+        price = max(values[i] for i in remaining)
+        prices.append(price)
+        buyers = [i for i in remaining if values[i] == price]
+        remaining.difference_update(buyers)
+        for buyer in buyers:
+            for neighbor, weight in adj[buyer]:
+                if neighbor in remaining:
+                    values[neighbor] -= weight
+    return tuple(prices)
+
+
 def heap_greedy(instance):
     """Greedy iterative prices from a lazy max-heap of current values.
 

@@ -5,6 +5,7 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netprice import (
     PncInstance,
@@ -27,7 +28,7 @@ from netprice import (
     simulate,
     split_dp,
 )
-from references import adjacency, naive_opt, weighted_instances
+from references import heap_greedy, naive_opt, rescan_greedy, rescan_simulate, weighted_instances
 
 
 def _random_instance(rng, max_n=12, max_w=5, max_nu=3):
@@ -53,28 +54,50 @@ def test_greedy_on_star():
 
 
 def test_greedy_matches_rescan_reference():
-    # Reference implementation: argmax by full scan each round. The heap
-    # version must produce the identical price sequence.
-    def slow_greedy(inst):
-        values = list(inst.initial_values)
-        remaining = set(range(inst.node_count))
-        adj = adjacency(inst.graph)
-        prices = []
-        while remaining:
-            price = max(values[i] for i in remaining)
-            prices.append(price)
-            buyers = [i for i in remaining if values[i] == price]
-            remaining.difference_update(buyers)
-            for b in buyers:
-                for u, w in adj[b]:
-                    if u in remaining:
-                        values[u] -= w
-        return tuple(prices)
-
     rng = random.Random(314)
     for _ in range(150):
         inst = _random_instance(rng)
-        assert greedy_iterative(inst).prices == slow_greedy(inst)
+        assert greedy_iterative(inst).prices == rescan_greedy(inst)
+
+
+@st.composite
+def tie_heavy_instances(draw):
+    """Up to 60 nodes, up to 6n edges of weight 1-3 and intrinsic values 0-3,
+    so values tie often; every number times 2**63 in some draws, which makes
+    the values an object array."""
+    n = draw(st.integers(1, 60))
+    node = st.integers(0, n - 1)
+    drawn = draw(st.lists(st.tuples(node, node, st.integers(1, 3)), max_size=6 * n))
+    scale = draw(st.sampled_from([1, 2**63]))
+    edges = {(min(u, v), max(u, v)): w * scale for u, v, w in drawn if u != v}
+    nu = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    return PncInstance.from_edges(n, [(u, v, w) for (u, v), w in edges.items()], [x * scale for x in nu])
+
+
+@settings(max_examples=300, deadline=None)
+@given(tie_heavy_instances())
+def test_batched_greedy_matches_rescan_references(inst):
+    # each scan sells a run of rounds; every one must be the rescan's round
+    trace = greedy_iterative(inst)
+    assert trace == rescan_simulate(inst, trace.prices)
+    assert trace.prices == rescan_greedy(inst)
+
+
+def test_greedy_on_sparse_weighted_matches_heap_reference():
+    # distinct values, about one buyer per round: the scans sell long runs
+    rng = random.Random(2000)
+    n = 2000
+    pairs = set()
+    while len(pairs) < 3 * n:
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u != v:
+            pairs.add((min(u, v), max(u, v)))
+    edges = [(u, v, rng.randint(1, 10**6)) for u, v in sorted(pairs)]
+    inst = PncInstance.from_edges(n, edges, [rng.randint(1, 10**6) for _ in range(n)])
+    trace = greedy_iterative(inst)
+    assert trace.prices == heap_greedy(inst)
+    assert trace == simulate(inst, trace.prices)
+    assert len(trace.rounds) > n * 9 // 10
 
 
 def test_greedy_lower_bound_and_two_approx():

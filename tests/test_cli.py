@@ -2,9 +2,14 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import netprice
 from netprice import dumps_instance, gen_er, gen_forest, gen_spider, gen_split, loads_instance
 from netprice.cli import (
     EXPERIMENTS,
@@ -206,6 +211,26 @@ def test_greedy_json_bytes_are_pinned(tmp_path, capsys):
         '{"price": 2, "buyers": [3], "revenue": 2}, {"price": 0, "buyers": [0, 5], "revenue": 0}], '
         '"total_revenue": 36, "unsold": []}\n'
     )
+
+
+def _cli_process(*argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(netprice.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-m", "netprice.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+def test_cli_process_output_is_whole(tmp_path, capsys):
+    # main() freezes the cyclic collector before exit; a piped process must
+    # still write all of its output, and its errors as one line
+    path = _write(tmp_path, "er.json", dumps_instance(gen_er(300, 0.1, seed=4)))
+    done = _cli_process("greedy", path, "--json")
+    assert (done.returncode, done.stderr) == (0, "")
+    assert run_cli(["greedy", path, "--json"]) == 0
+    assert done.stdout == capsys.readouterr().out
+    assert json.loads(done.stdout)["total_revenue"] > 0
+    bad = _cli_process("greedy", _write(tmp_path, "bad.json", "not json at all\n"), "--json")
+    assert (bad.returncode, bad.stdout) == (1, "")
+    assert bad.stderr.startswith("error: ") and bad.stderr.count("\n") == 1
 
 
 def test_oracle_json_and_budget(tmp_path, capsys):

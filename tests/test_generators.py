@@ -323,6 +323,8 @@ _FORMULA = ((1, 2, 3), (-1, -2, 3), (1, -2, -3))
     (lambda: PncInstance.unweighted(3, 5), ValueError, "pairs must be a sequence, got 5"),
     (lambda: PncInstance.unweighted(3, [5]), ValueError, "pairs[0]: expected (u, v), got 5"),
     (lambda: PncInstance.unweighted(3, [(0, 1, 2)]), ValueError, "pairs[0]: expected (u, v), got (0, 1, 2)"),
+    (lambda: PncInstance.unweighted(3, [(0, 1), "ab"]), ValueError, "pairs[1]: endpoint must be an integer, got 'a'"),
+    (lambda: PncInstance.unweighted(3, [(0, 1.5)]), ValueError, "pairs[0]: endpoint must be an integer, got 1.5"),
     (lambda: PncInstance(WeightedGraph(3, []), None), ValueError, "intrinsic must be a sequence, got None"),
     (lambda: generate("er", None), ValueError, "params must be a dict, got None"),
     (lambda: experiment_tasks("forest_ratio", 5, 2, 0), ValueError, "params must be a dict, got 5"),
@@ -335,6 +337,7 @@ _FORMULA = ((1, 2, 3), (-1, -2, 3), (1, -2, -3))
 ], ids=["er-seed", "forest-seed", "generate-seed", "master-seed", "prices", "simulate-prices",
         "irredundant-prices", "graph-edges", "graph-edges-none", "from-edges-intrinsic",
         "unweighted-pairs", "unweighted-pair", "unweighted-triple",
+        "unweighted-endpoint", "unweighted-second-endpoint",
         "instance-intrinsic", "generate-params", "experiment-params", "formula-clauses",
         "formula-clause", "satisfying-assignment", "assignment-pricing"])
 def test_seeds_and_sequences_are_checked(call, error, message):
