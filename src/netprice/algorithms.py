@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -116,26 +117,24 @@ def greedy_iterative(instance: PncInstance) -> SaleTrace:
     return market.trace(rounds)
 
 
-def best_single_price(instance: PncInstance) -> SaleTrace:
-    """Best revenue from posting one price, over all initial total values.
+def _best_single(values: Iterable[int]) -> tuple[int, int]:
+    """The single price that earns most from consumers valued at ``values``,
+    and its revenue: everyone valued at or above the price buys. Only the
+    values themselves can be optimal (any other price can be raised to the
+    next value below it without losing a buyer). Ties break toward the
+    higher price."""
+    ranked = sorted(values, reverse=True)
+    # a run of tied prices earns most at its last place; an earlier place
+    # of equal revenue is a higher price, or everyone is valued at 0
+    revenues = [price * count for count, price in enumerate(ranked, start=1)]
+    best = revenues.index(max(revenues))
+    return ranked[best], revenues[best]
 
-    Only initial total values can be optimal single prices (any other price
-    can be raised to the next value below it without losing a buyer). Ties
-    break toward the higher price.
-    """
-    values = sorted(instance.initial_values, reverse=True)
-    best_price = values[0]
-    best_revenue = -1
-    index = 0
-    while index < len(values):
-        price = values[index]
-        while index < len(values) and values[index] == price:
-            index += 1
-        revenue = price * index  # every consumer valued at >= price buys
-        if revenue > best_revenue:
-            best_revenue = revenue
-            best_price = price
-    return simulate(instance, (best_price,))
+
+def best_single_price(instance: PncInstance) -> SaleTrace:
+    """Best revenue from posting one price, over all initial total values,
+    as ``_best_single`` finds it."""
+    return simulate(instance, (_best_single(instance.initial_values)[0],))
 
 
 def _require_forest(graph: WeightedGraph) -> None:
@@ -311,11 +310,12 @@ def min_degree_independent(graph: WeightedGraph) -> bool:
 
 
 def degree_bound(instance: PncInstance) -> int:
-    """max_i i * d_i over the nonincreasing degree sequence (1-based).
+    """max_i i * d_i over the nonincreasing degree sequence (1-based): the
+    best single price's revenue over degrees, which on an unweighted
+    instance with no intrinsic value are the initial values.
 
     A bound witness: posting d_i alone sells at least i copies. The optimum
     is at most (1 + ln n) times this value on unweighted instances.
     """
     _require_plain(instance, "degree_bound")
-    ranked = sorted(instance.graph.degrees, reverse=True)
-    return max(rank * d for rank, d in enumerate(ranked, start=1))
+    return _best_single(instance.graph.degrees)[1]

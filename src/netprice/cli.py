@@ -11,7 +11,6 @@ single-instance subcommand with the row's seed.
 from __future__ import annotations
 
 import argparse
-import gc
 import json
 import math
 import os
@@ -36,7 +35,7 @@ from .algorithms import (
     min_degree_independent,
     split_dp,
 )
-from .core import PncInstance, SaleTrace, _as_int, dumps_instance, load_instance, loads_instance
+from .core import PncInstance, SaleTrace, _as_int, _check_params, dumps_instance, load_instance, loads_instance
 from .engine import simulate
 from .generators import FAMILIES, gen_ba, gen_er, gen_forest, generate
 from .oracle import STATE_BUDGET, OracleBudgetError, exact_opt
@@ -134,11 +133,7 @@ def experiment_tasks(name: str, params: dict, trials: int, master_seed: int) -> 
         raise ValueError("trials must be at least 1")
     if _as_int(master_seed, "master_seed") < 0:
         raise ValueError(f"master_seed must be nonnegative, got {master_seed}")
-    if not isinstance(params, dict):
-        raise ValueError(f"params must be a dict, got {params!r}")
-    unknown = [key for key in params if key not in experiment.defaults]
-    if unknown:
-        raise ValueError(f"experiment {name!r} takes no parameter {', '.join(map(repr, unknown))}")
+    _check_params(f"experiment {name!r}", params, experiment.defaults)
     params = {**experiment.defaults, **params}
     grid = [params]
     if "n_min" in params:  # a size sweep: every n in [n_min, n_max], trials per size
@@ -404,10 +399,17 @@ def run_cli(argv: list[str] | None = None) -> int:
 
 def main() -> None:
     status = run_cli(sys.argv[1:])
-    # the interpreter's last cyclic collections would walk numpy's ~22k tracked
-    # objects, about 25 ms of every command, to free what exit frees anyway
-    gc.freeze()
-    sys.exit(status)
+    # Exit without the interpreter's teardown, whose collections walk numpy's
+    # objects to free what exit frees anyway: every file is closed by its
+    # ``with`` and every pool shut down, so only the standard streams remain.
+    try:
+        sys.stdout.flush()
+    except OSError as exc:  # the reader went away (BrokenPipeError)
+        if status == 0:  # a failed write inside the command said so already
+            print(f"error: {exc}", file=sys.stderr)
+        status = 1
+    sys.stderr.flush()
+    os._exit(status)
 
 
 if __name__ == "__main__":

@@ -55,6 +55,20 @@ def _as_tuple(value: object, what: str, error: type[ValueError] = ValueError) ->
     return tuple(items)
 
 
+def _check_params(owner: str, params: object, table: dict) -> None:
+    """Raise ValueError unless ``params`` is a dict of names in ``table`` and
+    gives every name that ``table`` maps to a type (one without a default);
+    ``owner`` (``family 'er'``, say) heads the messages."""
+    if not isinstance(params, dict):
+        raise ValueError(f"params must be a dict, got {params!r}")
+    unknown = [name for name in params if name not in table]
+    if unknown:
+        raise ValueError(f"{owner} takes no parameter {', '.join(map(repr, unknown))}")
+    for name, default in table.items():
+        if isinstance(default, type) and name not in params:
+            raise ValueError(f"{owner} needs parameter {name!r}")
+
+
 def _read_only(array: np.ndarray) -> np.ndarray:
     array.setflags(write=False)
     return array
@@ -318,17 +332,6 @@ class SaleTrace:
     @property
     def prices(self) -> PriceSequence:
         return tuple(r.price for r in self.rounds)
-
-    @property
-    def buyers_by_round(self) -> tuple[frozenset[int], ...]:
-        return tuple(r.buyers for r in self.rounds)
-
-    @property
-    def all_buyers(self) -> frozenset[int]:
-        out: set[int] = set()
-        for r in self.rounds:
-            out |= r.buyers
-        return frozenset(out)
 
 
 def validate_prices(prices: Sequence[int]) -> PriceSequence:

@@ -6,11 +6,14 @@ of the round) against the posted price, and buys iff value >= price. All
 purchases in a round happen simultaneously; the value drops they cause are
 visible from the next round on. A price of 0 sells to every remaining
 consumer and contributes no revenue. A round costs O(n) vectorised work plus
-the buyers' CSR rows (``Market.sale``).
+the buyers' CSR rows (``Market.sale``). The graph's CSR is read on the first
+settle, and ``simulate``'s last round only marks its buyers as owners: no
+later round reads a value, so a single price never builds the CSR.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -28,9 +31,20 @@ class Market:
         self.values = instance.value_array.copy()
         # no price above this sells, and every price compared is within the dtype
         self.top = int(self.values.max())
-        self.indptr, self.indices = instance.graph.indptr, instance.graph.indices
+        self.graph = instance.graph
+
+    @cached_property
+    def indptr(self) -> np.ndarray:
+        return self.graph.indptr
+
+    @cached_property
+    def indices(self) -> np.ndarray:
+        return self.graph.indices
+
+    @cached_property
+    def weights(self) -> np.ndarray:
         # a weight is at most its endpoints' initial values, so it fits the dtype
-        self.weights = instance.graph.weights.astype(self.values.dtype, copy=False)
+        return self.graph.weights.astype(self.values.dtype, copy=False)
 
     def bidders(self, price: int) -> np.ndarray:
         """Who buys at ``price`` >= 0, in increasing order: one O(n) numpy scan."""
@@ -63,10 +77,13 @@ class Market:
         # exact in either dtype, and a neighbour of several buyers drops once per buyer
         np.subtract.at(self.values, neighbours[still], self.weights[rows][still])
 
-    def sale(self, price: int) -> SaleRound:
-        """One round at ``price``, as the round's record."""
+    def sale(self, price: int, last: bool = False) -> SaleRound:
+        """One round at ``price``, as the round's record. The ``last`` round
+        of a process only marks its buyers as owners."""
         buyers = self.bidders(price)
-        if len(buyers):
+        if last:
+            self.values[buyers] = -1
+        elif len(buyers):
             self.settle(buyers)
         buyers = buyers.tolist()
         return SaleRound(price, frozenset(buyers), price * len(buyers))
@@ -81,7 +98,8 @@ def simulate(instance: PncInstance, prices: Sequence[int]) -> SaleTrace:
     """Run the selling process for ``prices`` and return the full trace."""
     prices = validate_prices(prices)
     market = Market(instance)
-    return market.trace([market.sale(price) for price in prices])
+    last = len(prices) - 1
+    return market.trace([market.sale(price, index == last) for index, price in enumerate(prices)])
 
 
 def make_irredundant(instance: PncInstance, prices: Sequence[int]) -> PriceSequence:

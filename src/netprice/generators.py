@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import PncInstance, _as_int, _as_real
+from .core import PncInstance, _as_int, _as_real, _check_params
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -72,6 +72,41 @@ def gen_er(n: int, eta: float, seed: int) -> PncInstance:
     return PncInstance.from_edges(n, _unit_edges(us, vs))
 
 
+# 64-bit words _below reads from the bit generator at a time
+_RAW_BLOCK = 1 << 12
+
+
+def _below(rng: np.random.Generator) -> Callable[[int], int]:
+    """A function ``below(k)`` that draws the ints that successive
+    ``rng.integers(0, k)`` calls would, for 2 <= k < 2**32, without a numpy
+    call per draw.
+
+    For such a range numpy runs Lemire's method on 32-bit outputs, which
+    PCG64 supplies as the low half, then the high half, of each 64-bit word:
+    ``m = output * k`` is accepted unless its low 32 bits are below
+    ``2**32 mod k``, and the draw is ``m >> 32``. Here the words are read
+    in blocks and the method is redone on Python ints. The stream matches
+    only while nothing else draws from ``rng``.
+    """
+    def outputs():
+        while True:
+            for word in rng.bit_generator.random_raw(_RAW_BLOCK).tolist():
+                yield word & 0xFFFFFFFF
+                yield word >> 32
+
+    stream = outputs()
+
+    def below(k: int) -> int:
+        m = next(stream) * k
+        if m & 0xFFFFFFFF < k:  # k bounds the rejection threshold
+            threshold = (1 << 32) % k
+            while m & 0xFFFFFFFF < threshold:
+                m = next(stream) * k
+        return m >> 32
+
+    return below
+
+
 def gen_ba(n: int, beta: int, seed: int) -> PncInstance:
     """Preferential attachment starting from a complete graph on beta nodes.
 
@@ -86,7 +121,7 @@ def gen_ba(n: int, beta: int, seed: int) -> PncInstance:
         raise ValueError(f"gen_ba needs n > beta, got n={n}, beta={beta}")
     edge_count = math.comb(beta, 2) + beta * (n - beta)
     _check_size(edge_count, f"gen_ba({n}, {beta})")
-    rng = _rng(seed)
+    below = _below(_rng(seed))
     # Entries 2e and 2e + 1 are edge e's ends, in the order the edges are
     # made: one entry per edge endpoint, so a uniform pick among the entries
     # made so far is degree-proportional.
@@ -101,7 +136,7 @@ def gen_ba(n: int, beta: int, seed: int) -> PncInstance:
     for arrival in range(beta + 1, n):
         chosen = set()
         while len(chosen) < beta:
-            chosen.add(entry[rng.integers(0, made)])
+            chosen.add(entry[below(made)])
         ends[made:made + 2 * beta:2], ends[made + 1:made + 2 * beta:2] = sorted(chosen), arrival
         made += 2 * beta
     return PncInstance.from_edges(n, _unit_edges([ends[0::2]], [ends[1::2]]))
@@ -317,12 +352,5 @@ def generate(family: str, params: dict, seed: int = 0) -> PncInstance:
     spec = FAMILIES.get(family)
     if spec is None:
         raise ValueError(f"unknown family {family!r}")
-    if not isinstance(params, dict):
-        raise ValueError(f"params must be a dict, got {params!r}")
-    unknown = [name for name in params if name not in spec.params]
-    if unknown:
-        raise ValueError(f"family {family!r} takes no parameter {', '.join(map(repr, unknown))}")
-    for name, default in spec.params.items():
-        if isinstance(default, type) and name not in params:
-            raise ValueError(f"family {family!r} needs parameter {name!r}")
+    _check_params(f"family {family!r}", params, spec.params)
     return spec.build(*(params.get(name, default) for name, default in spec.params.items()), seed)

@@ -7,9 +7,11 @@ round at a consumer's current value. ``exact_opt`` searches exactly that
 space, depth first with the highest price tried first, so its first descent
 is the greedy sequence. A residual set's revenue is at most the sum of its
 current values, since nobody pays more than their current value; a set whose
-bound cannot beat what the caller already holds is not expanded. Each memo
-entry is either the set's exact optimum or an upper bound on it, as in
-alpha-beta search with a transposition table.
+bound cannot beat what the caller already holds is not expanded. The root
+already holds the best single price's revenue (the incumbent), so that
+pruning starts with the first descent. Each memo entry is either the set's
+exact optimum or an upper bound on it, as in alpha-beta search with a
+transposition table.
 
 A set's bound is ``bound(S) = sum of intrinsic values over S + 2 w(E[S])``,
 so when buyers ``B`` with current values ``v`` leave ``S``,
@@ -28,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algorithms import best_single_price, greedy_iterative
+from .algorithms import _best_single, greedy_iterative
 from .core import PncInstance, PriceSequence, _as_int
 from .engine import simulate
 
@@ -47,9 +49,9 @@ STATE_BUDGET = 1_000_000
 class OracleBudgetError(RuntimeError):
     """Raised when the memo table would exceed the state budget.
 
-    ``lower`` (the better of greedy's and the best single price's revenue)
-    and ``upper`` (the sum of initial values) bracket the optimum the search
-    could not finish.
+    ``lower`` (the better of greedy's revenue and the search's incumbent,
+    the best single price's) and ``upper`` (the sum of initial values)
+    bracket the optimum the search could not finish.
     """
 
     def __init__(self, states_explored: int, lower: int, upper: int):
@@ -79,8 +81,11 @@ def exact_opt(instance: PncInstance, state_budget: int = STATE_BUDGET) -> Oracle
 
     Branch-and-bound, memoized on the residual consumer set (as a bitmask),
     visiting only sets reachable by posting some current total value as the
-    price. ``states_explored`` counts the distinct sets visited, and
-    ``bound_prunes`` those of them settled by their bound on first visit.
+    price. The search starts from the best single price's revenue as the
+    incumbent, so from the root on no set whose bound cannot beat it is
+    expanded; the first descent is still greedy's. ``states_explored``
+    counts the distinct sets visited, and ``bound_prunes`` those of them
+    settled by their bound on first visit.
     Raises OracleBudgetError, carrying a lower and an upper bound on the
     optimum, if more than ``state_budget`` residual sets are explored, and
     ValueError if ``state_budget`` is not a positive integer or
@@ -145,7 +150,7 @@ def exact_opt(instance: PncInstance, state_budget: int = STATE_BUDGET) -> Oracle
                 hit = memo.get(rest)
                 if hit is None:
                     if len(memo) >= state_budget:
-                        lower = max(greedy_iterative(instance).revenue, best_single_price(instance).revenue)
+                        lower = max(greedy_iterative(instance).revenue, incumbent)
                         raise OracleBudgetError(len(memo), lower, top)
                     if rest_bound <= rest_need:
                         hit = memo[rest] = (rest_bound, False, 0, 0)
@@ -164,7 +169,9 @@ def exact_opt(instance: PncInstance, state_budget: int = STATE_BUDGET) -> Oracle
 
     top = sum(instance.initial_values)  # the full set's bound
     start = [(value, node) for node, value in enumerate(instance.initial_values)]
-    revenue = solve(start, full, top, -1)  # every optimum is >= 0, so the root's entry is exact
+    incumbent = _best_single(instance.initial_values)[1]
+    # every optimum is at least the incumbent, so the root's entry is exact
+    revenue = solve(start, full, top, incumbent - 1)
 
     prices = []
     mask = full

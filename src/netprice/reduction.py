@@ -370,14 +370,13 @@ def _run_check(
     expected_sold: Sequence[tuple[str, int, bool]],
 ) -> GadgetCheck:
     trace = simulate(artifact.instance, tuple(prices))
-    sold = trace.all_buyers
     return GadgetCheck(
         gadget=gadget,
         prices=tuple(prices),
         expected_revenue=expected_revenue,
         observed_revenue=_gadget_revenue(trace, members),
         expected_sold=tuple((label, want) for label, _, want in expected_sold),
-        observed_sold=tuple((label, node in sold) for label, node, _ in expected_sold),
+        observed_sold=tuple((label, node not in trace.residual) for label, node, _ in expected_sold),
     )
 
 

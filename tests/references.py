@@ -2,8 +2,9 @@
 the small weighted instances that brute force can solve, the brute-force
 optimum that certifies the oracle, the ``json.loads`` instance loader the
 edge-list reader is checked against, the forest-count recurrence the
-closed form is checked against, and the one-draw Erdős–Rényi generator the
-row-block one is checked against.
+closed form is checked against, the one-draw Erdős–Rényi generator the
+row-block one is checked against, and the one-``integers``-call-per-pick
+preferential attachment generator the block-read one is checked against.
 
 The engine and oracle references read only ``graph.edges``,
 ``instance.intrinsic`` and ``instance.initial_values`` and keep every number
@@ -161,6 +162,29 @@ def triu_gen_er(n, eta, seed):
     us, vs = np.triu_indices(n, k=1)
     keep = rng.random(len(us)) < eta
     return PncInstance.from_edges(n, np.column_stack((us[keep], vs[keep], np.ones(keep.sum(), np.int64))))
+
+
+def scalar_gen_ba(n, beta, seed):
+    """Preferential attachment built edge by edge, one ``rng.integers`` call
+    per pick among the edge ends made so far."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    edges = []
+    targets = []
+    for i in range(beta):
+        for j in range(i + 1, beta):
+            edges.append((i, j, 1))
+            targets += [i, j]
+    for arrival in range(beta, n):
+        if arrival == beta:
+            chosen = set(range(beta))
+        else:
+            chosen = set()
+            while len(chosen) < beta:
+                chosen.add(targets[int(rng.integers(0, len(targets)))])
+        for node in sorted(chosen):
+            edges.append((node, arrival, 1))
+            targets += [node, arrival]
+    return PncInstance.from_edges(n, edges)
 
 
 def naive_opt(instance):

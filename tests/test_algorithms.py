@@ -12,6 +12,7 @@ from netprice import (
     ba_single_price,
     best_single_price,
     degree_bound,
+    dumps_instance,
     er_single_price,
     exact_opt,
     forest_single_price,
@@ -22,6 +23,7 @@ from netprice import (
     gen_spider,
     gen_split,
     greedy_iterative,
+    loads_instance,
     min_degree_independent,
     normalize,
     recognize_split,
@@ -278,6 +280,27 @@ def test_degree_bound():
         inst = gen_er(3 + seed % 10, 0.5, seed)
         opt = exact_opt(inst).revenue
         assert opt <= (1 + math.log(inst.node_count)) * degree_bound(inst)
+    # with unit weights and no intrinsic value the degrees are the initial
+    # values, so the bound is the best single price's revenue
+    instances = [gen_spider(k) for k in range(1, 6)]
+    for seed in range(4):
+        instances += [gen_er(40, 0.2, seed), gen_ba(60, 1 + seed, seed), gen_forest(50, 1 + seed, seed),
+                      gen_split(30, 0.3, 0.5, seed)]
+    for inst in instances:
+        ranked = sorted(inst.graph.degrees, reverse=True)
+        bound = max(rank * d for rank, d in enumerate(ranked, start=1))
+        assert degree_bound(inst) == bound == best_single_price(inst).revenue
+
+
+def test_single_prices_build_no_csr():
+    # simulate's last round only marks its buyers as owners, so a strategy
+    # that posts one price never builds the graph's CSR rows
+    for strategy, instance in ((best_single_price, gen_er(300, 0.1, 2)),
+                               (forest_single_price, gen_forest(200, 3, 1))):
+        fresh = loads_instance(dumps_instance(instance))
+        trace = strategy(fresh)
+        assert "_rows" not in fresh.graph.__dict__
+        assert trace == rescan_simulate(fresh, trace.prices)
 
 
 def test_min_degree_independent():
@@ -314,7 +337,7 @@ def test_results_hold_only_python_ints():
             assert type(sale.price) is int and type(sale.revenue) is int
             assert _only_python_ints(sale.buyers)
     trace = simulate(weighted, (9, 3, 3, 0))
-    assert trace.residual == frozenset() and _only_python_ints(trace.all_buyers)
+    assert trace.residual == frozenset() and all(_only_python_ints(sale.buyers) for sale in trace.rounds)
     assert _only_python_ints(normalize(weighted, (9, 3, 3, 0)))
     graph = weighted.graph
     for view in (graph.degrees, graph.weighted_degrees, weighted.initial_values, *graph.edges):

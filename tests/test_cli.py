@@ -213,15 +213,22 @@ def test_greedy_json_bytes_are_pinned(tmp_path, capsys):
     )
 
 
-def _cli_process(*argv):
+def _cli_env():
+    # block-buffered stdout, as a user's shell pipeline has it
     env = dict(os.environ, PYTHONPATH=str(Path(netprice.__file__).parents[1]))
-    return subprocess.run([sys.executable, "-m", "netprice.cli", *argv], env=env,
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+def _cli_process(*argv):
+    return subprocess.run([sys.executable, "-m", "netprice.cli", *argv], env=_cli_env(),
                           capture_output=True, text=True, timeout=60)
 
 
 def test_cli_process_output_is_whole(tmp_path, capsys):
-    # main() freezes the cyclic collector before exit; a piped process must
-    # still write all of its output, and its errors as one line
+    # main() flushes and leaves by os._exit, skipping the interpreter's
+    # teardown; a piped process must still write all of its output, and its
+    # errors as one line
     path = _write(tmp_path, "er.json", dumps_instance(gen_er(300, 0.1, seed=4)))
     done = _cli_process("greedy", path, "--json")
     assert (done.returncode, done.stderr) == (0, "")
@@ -231,6 +238,24 @@ def test_cli_process_output_is_whole(tmp_path, capsys):
     bad = _cli_process("greedy", _write(tmp_path, "bad.json", "not json at all\n"), "--json")
     assert (bad.returncode, bad.stdout) == (1, "")
     assert bad.stderr.startswith("error: ") and bad.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["greedy", "path3.json", "--json"],  # fits the buffer: main()'s flush fails
+    ["gen", "--family", "ba", "--n", "20000", "--beta", "1"],  # a write inside the command fails
+])
+def test_cli_process_with_its_reader_gone(tmp_path, argv):
+    text = '{"n":3,"edges":[[0,1,1],[1,2,1]],"nu":[0,0,0]}\n'
+    _write(tmp_path, "path3.json", text)
+    child = subprocess.Popen([sys.executable, "-m", "netprice.cli", *argv], cwd=tmp_path, env=_cli_env(),
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    child.stdout.close()  # long before the child, still importing numpy, writes
+    try:
+        assert child.wait(timeout=60) == 1
+        assert child.stderr.read() == "error: [Errno 32] Broken pipe\n"
+    finally:
+        child.kill()
+        child.stderr.close()
 
 
 def test_oracle_json_and_budget(tmp_path, capsys):

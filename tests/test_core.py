@@ -210,8 +210,6 @@ def test_trace_views():
     )
     trace = SaleTrace(rounds, frozenset(), 5)
     assert trace.prices == (3, 1)
-    assert trace.buyers_by_round == (frozenset({1}), frozenset({0, 2}))
-    assert trace.all_buyers == frozenset({0, 1, 2})
 
 
 def test_dumps_is_canonical():

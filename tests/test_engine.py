@@ -23,6 +23,10 @@ from netprice.engine import Market
 from references import heap_greedy, rescan_simulate
 
 
+def _buyers(trace):
+    return tuple(sale.buyers for sale in trace.rounds)
+
+
 def path3():
     return PncInstance.unweighted(3, [(0, 1), (1, 2)])
 
@@ -30,7 +34,7 @@ def path3():
 def test_path3_two_prices():
     trace = simulate(path3(), (2, 1))
     assert trace.prices == (2, 1)
-    assert trace.buyers_by_round == (frozenset({1}), frozenset())
+    assert _buyers(trace) == (frozenset({1}), frozenset())
     assert [r.revenue for r in trace.rounds] == [2, 0]
     assert trace.revenue == 2
     assert trace.residual == frozenset({0, 2})
@@ -41,7 +45,7 @@ def test_round_is_simultaneous():
     # price of 2 sells to all of them; the drops they cause land too late.
     triangle = PncInstance.unweighted(3, [(0, 1), (1, 2), (0, 2)])
     trace = simulate(triangle, (2,))
-    assert trace.buyers_by_round == (frozenset({0, 1, 2}),)
+    assert _buyers(trace) == (frozenset({0, 1, 2}),)
     assert trace.revenue == 6
 
 
@@ -49,15 +53,15 @@ def test_drops_visible_next_round():
     trace = simulate(path3(), (2, 1, 0))
     # After the middle node buys at 2 the endpoints are worth 0: price 1
     # sells nothing, price 0 clears the market for free.
-    assert trace.buyers_by_round[1] == frozenset()
-    assert trace.buyers_by_round[2] == frozenset({0, 2})
+    assert _buyers(trace)[1] == frozenset()
+    assert _buyers(trace)[2] == frozenset({0, 2})
     assert trace.revenue == 2
     assert trace.residual == frozenset()
 
 
 def test_price_zero_sells_to_everyone():
     trace = simulate(path3(), (0,))
-    assert trace.buyers_by_round == (frozenset({0, 1, 2}),)
+    assert _buyers(trace) == (frozenset({0, 1, 2}),)
     assert trace.revenue == 0
 
 
@@ -82,7 +86,7 @@ def test_weighted_and_intrinsic():
     inst = PncInstance.from_edges(3, [(0, 1, 4), (1, 2, 2)], (0, 1, 3))
     assert inst.initial_values == (4, 7, 5)
     trace = simulate(inst, (7, 5, 1))
-    assert trace.buyers_by_round == (
+    assert _buyers(trace) == (
         frozenset({1}),
         frozenset(),
         frozenset({2}),  # dropped from 5 to 3 when the middle node left
@@ -95,7 +99,7 @@ def test_empty_and_unsorted_sequences():
     assert simulate(path3(), ()).revenue == 0
     # Prices may rise; a higher later price just sells to nobody new.
     trace = simulate(path3(), (1, 5))
-    assert trace.buyers_by_round == (frozenset({0, 1, 2}), frozenset())
+    assert _buyers(trace) == (frozenset({0, 1, 2}), frozenset())
 
 
 def _random_instance(rng, max_n=10):
@@ -125,7 +129,7 @@ def test_make_irredundant_preserves_sales():
         after = simulate(inst, pruned)
         assert all(p > q for p, q in zip(pruned, pruned[1:]))
         assert after.revenue == before.revenue
-        assert after.all_buyers == before.all_buyers
+        assert after.residual == before.residual
         assert all(r.buyers for r in after.rounds)
 
 
@@ -138,7 +142,7 @@ def test_normalize_raises_revenue_keeps_partition():
         norm = normalize(inst, prices)
         result = simulate(inst, norm)
         assert result.revenue >= base.revenue
-        assert result.buyers_by_round == base.buyers_by_round
+        assert _buyers(result) == _buyers(base)
         # Each normalized price is its round's cheapest buyer value, so
         # normalizing again changes nothing.
         assert normalize(inst, norm) == norm
@@ -191,7 +195,7 @@ def test_shared_neighbour_exact_near_2_60():
     first = 2**61 + w1
     trace = simulate(inst, (first, 5))
     assert trace == rescan_simulate(inst, (first, 5))
-    assert trace.buyers_by_round == (frozenset({0, 1}), frozenset({2, 3}))
+    assert _buyers(trace) == (frozenset({0, 1}), frozenset({2, 3}))
     assert trace.revenue == 2 * first + 10
     assert normalize(inst, (first, 5)) == (first, 5)
     assert greedy_iterative(inst).prices == heap_greedy(inst)
@@ -221,6 +225,6 @@ def test_values_past_int64_use_python_ints():
 
 def test_price_past_int64_sells_nobody():
     trace = simulate(path3(), (2**63, 2**64 + 1, 1))
-    assert trace.buyers_by_round == (frozenset(), frozenset(), frozenset({0, 1, 2}))
+    assert _buyers(trace) == (frozenset(), frozenset(), frozenset({0, 1, 2}))
     assert trace.revenue == 3
     assert normalize(path3(), (2**63, 2)) == (2,)

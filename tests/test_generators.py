@@ -35,8 +35,8 @@ from netprice import (
 )
 from netprice import generators
 from netprice.cli import experiment_tasks, run_experiment
-from netprice.generators import _forest_count
-from references import forest_counts, triu_gen_er
+from netprice.generators import _below, _forest_count
+from references import forest_counts, scalar_gen_ba, triu_gen_er
 
 
 def _component_count(instance):
@@ -134,6 +134,20 @@ def test_ba_degree_beta_mass():
     assert 0.33 <= frac <= 0.47
 
 
+def test_below_draws_what_numpy_draws():
+    # _below redoes numpy's Lemire method on PCG64's 32-bit halves; any change
+    # in how numpy bounds integers shows here first. Near 2**31 + 2**30 about
+    # a quarter of the outputs are rejected, near 2**31 + 12,345 about half.
+    for seed in range(3):
+        below = _below(np.random.Generator(np.random.PCG64(seed)))
+        reference = np.random.Generator(np.random.PCG64(seed))
+        ranges = np.random.Generator(np.random.PCG64(100 + seed))
+        corners = [2, 3, 7, 65_537, 2**31, 2**31 + 12_345, 3 * 2**30 + 1, 2**32 - 1]
+        ks = corners * 50 + ranges.integers(2, 2**32, 20_000).tolist() + ranges.integers(2, 200, 20_000).tolist()
+        for k in ranges.permutation(ks).tolist():
+            assert below(k) == reference.integers(0, k), (seed, k)
+
+
 def test_ba_validation():
     with pytest.raises(ValueError, match="n > beta"):
         gen_ba(3, 3, seed=0)
@@ -215,31 +229,11 @@ def _list_example1(k):
     return PncInstance.from_edges(n, edges)
 
 
-def _list_ba(n, beta, seed):
-    rng = np.random.Generator(np.random.PCG64(seed))
-    edges = []
-    targets = []
-    for i in range(beta):
-        for j in range(i + 1, beta):
-            edges.append((i, j, 1))
-            targets += [i, j]
-    for arrival in range(beta, n):
-        if arrival == beta:
-            chosen = set(range(beta))
-        else:
-            chosen = set()
-            while len(chosen) < beta:
-                chosen.add(targets[int(rng.integers(0, len(targets)))])
-        for node in sorted(chosen):
-            edges.append((node, arrival, 1))
-            targets += [node, arrival]
-    return PncInstance.from_edges(n, edges)
-
-
 @pytest.mark.parametrize("build, reference, cases", [
     (gen_spider, _list_spider, [(k,) for k in range(1, 9)]),
     (gen_example1, _list_example1, [(k,) for k in range(2, 5)]),
-    (gen_ba, _list_ba, [(2, 1, 0), (9, 4, 3), (50, 3, 2), (600, 2, 5), (2000, 7, 1), (5000, 3, 9)]),
+    (gen_ba, scalar_gen_ba, [(2, 1, 0), (9, 4, 3), (50, 3, 2), (600, 2, 5), (2000, 7, 1), (5000, 3, 9)]
+     + [(n, beta, seed) for n, beta in [(3, 1), (300, 5), (2000, 2), (5000, 2)] for seed in range(3)]),
 ], ids=["spider", "example1", "ba"])
 def test_array_built_families_match_list_built_references(build, reference, cases):
     # The generators build their edges as arrays; the graphs must be the

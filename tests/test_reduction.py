@@ -199,10 +199,10 @@ def test_variable_gadget_standalone_revenue():
     assert gadget.initial_values == (6 * s, 2 * s, 10 * s, 10 * s, 6 * s)
     keep_x = simulate(gadget, (10 * s, 2 * s))
     assert keep_x.revenue == 24 * s
-    assert 0 not in keep_x.all_buyers and 1 in keep_x.all_buyers
+    assert 0 in keep_x.residual and 1 not in keep_x.residual
     sell_x = simulate(gadget, (6 * s,))
     assert sell_x.revenue == 24 * s
-    assert 0 in sell_x.all_buyers and 1 not in sell_x.all_buyers
+    assert 0 not in sell_x.residual and 1 in sell_x.residual
     # those two patterns are the standalone optimum
     assert exact_opt(gadget).revenue == 24 * s
 
@@ -297,7 +297,7 @@ def test_falsifying_assignment_loses_one_clause(sample):
     trace = simulate(sample.instance, assignment_pricing(sample, (False,) * 3))
     assert trace.revenue == SAMPLE_THRESHOLD - (2 * sample.clause_scale + 1)
     c1 = sample.clause_nodes[0][0]
-    assert c1 not in trace.all_buyers
+    assert c1 in trace.residual
 
 
 def test_clause_window_round(sample):
