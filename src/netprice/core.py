@@ -359,17 +359,47 @@ def validate_prices(prices: Sequence[int]) -> PriceSequence:
 # every value but "edges"; the edge list is read by numpy and never becomes
 # Python lists. Numbers past int64 stay exact (object arrays). A file the
 # readers turn down goes to json.loads, which only names the error.
+# load_instance runs the same readers on the file's bytes; only to name an
+# error does it decode the whole file, as text mode reads it (UTF-8, with
+# "\r\n" and "\r" read as "\n").
 #
 # Both directions run through an edge list in blocks of a fixed size, so a
 # large instance passes through cache-sized temporaries rather than fresh
 # whole-list arrays: touching a fresh page costs about 2 ms per MiB on a
 # 2-vCPU host, more than parsing the bytes on it. A small file is one block.
+# Neither direction handles one number at a time: the writer lays a block out
+# as a matrix of digit bytes, one row per edge, and the reader finds a block's
+# numbers from the positions of its non-digit bytes and reads each from the
+# eight bytes that end it.
 # ---------------------------------------------------------------------------
 
-# characters of edge list read per block, which ends just after a "]"
+# bytes of edge list read per block, which ends just after a "]"
 _READ_BLOCK = 1 << 16
 # edges formatted per block
 _WRITE_ROWS = 1 << 12
+
+
+def _edge_rows(columns: tuple[np.ndarray, np.ndarray, np.ndarray]) -> str:
+    """",[u,v,w]" for each row of the columns, in json.dumps's digits.
+
+    Each column's numbers are right-aligned in its widest one's width, in a
+    matrix of bytes with a row per edge; a number's leading zeros stay 0 and
+    one boolean mask drops them.
+    """
+    widths = [len(str(column.max())) for column in columns]
+    text = np.zeros((len(columns[0]), sum(widths) + 5), np.uint8)
+    text[:, :2] = np.frombuffer(b",[", np.uint8)
+    at = 2
+    for x, width, punct in zip(columns, widths, b",,]"):
+        last = at + width - 1
+        for j in range(last, at - 1, -1):
+            high = x // 10
+            digit = x - high * 10 + ord("0")
+            text[:, j] = digit if j == last else np.where(x > 0, digit, 0)
+            x = high
+        text[:, last + 1] = punct
+        at = last + 2
+    return text[text != 0].tobytes().decode("ascii")
 
 
 def dumps_instance(instance: PncInstance) -> str:
@@ -377,12 +407,8 @@ def dumps_instance(instance: PncInstance) -> str:
     parts = [f'{{"n":{instance.node_count},"edges":[']
     for start in range(0, graph.edge_count, _WRITE_ROWS):
         rows = slice(start, start + _WRITE_ROWS)
-        flat = np.column_stack((graph.u[rows], graph.v[rows], graph.w[rows])).ravel().tolist()
-        # One C-level format call a block: for ints this is exactly
-        # json.dumps's text. Each edge is led by a comma, as are all but the
-        # first in the list.
-        parts.append(",[%d,%d,%d]" * (len(flat) // 3) % tuple(flat))
-    if len(parts) > 1:
+        parts.append(_edge_rows((graph.u[rows], graph.v[rows], graph.w[rows])))
+    if len(parts) > 1:  # each edge is led by a comma, as are all but the first in the list
         parts[1] = parts[1][1:]
     parts.append("]")
     if any(instance.intrinsic):
@@ -392,121 +418,233 @@ def dumps_instance(instance: PncInstance) -> str:
 
 
 _DECODER = json.JSONDecoder()
-_SPACE = re.compile(r"[ \t\n\r]*")  # JSON whitespace
-# the longest stretch from the edge list's "[" that could belong to it
-_EDGE_RUN = re.compile(r"[-0-9\[\], \t\n\r]*\]")
-_BLANK_BRACKETS = bytes.maketrans(b"[]", b"  ")
-_NUMBER_AS_N = bytes.maketrans(b"-0123456789", b"N" * 11)
-_TRIPLE = b",[N,N,N]"
-# an integer of at most 18 digits is below this; np.fromstring clamps longer
-# ones to the int64 limits without a warning
-_SHORT_INT_BOUND = 10**18
+# JSON whitespace, and the punctuation the readers look for, in a text and in
+# a file's bytes
+_SPACE = {str: re.compile(r"[ \t\n\r]*"), bytes: re.compile(rb"[ \t\n\r]*")}
+_PUNCT = {str: {c: c for c in "{}[]:,"}, bytes: {c: c.encode() for c in "{}[]:,"}}
+# a window of a file's bytes ends just after one of these: no number or
+# literal runs past it and no multi-byte character holds it, so a value read
+# whole from the window reads as it would from the whole file
+_VALUE_STOP = re.compile(rb"[,}]")
+# the five bytes of each triple in a list that are not a number's, in order
+_TRIPLE = b",[,,]"
+# the ASCII digits "00000000" as one little-endian word, and at 16 + c, the
+# mask of a word's c high bytes, which holds none for c <= 0 and all for c >= 8
+_ZEROS = int.from_bytes(b"0" * 8, "little")
+_HIGH_BYTES = np.array([(-1 << 8 * (8 - min(max(c, 0), 8))) & (1 << 64) - 1 for c in range(-16, 19)],
+                       np.uint64)
 
 
-def _skip_space(text: str, at: int) -> int:
-    return _SPACE.match(text, at).end()
+def _skip_space(source: str | bytes, at: int) -> int:
+    return _SPACE[type(source)].match(source, at).end()
 
 
-def _block_shape(block: bytes) -> bytes | None:
-    """``block``'s numbers each as one "N", its whitespace dropped; None
-    unless every number is a JSON integer. The checks read each byte's
-    neighbours, so a block must start and end beside a non-number byte."""
-    chars = np.frombuffer(block, np.uint8)
-    digit = (chars >= ord("0")) & (chars <= ord("9"))
-    minus = chars == ord("-")
-    number = digit | minus
-    first = number.copy()  # the first byte of each number
-    first[1:] &= ~number[:-1]
-    # -?(0|[1-9][0-9]*): a minus comes first and before a digit, and no
-    # digit follows a number's opening 0
-    opening = first.copy()
-    opening[1:] |= minus[:-1]
-    if ((minus & ~first).any() or (minus[:-1] & ~digit[1:]).any()
-            or ((chars[:-1] == ord("0")) & opening[:-1] & digit[1:]).any()):
+def _decode_value(source: str | bytes, at: int) -> tuple[object, int]:
+    """The JSON value at ``source[at]`` and the index just past it, read by
+    json's decoder; a file's bytes are decoded a window at a time, each
+    ending after a "," or "}", from 64 bytes up to the whole rest."""
+    if isinstance(source, str):
+        return _DECODER.raw_decode(source, at)
+    size = 64
+    while True:
+        found = _VALUE_STOP.search(source, at + size)
+        stop = found.end() if found else len(source)
+        text = source[at:stop].decode("utf-8")
+        try:
+            value, end = _DECODER.raw_decode(text)
+        except json.JSONDecodeError:
+            if stop == len(source):
+                raise
+            size = 4 * (stop - at)
+            continue
+        return value, at + len(text[:end].encode("utf-8"))
+
+
+def _numbers(body: bytes, ends: np.ndarray, lengths: np.ndarray, signed: bool) -> np.ndarray:
+    """The JSON integers of ``lengths`` bytes that end just before ``ends``
+    in ``body``, some with a minus sign if ``signed``: int64, or Python ints
+    in an object array past 18 digits.
+
+    The digits are read eight at a time as one little-endian word, its bytes
+    before the number masked off; multiply-shift steps add up pairs, then
+    fours, then eights of digits, as far as the widest number needs.
+    """
+    negative = np.frombuffer(body, np.uint8)[ends - lengths] == ord("-") if signed else False
+    digits = lengths - negative if signed else lengths
+    widest = int(digits.max())
+    if widest > 18:  # past int64 once above 10**18 - 1
+        starts = (ends - lengths).ravel().tolist()
+        tokens = [int(body[s:e]) for s, e in zip(starts, ends.ravel().tolist())]
+        return np.array(tokens, dtype=object).reshape(ends.shape)
+    # the bytes each word keeps of its digits: a power of two
+    span = 8 if widest > 4 else 4 if widest > 2 else 2
+    padded = bytes(24) + body
+    value = None
+    for chunk in range(-(-widest // 8)):
+        # the words that end 8 * chunk bytes before each number's end
+        words = np.ndarray((len(body),), "<u8", padded, 16 - 8 * chunk, (1,))
+        x = (words.take(ends) ^ _ZEROS) & _HIGH_BYTES.take(digits + (16 - 8 * chunk))
+        x >>= 8 * (8 - span)
+        for step, mask in ((1, 0x00FF00FF00FF00FF), (2, 0x0000FFFF0000FFFF), (4, 0xFFFFFFFF)):
+            if step < span:
+                x = (x * 10 ** step + (x >> 8 * step)) & mask
+        value = x if value is None else value + x * 10 ** (8 * chunk)
+    value = value.view(np.int64)
+    return np.where(negative, -value, value) if signed else value
+
+
+def _triples(body: bytes, first: bool) -> tuple[np.ndarray, bool] | None:
+    """The triples of a whitespace-free piece of an edge list, as a (3, k)
+    array of u, v and w rows, and whether the piece closes the list; None
+    unless it is ``,[t,t,t]`` k >= 1 times (the first piece opens with "[["
+    instead), then "]" if it closes the list, with JSON integers ``t``, or a
+    later piece is the closing "]" alone."""
+    if body == b"]" and not first:
+        return np.zeros((3, 0), np.int64), True
+    if b"." in body or b"/" in body:  # the bytes between "-" and "0"
         return None
-    # a blank inside a number leaves "NN", so the shape is exact
-    return chars[first | (~number & (chars > ord(" ")))].tobytes().translate(_NUMBER_AS_N)
+    chars = np.frombuffer(body, np.uint8)
+    apart = chars - ord("-") > 12  # not "-" or a digit; wraps around below "-"
+    at = np.flatnonzero(apart)
+    k, closed = divmod(len(at), 5)
+    expected = _TRIPLE * k + b"]" * closed
+    if first:
+        expected = b"[" + expected[1:]
+    if (not k or closed > 1 or chars[at].tobytes() != expected
+            or at[0] != 0 or at[-1] != len(chars) - 1):
+        return None
+    # the bytes from each of a triple's ",", "[", ",", "," and "]" to the
+    # next: ",[" and "]," (or a closing "]]") are adjacent, and every number
+    # has a byte
+    gaps = at[1:] - at[:-1]
+    lengths = np.stack((gaps[1::5], gaps[2::5], gaps[3::5])) - 1
+    if not ((gaps[::5] == 1).all() and (gaps[4::5] == 1).all() and (lengths > 0).all()):
+        return None
+    # -?(0|[1-9][0-9]*): a minus sign only opens a number, before a digit,
+    # and no digit follows a number's opening 0
+    signed = b"-" in body
+    opening = apart
+    if signed:
+        minus = chars == ord("-")
+        if (minus[1:] & ~apart[:-1]).any() or (minus[:-1] & apart[1:]).any():
+            return None
+        opening = apart | minus
+    if ((chars[1:-1] == ord("0")) & opening[:-2] & ~apart[2:]).any():
+        return None
+    ends = np.stack((at[2::5], at[3::5], at[4::5]))
+    return _numbers(body, ends, lengths, signed), bool(closed)
 
 
-def _read_edges(text: str, at: int) -> tuple[np.ndarray, int] | None:
-    """The edge list at ``text[at]`` as an (m, 3) table, and the index just
+def _read_block(block: bytes, first: bool) -> tuple[np.ndarray, int | None] | None:
+    """The triples of one block of an edge list, as ``_triples`` gives them,
+    and the length of the block's part up to the list's closing "]" if the
+    list closes in it; None unless the block is whole triples, with
+    whitespace only between tokens."""
+    found = _triples(block, first)
+    if found is not None:
+        values, closed = found
+        return values, len(block) if closed else None
+    chars = np.frombuffer(block, np.uint8)
+    kept = np.flatnonzero((chars != 32) & (chars != 10) & (chars != 13) & (chars != 9))
+    if len(kept) == len(chars):
+        return None
+    stripped = chars[kept]
+    number = stripped - ord("-") < 13  # "-", "." or "/", or a digit
+    if (number[:-1] & number[1:] & (kept[1:] - kept[:-1] > 1)).any():  # a number split by a blank
+        return None
+    body = stripped.tobytes()
+    # without its blanks the list closes at its first "]]", or at a "]" that
+    # opens a later block
+    close = len(body)
+    if not first and body.startswith(b"]"):
+        close = 1
+    elif b"]]" in body:
+        close = body.index(b"]]") + 2
+    found = _triples(body[:close], first)
+    if found is None:
+        return None
+    values, closed = found
+    return values, int(kept[close - 1]) + 1 if closed else None
+
+
+def _read_edges(source: str | bytes, at: int) -> tuple[np.ndarray, int] | None:
+    """The edge list at ``source[at]`` as an (m, 3) table, and the index just
     past it; None unless it is ``[[t,t,t],...]`` with JSON integers ``t``.
 
     The list is checked and parsed in blocks of about ``_READ_BLOCK``
     characters, each cut just after a "]", into one table sized from the
-    count of "[".
+    count of "[" up to the last "]]", where a list that closes its last
+    triple at once ends.
     """
-    run = _EDGE_RUN.match(text, at)
-    if run is None or not text.startswith("[", at):
+    punct = _PUNCT[type(source)]
+    if not source.startswith(punct["["], at):
         return None
-    end = run.end()
-    m = text.count("[", at, end) - 1  # the triples, if the shape holds
-    if not m:  # "[]", the one list shape without a triple
-        return (np.zeros((0, 3), np.int64), end) if _skip_space(text, at + 1) == end - 1 else None
+    after = _skip_space(source, at + 1)
+    if source.startswith(punct["]"], after):  # "[]", the one list without a triple
+        return np.zeros((0, 3), np.int64), after + 1
+    last = source.rfind(punct["]"] * 2, at)
+    end = last + 2 if last >= 0 else len(source)
+    m = source.count(punct["["], at, end) - 1  # the triples, if the list ends at `end`
     if 8 * m + 1 > end - at:  # each triple takes 8 characters or more
         return None
-    table = np.empty((m, 3), np.int64)
+    # column-major: a block's (3, k) rows are copied in as three runs, and
+    # the graph's u, v and w are contiguous
+    table = np.empty((m, 3), np.int64, order="F")
     row = 0
     start = at
     while start < end:
         cut = min(start + _READ_BLOCK, end)
-        stop = (text.rfind("]", start, cut) + 1) or (text.index("]", cut, end) + 1)
-        block = text[start:stop].encode()  # every character of the run is ASCII
-        shape = _block_shape(block)
-        if shape is None:
+        stop = (source.rfind(punct["]"], start, cut) + 1) or (source.find(punct["]"], cut, end) + 1)
+        if not stop:
             return None
-        # As a whole the shape is "[" + ",[N,N,N]" * m with the first comma
-        # dropped, then "]": each block holds whole triples of it.
-        if start == at:
-            shape = b"," + shape[1:]
-        if stop == end:
-            shape = shape[:-1]
-        count = len(shape) // 8
-        if shape != _TRIPLE * count:
+        block = source[start:stop]
+        found = _read_block(block.encode() if isinstance(block, str) else block, start == at)
+        if found is None:
             return None
-        if count:
-            # a later block starts with the comma before its first triple
-            body = block if start == at else block[block.index(b",") + 1:]
-            values = np.fromstring(body.translate(_BLANK_BRACKETS), np.int64, sep=",")
-            if ((values >= _SHORT_INT_BOUND) | (values <= -_SHORT_INT_BOUND)).any():
-                tokens = body.translate(None, b"[] \t\n\r").split(b",")
-                values = np.array([int(token) for token in tokens], dtype=object)
-                table = table.astype(object, copy=False)
-            table[row:row + count] = values.reshape(count, 3)
-            row += count
+        values, used = found
+        count = values.shape[1]
+        if values.dtype == object:
+            table = table.astype(object, copy=False)
+        table[row:row + count] = values.T
+        row += count
+        if used is not None:
+            if row < m:  # the list closed before `end`; the graph copies the view
+                table = table[:row]
+            table.setflags(write=False)
+            return table, start + used
         start = stop
-    table.setflags(write=False)
-    return table, end
+    return None
 
 
-def _read_object(text: str) -> dict | None:
-    """``text``'s top-level JSON object, or None unless it is one.
+def _read_object(source: str | bytes) -> dict | None:
+    """``source``'s top-level JSON object, or None unless it is one.
 
     json's decoder reads each key and value, and a later duplicate key wins,
     as in ``json.loads``; only an "edges" value goes to ``_read_edges`` first.
     """
-    at = _skip_space(text, 0)
-    if not text.startswith("{", at):
+    punct = _PUNCT[type(source)]
+    at = _skip_space(source, 0)
+    if not source.startswith(punct["{"], at):
         return None
     payload = {}
-    at = _skip_space(text, at + 1)
-    more = not text.startswith("}", at)
+    at = _skip_space(source, at + 1)
+    more = not source.startswith(punct["}"], at)
     try:
         while more:
-            key, at = _DECODER.raw_decode(text, at)
-            at = _skip_space(text, at)
-            if not (isinstance(key, str) and text.startswith(":", at)):
+            key, at = _decode_value(source, at)
+            at = _skip_space(source, at)
+            if not (isinstance(key, str) and source.startswith(punct[":"], at)):
                 return None
-            at = _skip_space(text, at + 1)
-            edges = _read_edges(text, at) if key == "edges" else None
-            payload[key], at = edges or _DECODER.raw_decode(text, at)
-            at = _skip_space(text, at)
-            more = text.startswith(",", at)
+            at = _skip_space(source, at + 1)
+            edges = _read_edges(source, at) if key == "edges" else None
+            payload[key], at = edges or _decode_value(source, at)
+            at = _skip_space(source, at)
+            more = source.startswith(punct[","], at)
             if more:
-                at = _skip_space(text, at + 1)
-    except json.JSONDecodeError:
+                at = _skip_space(source, at + 1)
+    except (json.JSONDecodeError, UnicodeDecodeError):
         return None
-    if text.startswith("}", at) and _skip_space(text, at + 1) == len(text):
+    if source.startswith(punct["}"], at) and _skip_space(source, at + 1) == len(source):
         return payload
     return None
 
@@ -514,10 +652,16 @@ def _read_object(text: str) -> dict | None:
 def loads_instance(text: str) -> PncInstance:
     if not isinstance(text, str):
         raise ValueError(f"instance text must be a str, got {type(text).__name__}")
+    return _parse_instance(str(text))  # a subclass as a str
+
+
+def _parse_instance(source: str | bytes) -> PncInstance:
     try:
-        payload = _read_object(text)
+        payload = _read_object(source)
         if payload is None:
-            payload = json.loads(text)
+            if isinstance(source, bytes):  # as text mode reads the file
+                source = source.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+            payload = json.loads(source)
             if isinstance(payload, dict):
                 raise RuntimeError("the object reader turned down a JSON object")
             raise ValueError("instance file must contain a JSON object")
@@ -553,8 +697,8 @@ def loads_instance(text: str) -> PncInstance:
 
 
 def load_instance(path: str) -> PncInstance:
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads_instance(fh.read())
+    with open(path, "rb") as fh:
+        return _parse_instance(fh.read())
 
 
 def dump_instance(instance: PncInstance, path: str) -> None:

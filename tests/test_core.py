@@ -236,6 +236,41 @@ def test_dumps_matches_json_across_blocks(monkeypatch):
         assert _load(loads_instance, text) == _load(json_loads_instance, text)
 
 
+# numbers at the edges of a digit width, in int64 and past it
+EDGE_NUMBERS = (1, 9, 10, 99, 100, 2**31, 2**32, 2**63 - 1, 2**63, 10**19, 2**70)
+
+
+@st.composite
+def writer_instances(draw):
+    """A few edges whose endpoints and weights sit at digit-width edges, on
+    up to 10,001 nodes, with intrinsic values or without."""
+    n = draw(st.sampled_from((2, 11, 101, 1001, 10_001)))
+    ends = st.sampled_from([x for x in (0, 9, 10, 99, 100, n - 1) if x < n]) | st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(ends, ends).filter(lambda p: p[0] != p[1]), max_size=12))
+    weight = st.sampled_from(EDGE_NUMBERS) | st.integers(1, 2**70)
+    edges = {tuple(sorted(p)): draw(weight) for p in pairs}
+    nu = None
+    if draw(st.booleans()):
+        nu = [0] * n
+        for node, value in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, 2**64)), max_size=4)):
+            nu[node] = value
+    return PncInstance.from_edges(n, [(u, v, w) for (u, v), w in edges.items()], nu)
+
+
+@settings(max_examples=150, deadline=None)
+@given(writer_instances(), st.integers(1, 5))
+@example(PncInstance.from_edges(101, [(0, 9, 2**63 - 1), (9, 10, 1), (99, 100, 2**32)], [0] * 100 + [5]), 2)
+@example(PncInstance.from_edges(11, [(0, 10, 10**19), (1, 2, 9), (3, 4, 99), (5, 6, 2**31)]), 1)
+def test_dumps_is_json_dumps_in_any_blocks(instance, rows):
+    # blocks of 1-5 edges give each block its own column widths
+    graph = instance.graph
+    payload = {"n": instance.node_count, "edges": [list(e) for e in graph.edges]}
+    if any(instance.intrinsic):
+        payload["nu"] = list(instance.intrinsic)
+    with mock.patch.object(core, "_WRITE_ROWS", rows):
+        assert dumps_instance(instance) == json.dumps(payload, separators=(",", ":")) + "\n"
+
+
 def test_backwards_edge_in_a_late_block_names_its_own_index(monkeypatch):
     monkeypatch.setattr(core, "_READ_BLOCK", 16)
     edges = [[0, v, 1] for v in range(1, 40)]
@@ -417,6 +452,28 @@ def test_valid_file_edges_never_reach_json(monkeypatch, spacing):
     # json decodes the keys, "n" and "nu", and never reads the edge list
     assert all(body not in s for s in texts)
     assert len(starts) == 5 and body_at not in starts
+
+
+@pytest.mark.parametrize("data", [
+    b'{"n":2,\r\n"edges":[[0,1,1]],\r\n\r"nu":[0,1],}',  # the error's line and column count "\r\n" once
+    b'{"n":2,\r\n"edges":[[0,1,1]],\xff}',  # not UTF-8
+    b'{"n":2,"edges":[[0,1,1]],"nu":[0,"\xc3\xa9\xff"]}',
+    b'\xef\xbb\xbf{"n":1}',
+    b'{"n":2,"edges":[[0,1,1]\r\n ]}\r x',
+    b'{"n":3,"edges":[[0,1,1],[1,2,1]\r]}\r\n',
+    b'{"n":2,"\xc3\xa9dges":[[0,1,1]]}',
+])
+def test_file_reads_as_text_mode_reads_it(tmp_path, data):
+    # the loader reads a file's bytes; what it accepts and every error's text
+    # are those of loading the text that text mode reads from the file
+    path = tmp_path / "inst.json"
+    path.write_bytes(data)
+
+    def through_text(path):
+        with open(path, encoding="utf-8") as fh:
+            return loads_instance(fh.read())
+
+    assert _load(load_instance, path) == _load(through_text, path)
 
 
 def test_file_round_trip(tmp_path):

@@ -1,5 +1,5 @@
-"""Traced peak memory of instance loading and generation on G(2000, 0.3),
-and of dumping on G(1000, 0.3).
+"""Traced peak memory of instance loading, dumping and generation on
+G(2000, 0.3), and of dumping on G(1000, 0.3).
 
 numpy reports its buffers to tracemalloc, so these peaks are byte counts of
 every Python object and array a step holds at once: deterministic, unlike a
@@ -14,7 +14,7 @@ import tracemalloc
 
 import pytest
 
-from netprice import dumps_instance, gen_er, loads_instance
+from netprice import dumps_instance, gen_er, load_instance, loads_instance
 
 MIB = 1 << 20
 
@@ -62,4 +62,25 @@ def test_loads_peak(dense):
     assert again == instance
     assert peak < 20 * MIB, peak / MIB  # measured 18.3 MiB
     # the (m, 3) edge table, which the graph keeps without a copy
+    assert kept < 15 * MIB, kept / MIB  # measured 13.7 MiB
+
+
+def test_dumps_peak_dense(dense):
+    # the dumper formats a block at a time in numpy and traces no Python int
+    # per number, so the dense graph is cheap to dump here
+    instance, text = dense
+    again, peak, _ = _traced(lambda: dumps_instance(instance))
+    assert again == text
+    # the blocks' text and the joined text, 7.4 MB each
+    assert peak < 16.2 * MIB, peak / MIB  # measured 14.7 MiB
+
+
+def test_load_file_peak(dense, tmp_path):
+    instance, text = dense
+    path = tmp_path / "dense.json"
+    path.write_text(text, encoding="utf-8")
+    again, peak, kept = _traced(lambda: load_instance(str(path)))
+    assert again == instance
+    # the file's bytes, 7.4 MB, where loads_instance is handed the text
+    assert peak < 28.3 * MIB, peak / MIB  # measured 25.7 MiB
     assert kept < 15 * MIB, kept / MIB  # measured 13.7 MiB

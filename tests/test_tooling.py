@@ -55,3 +55,30 @@ def test_benchmark_commands_parse(size, tmp_path, monkeypatch, capsys):
             for step in job.steps():
                 code = run_cli(list(step.argv))
                 assert code == 0, (workload.name, step.name, capsys.readouterr().err)
+
+
+def test_cli_io_goes_through_the_traced_names(tmp_path, monkeypatch):
+    # The traced pass times instance I/O by wrapping netprice.cli's
+    # load_instance and dumps_instance. A command that read or wrote an
+    # instance some other way would leave core.loads and core.dumps empty,
+    # and test_traced_attributes_resolve only checks that the names exist.
+    import netprice.cli as cli
+
+    spans = {(module, attribute): span for module, attribute, span in _load("tracing").TRACED}
+    assert spans[("netprice.cli", "load_instance")] == "core.loads"
+    assert spans[("netprice.cli", "dumps_instance")] == "core.dumps"
+    calls = {"load_instance": 0, "dumps_instance": 0}
+    for name in calls:
+        def counted(*args, _original=getattr(cli, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(cli, name, counted)
+    instance = str(tmp_path / "spider.json")
+    assert run_cli(["gen", "--family", "spider", "--k", "3", "--out", instance]) == 0
+    assert calls == {"load_instance": 0, "dumps_instance": 1}
+    cnf = tmp_path / "f.cnf"
+    cnf.write_text("p cnf 4 4\n1 2 3 0\n-1 2 4 0\n1 -3 -4 0\n-2 3 4 0\n", encoding="utf-8")
+    assert run_cli(["reduce", str(cnf), "--out", str(tmp_path / "reduced.json")]) == 0
+    assert calls == {"load_instance": 0, "dumps_instance": 2}
+    assert run_cli(["greedy", instance]) == 0
+    assert calls == {"load_instance": 1, "dumps_instance": 2}
