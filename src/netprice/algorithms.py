@@ -40,10 +40,13 @@ def _require_plain(instance: PncInstance, op: str) -> None:
 def _sell_run(market: Market, want: int) -> tuple[list[SaleRound], int]:
     """Sell greedy's next rounds from one scan of the values, as
     ``greedy_iterative`` describes, and count the scan's candidates. No
-    rounds means no unsold value was above the ``want``-th largest."""
+    rounds means everyone owns."""
     values = market.values
-    top = np.argpartition(values, len(values) - want)[len(values) - want:]
-    candidates = top[values[top] > values[top[0]]]
+    n = len(values)
+    # owners read -1, so every unsold node at or above the threshold is a
+    # candidate, each tie group whole
+    threshold = max(int(np.partition(values, n - want)[n - want]), 0)
+    candidates = np.flatnonzero(values >= threshold)
     if not len(candidates):
         return [], 0
     candidates = candidates[np.argsort(values[candidates])[::-1]]
@@ -71,16 +74,17 @@ def greedy_iterative(instance: PncInstance) -> SaleTrace:
     earlier-selling endpoint charged for it, and intrinsic value is always
     charged. A price of 0 can only appear in the final round.
 
-    One scan of the values sells a run of rounds (``_sell_run``). Take the
-    unsold nodes strictly above the ``want``-th largest value and group them
-    by tied value, highest first. Sell the groups in that order, stopping at
-    the first group with a member adjacent to an earlier group. This is
-    greedy exactly: values only fall (weights are >= 1), so a group with no
-    neighbour in an earlier group still holds its value when its turn comes,
-    while every other unsold node is in a later group or at or below the
-    threshold. Each sold group is therefore the next argmax set, and the first
-    group, never blocked, makes every scan sell at least one round. The run
-    is settled once, from the rows the adjacency test gathered.
+    One scan of the values sells a run of rounds (``_sell_run``). Take every
+    unsold node at or above the ``want``-th largest value (at least 0) and
+    group them by tied value, highest first. Sell the groups in that order,
+    stopping at the first group with a member adjacent to an earlier group.
+    This is greedy exactly: values only fall (weights are >= 1), so a group
+    with no neighbour in an earlier group still holds its value when its
+    turn comes, while every other unsold node is in a later group or below
+    the threshold. Each sold group is therefore the next argmax set, and the
+    first group, never blocked, makes every scan sell at least one round
+    while anyone is unsold. The run is settled once, from the rows the
+    adjacency test gathered.
 
     The batch size depends only on what earlier scans of this call sold:
     ``want`` starts at 2, doubles when a scan sells every candidate, and is
@@ -88,9 +92,8 @@ def greedy_iterative(instance: PncInstance) -> SaleTrace:
     followed by plain rounds (a max over the values plus one
     ``Market.sale``): one after the first such scan, then 2, 4, ... while
     scans keep selling one round, so a graph whose scans keep blocking (dense
-    graphs) wastes few of them. When the top value's ties fill the batch,
-    the scan sells nothing, ``want`` doubles and one plain round sells the
-    ties. Owners read -1, so the max turns negative once everyone owns.
+    graphs) wastes few of them. Owners read -1, so the max turns negative,
+    and a scan finds no candidate, once everyone owns.
     """
     market = Market(instance)
     rounds = []
@@ -98,22 +101,21 @@ def greedy_iterative(instance: PncInstance) -> SaleTrace:
     while True:
         if plain:
             plain -= 1
-        else:
-            run, scanned = _sell_run(market, min(want, instance.node_count))
-            if run:
-                rounds += run
-                sold = sum(len(r.buyers) for r in run)
-                want = 2 * want if sold == scanned else 2 * sold
-                if len(run) == 1:
-                    plain, pause = pause, 2 * pause
-                else:
-                    pause = 1
-                continue
-            want *= 2
-        price = int(market.values.max())
-        if price < 0:
+            price = int(market.values.max())
+            if price < 0:
+                break
+            rounds.append(market.sale(price))
+            continue
+        run, scanned = _sell_run(market, min(want, instance.node_count))
+        if not run:
             break
-        rounds.append(market.sale(price))
+        rounds += run
+        sold = sum(len(r.buyers) for r in run)
+        want = 2 * want if sold == scanned else 2 * sold
+        if len(run) == 1:
+            plain, pause = pause, 2 * pause
+        else:
+            pause = 1
     return market.trace(rounds)
 
 

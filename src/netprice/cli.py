@@ -2,9 +2,11 @@
 
 Subcommands compose through the instance file format on standard streams
 ("-" means stdin/stdout), so e.g. ``netprice gen --family spider --k 3 |
-netprice oracle`` works. The experiment runner emits plot-ready CSV whose
-rows are pure functions of their seed: identical invocations produce
-byte-identical output, and any row is re-derivable by running the matching
+netprice oracle`` works. An instance on stdin is read as bytes, as from a
+file, so both accept the same input and give the same errors under any
+locale. The experiment runner emits plot-ready CSV whose rows are pure
+functions of their seed: identical invocations produce byte-identical
+output, and any row is re-derivable by running the matching
 single-instance subcommand with the row's seed.
 """
 
@@ -35,7 +37,7 @@ from .algorithms import (
     min_degree_independent,
     split_dp,
 )
-from .core import PncInstance, SaleTrace, _as_int, _check_params, dumps_instance, load_instance, loads_instance
+from .core import PncInstance, SaleTrace, _as_int, _check_params, _parse_instance, dumps_instance, load_instance
 from .engine import simulate
 from .generators import FAMILIES, gen_ba, gen_er, gen_forest, generate
 from .oracle import STATE_BUDGET, OracleBudgetError, exact_opt
@@ -180,7 +182,7 @@ def run_experiment(name: str, params: dict | None = None, trials: int = 20,
 
 def _read_instance(path: str) -> PncInstance:
     if path == "-":
-        return loads_instance(sys.stdin.read())
+        return _parse_instance(sys.stdin.buffer.read())
     return load_instance(path)
 
 

@@ -136,8 +136,13 @@ def test_simulate_rejects_negative_price(tmp_path, capsys):
 # --- strategies and the oracle ----------------------------------------------------
 
 
+def _stdin(data, encoding="utf-8"):
+    # a text stream over bytes, as sys.stdin is
+    return io.TextIOWrapper(io.BytesIO(data), encoding=encoding)
+
+
 def test_strategy_pipeline_from_stdin(monkeypatch, capsys):
-    monkeypatch.setattr("sys.stdin", io.StringIO(dumps_instance(gen_spider(3))))
+    monkeypatch.setattr("sys.stdin", _stdin(dumps_instance(gen_spider(3)).encode()))
     assert run_cli(["greedy"]) == 0
     assert "revenue: 9" in capsys.readouterr().out
 
@@ -147,17 +152,24 @@ def test_strategy_pipeline_from_stdin(monkeypatch, capsys):
     '{"n":2,"edges":[],"nu":' + "[" * 100_000,
 ])
 def test_deeply_nested_input_is_one_error_line(monkeypatch, capsys, text):
-    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    monkeypatch.setattr("sys.stdin", _stdin(text.encode()))
     assert run_cli(["greedy", "-"]) == 1
     err = capsys.readouterr().err
     assert err == "error: instance JSON nests too deeply\n"
 
 
 def test_node_count_above_the_limit_is_one_error_line(monkeypatch, capsys):
-    monkeypatch.setattr("sys.stdin", io.StringIO('{"n": 10000000000000, "edges": []}'))
+    monkeypatch.setattr("sys.stdin", _stdin(b'{"n": 10000000000000, "edges": []}'))
     assert run_cli(["greedy", "-"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "node limit" in err and err.count("\n") == 1
+
+
+def test_stdin_is_read_as_the_file_bytes(monkeypatch, capsys):
+    # under a latin-1 locale, a decoded stdin would name the field 'Ã©dges'
+    monkeypatch.setattr("sys.stdin", _stdin('{"n":2,"édges":[[0,1,1]]}'.encode(), "latin-1"))
+    assert run_cli(["greedy", "-"]) == 1
+    assert capsys.readouterr().err == "error: unknown instance fields: ['édges']\n"
 
 
 def test_oracle_on_file(tmp_path, capsys):
@@ -220,9 +232,11 @@ def _cli_env():
     return env
 
 
-def _cli_process(*argv):
-    return subprocess.run([sys.executable, "-m", "netprice.cli", *argv], env=_cli_env(),
-                          capture_output=True, text=True, timeout=60)
+def _cli_process(*argv, stdin=None):
+    # stdin, if given, is bytes; the output reads as text
+    done = subprocess.run([sys.executable, "-m", "netprice.cli", *argv], env=_cli_env(), input=stdin,
+                          capture_output=True, timeout=60)
+    return subprocess.CompletedProcess(done.args, done.returncode, done.stdout.decode(), done.stderr.decode())
 
 
 def test_cli_process_output_is_whole(tmp_path, capsys):
@@ -238,6 +252,22 @@ def test_cli_process_output_is_whole(tmp_path, capsys):
     bad = _cli_process("greedy", _write(tmp_path, "bad.json", "not json at all\n"), "--json")
     assert (bad.returncode, bad.stdout) == (1, "")
     assert bad.stderr.startswith("error: ") and bad.stderr.count("\n") == 1
+
+
+def test_cli_process_reads_a_pipe_as_it_reads_the_file(tmp_path):
+    gen = _cli_process("gen", "--family", "er", "--n", "60", "--eta", "0.3", "--seed", "1")
+    assert (gen.returncode, gen.stderr) == (0, "")
+    piped = _cli_process("greedy", "--json", stdin=gen.stdout.encode())
+    from_file = _cli_process("greedy", _write(tmp_path, "er.json", gen.stdout), "--json")
+    assert (piped.returncode, piped.stderr) == (0, "")
+    assert piped.stdout == from_file.stdout and json.loads(piped.stdout)["total_revenue"] > 0
+    data = b'{"n":2,\r\n"edges":[[0,1,1]],\xff}'
+    bad_file = tmp_path / "bad.json"
+    bad_file.write_bytes(data)
+    bad = [_cli_process("greedy", "-", stdin=data), _cli_process("greedy", str(bad_file))]
+    assert [(done.returncode, done.stdout) for done in bad] == [(1, "")] * 2
+    assert bad[0].stderr == bad[1].stderr
+    assert bad[0].stderr.startswith("error: ") and bad[0].stderr.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv", [

@@ -421,6 +421,10 @@ def test_loader_matches_json_reference(text):
 @example('{"n":3,"edges":[[0,1,-1],[1,2,1]]}', 9)
 @example('{"n":3,"edges":[[0,1,1],01,[1,2,1]]}', 10)
 @example('{"n":3,"edges":[[0,1,1],[1,2,10000000000000000000]]}', 9)
+@example('{"n":3,"edges":[[0,1,1] ,[1,2,1]\r\n,[0,2,1]]}', 5)  # no "]," to cut at
+@example('{"n":3,"edges":[[0,1,1],[1,2,123456789012]]}', 4)  # a triple longer than a block
+@example('{"n":3,"edges":[[0,1,1],[1,2,1]]}', 1)  # a cut on the list's "["
+@example('{"n":3,"edges":[[0,1,1],[1,2,1]]}', 8)  # a cut on the list's "]"
 def test_loader_matches_json_reference_in_small_blocks(text, block):
     # blocks of a few characters cut the list beside every kind of byte
     with mock.patch.object(core, "_READ_BLOCK", block):
