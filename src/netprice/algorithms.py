@@ -13,7 +13,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import PncInstance, SaleRound, SaleTrace, WeightedGraph, _as_int, _as_real
+from .core import PncInstance, SaleTrace, WeightedGraph, _as_int, _as_real
 from .engine import Market, simulate
 
 
@@ -37,86 +37,17 @@ def _require_plain(instance: PncInstance, op: str) -> None:
         raise ValueError(f"{op} requires all intrinsic values to be zero")
 
 
-def _sell_run(market: Market, want: int) -> tuple[list[SaleRound], int]:
-    """Sell greedy's next rounds from one scan of the values, as
-    ``greedy_iterative`` describes, and count the scan's candidates. No
-    rounds means everyone owns."""
-    values = market.values
-    n = len(values)
-    # owners read -1, so every unsold node at or above the threshold is a
-    # candidate, each tie group whole
-    threshold = max(int(np.partition(values, n - want)[n - want]), 0)
-    candidates = np.flatnonzero(values >= threshold)
-    if not len(candidates):
-        return [], 0
-    candidates = candidates[np.argsort(values[candidates])[::-1]]
-    own = values[candidates]
-    rows, lengths = market.rows(candidates)
-    owners = np.repeat(own, lengths)
-    # a neighbour above its row's owner is a candidate of a higher group; rows
-    # run from the top group down, so the first such row is in the first
-    # blocked group
-    blocked = np.flatnonzero(values[market.indices[rows]] > owners)
-    sold = int(np.count_nonzero(own > owners[blocked[0]])) if len(blocked) else len(own)
-    market.settle(candidates[:sold], rows[:lengths[:sold].sum()])
-    prices = own[:sold].tolist()
-    buyers = candidates[:sold].tolist()
-    cuts = [i for i in range(1, sold) if prices[i] != prices[i - 1]]
-    return [SaleRound(prices[a], frozenset(buyers[a:b]), prices[a] * (b - a))
-            for a, b in zip([0] + cuts, cuts + [sold])], len(candidates)
-
-
 def greedy_iterative(instance: PncInstance) -> SaleTrace:
     """Repeatedly post the highest current total value until everyone owns.
 
-    Each round sells exactly the argmax set. Revenue is at least the sum of
-    all intrinsic values plus the total edge weight: every edge has the
-    earlier-selling endpoint charged for it, and intrinsic value is always
-    charged. A price of 0 can only appear in the final round.
-
-    One scan of the values sells a run of rounds (``_sell_run``). Take every
-    unsold node at or above the ``want``-th largest value (at least 0) and
-    group them by tied value, highest first. Sell the groups in that order,
-    stopping at the first group with a member adjacent to an earlier group.
-    This is greedy exactly: values only fall (weights are >= 1), so a group
-    with no neighbour in an earlier group still holds its value when its
-    turn comes, while every other unsold node is in a later group or below
-    the threshold. Each sold group is therefore the next argmax set, and the
-    first group, never blocked, makes every scan sell at least one round
-    while anyone is unsold. The run is settled once, from the rows the
-    adjacency test gathered.
-
-    The batch size depends only on what earlier scans of this call sold:
-    ``want`` starts at 2, doubles when a scan sells every candidate, and is
-    otherwise twice the nodes sold. A scan that sells a single round is
-    followed by plain rounds (a max over the values plus one
-    ``Market.sale``): one after the first such scan, then 2, 4, ... while
-    scans keep selling one round, so a graph whose scans keep blocking (dense
-    graphs) wastes few of them. Owners read -1, so the max turns negative,
-    and a scan finds no candidate, once everyone owns.
+    Each round sells exactly the argmax set, a run of rounds per scan of the
+    values (``Market.sell``). Revenue is at least the sum of all intrinsic
+    values plus the total edge weight: every edge has the earlier-selling
+    endpoint charged for it, and intrinsic value is always charged. A price
+    of 0 can only appear in the final round.
     """
     market = Market(instance)
-    rounds = []
-    want, pause, plain = 2, 1, 0
-    while True:
-        if plain:
-            plain -= 1
-            price = int(market.values.max())
-            if price < 0:
-                break
-            rounds.append(market.sale(price))
-            continue
-        run, scanned = _sell_run(market, min(want, instance.node_count))
-        if not run:
-            break
-        rounds += run
-        sold = sum(len(r.buyers) for r in run)
-        want = 2 * want if sold == scanned else 2 * sold
-        if len(run) == 1:
-            plain, pause = pause, 2 * pause
-        else:
-            pause = 1
-    return market.trace(rounds)
+    return market.trace(*market.sell())
 
 
 def _best_single(values: Iterable[int]) -> tuple[int, int]:
@@ -214,7 +145,8 @@ def split_dp(instance: PncInstance) -> SaleTrace:
     if partition is None:
         raise ValueError("split_dp requires a split graph")
     clique = partition.clique
-    indep_set = set(partition.independent)
+    independent = np.zeros(graph.node_count, bool)
+    independent[list(partition.independent)] = True
 
     k = len(clique)
     clique_deg = [graph.degrees[v] for v in clique]  # nondecreasing
@@ -230,17 +162,16 @@ def split_dp(instance: PncInstance) -> SaleTrace:
     # >= d. None: the prefix is worthless, as prefix 0 always is.
     back: list[tuple[int, int] | None] = [None] * (k + 1)
 
-    for i in range(1, k + 1):
-        node = clique[i - 1]
-        for u in indices[indptr[node]:indptr[node + 1]].tolist():
-            if u in indep_set:
-                old = prefix_deg[u]
-                prefix_deg[u] = old + 1
-                if old:
-                    bucket[old] -= 1
-                bucket[old + 1] += 1
-                if old + 1 > max_indep_deg:
-                    max_indep_deg = old + 1
+    for i, node in enumerate(clique, start=1):
+        row = indices[indptr[node]:indptr[node + 1]]
+        for u in row[independent[row]].tolist():
+            old = prefix_deg[u]
+            prefix_deg[u] = old + 1
+            if old:
+                bucket[old] -= 1
+            bucket[old + 1] += 1
+            if old + 1 > max_indep_deg:
+                max_indep_deg = old + 1
         best = 0
         for h in range(i):
             if h > 0 and clique_deg[h - 1] == clique_deg[h]:
@@ -252,14 +183,13 @@ def split_dp(instance: PncInstance) -> SaleTrace:
             if candidate > best:
                 best = candidate
                 back[i] = (price, h)
-        lowest_clique_deg = clique_deg[0] - (k - i)
+        if max_indep_deg > clique_deg[0] - (k - i):
+            raise RuntimeError(f"independent degree {max_indep_deg} above the whole clique")
         ahead = 0
-        for d in range(k, 0, -1):
+        for d in range(max_indep_deg, 0, -1):  # every bucket above it is empty
             ahead += bucket[d]
             if bucket[d] == 0:
                 continue
-            if d > lowest_clique_deg:
-                raise RuntimeError(f"independent degree {d} above the whole clique")
             candidate = (i + ahead) * d
             if candidate > best:
                 best = candidate

@@ -169,7 +169,8 @@ class WeightedGraph:
             raise RuntimeError("the per-edge scan accepted edges that a bulk check rejected")
         self.node_count = n
         self.u, self.v = u, v = lo.astype(np.int64, copy=False), hi.astype(np.int64, copy=False)
-        self._degrees = np.bincount(u, minlength=n) + np.bincount(v, minlength=n)
+        # u is sorted: its counts are the gaps between where each node starts
+        self._degrees = np.diff(np.searchsorted(u, np.arange(n + 1))) + np.bincount(v, minlength=n)
         # no weighted degree exceeds the top weight times the top degree
         top = int(w.max()) * int(self._degrees.max()) if len(w) else 0
         self.w = w.astype(_exact_dtype(top), copy=False)

@@ -5,10 +5,11 @@ value (intrinsic plus weights of edges to other non-owners, fixed at the start
 of the round) against the posted price, and buys iff value >= price. All
 purchases in a round happen simultaneously; the value drops they cause are
 visible from the next round on. A price of 0 sells to every remaining
-consumer and contributes no revenue. A round costs O(n) vectorised work plus
-the buyers' CSR rows (``Market.sale``). The graph's CSR is read on the first
-settle, and ``simulate``'s last round only marks its buyers as owners: no
-later round reads a value, so a single price never builds the CSR.
+consumer and contributes no revenue. ``Market.sell`` sells a run of rounds
+per O(n) vectorised scan, reading the CSR (from its first settle on) only
+in rows of nodes it may sell. A process's last round, when plain, only
+marks its buyers as owners: no later round reads a value, so a single
+price never builds the CSR.
 """
 
 from __future__ import annotations
@@ -34,30 +35,17 @@ class Market:
         self.graph = instance.graph
 
     @cached_property
-    def indptr(self) -> np.ndarray:
-        return self.graph.indptr
-
-    @cached_property
-    def indices(self) -> np.ndarray:
-        return self.graph.indices
-
-    @cached_property
     def weights(self) -> np.ndarray:
         # a weight is at most its endpoints' initial values, so it fits the dtype
         return self.graph.weights.astype(self.values.dtype, copy=False)
 
-    def bidders(self, price: int) -> np.ndarray:
-        """Who buys at ``price`` >= 0, in increasing order: one O(n) numpy scan."""
-        if price > self.top:
-            return np.zeros(0, np.intp)
-        return np.flatnonzero(self.values >= price)
-
     def rows(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The positions of ``nodes``' CSR rows back to back, in the order
         given, and each row's length."""
-        starts = self.indptr[nodes]
-        lengths = self.indptr[nodes + 1] - starts
-        rows = np.repeat(starts - np.cumsum(lengths) + lengths, lengths) + np.arange(lengths.sum())
+        indptr = self.graph.indptr
+        starts = indptr[nodes]
+        lengths = indptr[nodes + 1] - starts
+        rows = (starts - lengths.cumsum() + lengths).repeat(lengths) + np.arange(lengths.sum())
         return rows, lengths
 
     def settle(self, buyers: np.ndarray, rows: np.ndarray | None = None) -> None:
@@ -66,40 +54,128 @@ class Market:
         gathered them already, as ``Market.rows`` gives them."""
         self.values[buyers] = -1
         if rows is None:
-            # one buyer is a slice: on greedy's 10k one-buyer rounds of a sparse weighted
-            # graph, the general path made simulate 0.25 s, not 0.17-0.23 s (2 vCPUs, numpy 2.4)
+            # one buyer's row is a slice, cheaper than gathered positions
             if len(buyers) == 1:
-                rows = slice(self.indptr[buyers[0]], self.indptr[buyers[0] + 1])
+                rows = slice(self.graph.indptr[buyers[0]], self.graph.indptr[buyers[0] + 1])
             else:
                 rows = self.rows(buyers)[0]
-        neighbours = self.indices[rows]
+        neighbours = self.graph.indices[rows]
         still = self.values[neighbours] >= 0
         # exact in either dtype, and a neighbour of several buyers drops once per buyer
         np.subtract.at(self.values, neighbours[still], self.weights[rows][still])
 
-    def sale(self, price: int, last: bool = False) -> SaleRound:
-        """One round at ``price``, as the round's record. The ``last`` round
-        of a process only marks its buyers as owners."""
-        buyers = self.bidders(price)
+    def sale(self, price: int, last: bool = False, lowest: bool = False) -> tuple[int, list[int]]:
+        """One round at ``price`` (its buyers' lowest value with ``lowest``) and its
+        buyers, increasing. A process's ``last`` round only marks its buyers."""
+        buyers = (self.values >= price).nonzero()[0] if price <= self.top else np.zeros(0, np.intp)
+        if lowest and len(buyers):
+            price = int(self.values[buyers].min())
         if last:
             self.values[buyers] = -1
         elif len(buyers):
             self.settle(buyers)
-        buyers = buyers.tolist()
-        return SaleRound(price, frozenset(buyers), price * len(buyers))
+        return price, buyers.tolist()
 
-    def trace(self, rounds: Sequence[SaleRound]) -> SaleTrace:
-        """The trace of ``rounds``, the sales made so far."""
+    def sell(self, prices: PriceSequence | None = None,
+             lowest: bool = False) -> tuple[list[int], list[int], list[int]]:
+        """Post ``prices``, or with None greedy's (the highest current value,
+        until everyone owns): each round's price (with ``lowest``, greedy's
+        always, its buyers' lowest value if it sold), all buyers in sale
+        order, and where each round's buyers end, after a leading 0.
+
+        One scan sells a run: the next ``want`` prices that are new minima at
+        most ``top`` (no other sells), or greedy's tie groups among the ``want``
+        highest values. Every unsold node valued at or above the run's last
+        price is a candidate, of the first round priced at or below its value.
+        Values only fall, so the rounds before the first with a member adjacent
+        to an earlier round's candidate sell exactly their candidates: the run
+        takes them. ``want`` then doubles, or is twice what a cut run took
+        (nodes for greedy, prices else). A run costs about three plain rounds
+        (``Market.sale``), so a process opens with three, and a run taking one
+        round is followed by 1, then 2, 4, ... plain rounds while runs do.
+        """
+        values, n = self.values, len(self.values)
+        end, lowest = (None, True) if prices is None else (len(prices), lowest)
+        paid, buyers, bounds = [], [], [0]
+        at, want, pause, plain = 0, 2, 1, 3
+        while at != end:
+            if plain:
+                plain -= 1
+                price = int(values.max()) if prices is None else prices[at]
+                if price < 0:
+                    break
+                price, bought = self.sale(price, at + 1 == end, lowest)
+                paid.append(price)
+                buyers += bought
+                bounds.append(len(buyers))
+                at += 1
+                continue
+            if prices is None:
+                kth = n - min(want, n)
+                low = max(int(np.partition(values, kth)[kth]), 0)
+            else:
+                stop, index, low = min(at + want, end), [], self.top + 1
+                for i in range(at, stop):
+                    if prices[i] < low:
+                        index.append(i)
+                        low = prices[i]
+            candidates = (values >= low).nonzero()[0] if prices is None or index else ()
+            if not len(candidates):
+                if prices is None:
+                    break
+                paid += prices[at:stop]
+                bounds += [len(buyers)] * (stop - at)
+                at, want = stop, 2 * want
+                continue
+            candidates = candidates[values[candidates].argsort()[::-1]]
+            own = values[candidates]
+            if prices is None:
+                tops = own[np.concatenate(([True], own[1:] != own[:-1])).nonzero()[0]]
+                index, stop = range(at, at + len(tops)), at + len(tops)
+            else:
+                tops = np.array([prices[i] for i in index], values.dtype)
+            # the candidates of the rounds up to each: those valued at or above its price
+            ends = len(own) - own[::-1].searchsorted(tops)
+            # Round 0 settles first: then a later member whose value fell is
+            # adjacent to it, and one adjacent to a later round's member has a
+            # neighbour valued at or above the price of the round before its own
+            self.settle(candidates[:ends[0]])
+            fell = (values[candidates[ends[0]:]] < own[ends[0]:]).nonzero()[0]
+            taken = int(ends.searchsorted(ends[0] + fell[0], "right")) if len(fell) else len(tops)
+            if taken > 1:
+                rows, lengths = self.rows(candidates[ends[0]:ends[taken - 1]])
+                bars = tops[:taken - 1].repeat(ends[1:taken] - ends[:taken - 1]).repeat(lengths)
+                blocked = (values[self.graph.indices[rows]] >= bars).nonzero()[0]
+                if len(blocked):
+                    member = ends[0] + lengths.cumsum().searchsorted(blocked[0], "right")
+                    taken = int(ends.searchsorted(member, "right"))
+                    rows = rows[:lengths[:ends[taken - 1] - ends[0]].sum()]
+                self.settle(candidates[ends[0]:ends[taken - 1]], rows)
+            count = int(ends[taken - 1])
+            done = index[taken] if taken < len(tops) else stop
+            reach = ends[:taken]
+            if len(index) != stop - at:  # a price that is no new minimum sells nobody
+                reach = np.append(0, reach)[np.searchsorted(index[:taken], np.arange(at, done), "right")]
+            paid += own[reach - 1].tolist() if lowest else prices[at:done]
+            bounds += (len(buyers) + reach).tolist()
+            buyers += candidates[:count].tolist()
+            want = 2 * want if taken == len(tops) else 2 * (count if prices is None else done - at)
+            plain, pause = (pause, 2 * pause) if done - at == 1 else (0, 1)
+            at = done
+        return paid, buyers, bounds
+
+    def trace(self, paid: Sequence[int], buyers: Sequence[int], bounds: Sequence[int]) -> SaleTrace:
+        """The trace of the rounds ``Market.sell`` returns, at the values now."""
+        rounds = tuple(SaleRound(price, frozenset(buyers[a:b]), price * (b - a))
+                       for price, a, b in zip(paid, bounds, bounds[1:]))
         residual = frozenset(np.flatnonzero(self.values >= 0).tolist())
-        return SaleTrace(tuple(rounds), residual, sum(r.revenue for r in rounds))
+        return SaleTrace(rounds, residual, sum(r.revenue for r in rounds))
 
 
 def simulate(instance: PncInstance, prices: Sequence[int]) -> SaleTrace:
     """Run the selling process for ``prices`` and return the full trace."""
-    prices = validate_prices(prices)
     market = Market(instance)
-    last = len(prices) - 1
-    return market.trace([market.sale(price, index == last) for index, price in enumerate(prices)])
+    return market.trace(*market.sell(validate_prices(prices)))
 
 
 def make_irredundant(instance: PncInstance, prices: Sequence[int]) -> PriceSequence:
@@ -120,11 +196,5 @@ def normalize(instance: PncInstance, prices: Sequence[int]) -> PriceSequence:
     result sells the same partition for at least the original revenue.
     Empty rounds change nobody's value, so one pass serves both steps.
     """
-    market = Market(instance)
-    normalized = []
-    for price in validate_prices(prices):
-        buyers = market.bidders(price)
-        if len(buyers):
-            normalized.append(int(market.values[buyers].min()))
-            market.settle(buyers)
-    return tuple(normalized)
+    paid, _, bounds = Market(instance).sell(validate_prices(prices), lowest=True)
+    return tuple(price for price, a, b in zip(paid, bounds, bounds[1:]) if b > a)

@@ -56,19 +56,19 @@ def gen_er(n: int, eta: float, seed: int) -> PncInstance:
         raise ValueError(f"eta must be in [0, 1], got {eta}")
     _check_size(n * (n - 1) // 2, f"gen_er({n}, {eta})", "candidate pairs")
     rng = _rng(seed)
-    # Pairs (u, v > u) in row-major order, drawn a block of rows at a time.
-    # Generator.random takes one 64-bit output per double, so the blocks read
-    # the stream that one draw over every pair would. Each block's ends are
-    # kept in the smallest type that holds a node.
+    # Pairs (u, v > u) in row-major order, drawn a block of rows at a time as
+    # one flat run. Generator.random takes one 64-bit output per double, so
+    # the blocks read the stream that one draw over every pair would. Each
+    # block's ends are kept in the smallest type that holds a node.
     rows, ids = max(1, _ER_BLOCK // n), np.min_scalar_type(n - 1)
     us, vs = [], []
     for top in range(0, n - 1, rows):
-        pairs = np.arange(n) > np.arange(top, min(top + rows, n - 1))[:, None]
-        kept = np.zeros_like(pairs)
-        kept[pairs] = rng.random(np.count_nonzero(pairs)) < eta
-        block_us, block_vs = np.nonzero(kept)
-        us.append((block_us + top).astype(ids))
-        vs.append(block_vs.astype(ids))
+        # where each of the block's rows starts in its run of pairs, then the run's length
+        starts = np.concatenate(([0], np.cumsum(n - 1 - np.arange(top, min(top + rows, n - 1)))))
+        hits = np.flatnonzero(rng.random(starts[-1]) < eta)
+        row = np.searchsorted(starts, hits, "right") - 1
+        us.append((row + top).astype(ids))
+        vs.append((hits - starts[row] + row + top + 1).astype(ids))
     return PncInstance.from_edges(n, _unit_edges(us, vs))
 
 
@@ -204,13 +204,13 @@ def gen_split(n: int, clique_fraction: float, edge_prob: float, seed: int) -> Pn
     k = math.ceil(clique_fraction * n)
     _check_size(math.comb(k, 2) + k * (n - k), f"gen_split({n}, {clique_fraction})", "candidate pairs")
     rng = _rng(seed)
-    clique_us, clique_vs = np.triu_indices(k, k=1)
-    us, vs = [clique_us], [clique_vs]
-    if k < n:
-        hits, outside = np.nonzero(rng.random((k, n - k)) < edge_prob)
-        us.append(hits)
-        vs.append(k + outside)
-    return PncInstance.from_edges(n, _unit_edges(us, vs))
+    # row u holds u's clique edges, then its links: the edges come out in
+    # canonical order
+    adjacent = np.empty((k, n), bool)
+    adjacent[:, :k] = np.arange(k) > np.arange(k)[:, None]
+    adjacent[:, k:] = rng.random((k, n - k)) < edge_prob
+    us, vs = np.nonzero(adjacent)
+    return PncInstance.from_edges(n, _unit_edges([us], [vs]))
 
 
 # --- uniform labeled forests ------------------------------------------------

@@ -3,8 +3,9 @@ the small weighted instances that brute force can solve, the brute-force
 optimum that certifies the oracle, the ``json.loads`` instance loader the
 edge-list reader is checked against, the forest-count recurrence the
 closed form is checked against, the one-draw Erdős–Rényi generator the
-row-block one is checked against, and the one-``integers``-call-per-pick
-preferential attachment generator the block-read one is checked against.
+row-block one is checked against, the one-``integers``-call-per-pick
+preferential attachment generator the block-read one is checked against,
+and the plain split-graph DP ``split_dp`` is checked against.
 
 The engine and oracle references read only ``graph.edges``,
 ``instance.intrinsic`` and ``instance.initial_values`` and keep every number
@@ -19,7 +20,7 @@ import math
 import numpy as np
 from hypothesis import strategies as st
 
-from netprice import PncInstance, SaleRound, SaleTrace, validate_prices
+from netprice import PncInstance, SaleRound, SaleTrace, recognize_split, simulate, validate_prices
 from netprice.core import _as_int, _edge_table
 
 NAIVE_NODE_LIMIT = 8
@@ -64,6 +65,26 @@ def rescan_simulate(instance, prices):
                 if neighbor in remaining:
                     values[neighbor] -= weight
     return SaleTrace(tuple(rounds), frozenset(remaining), total)
+
+
+def rescan_normalize(instance, prices):
+    """Normalized prices by a full scan of the remaining consumers per round:
+    drop the rounds that sell nobody and price each other round at its
+    buyers' lowest value."""
+    values = list(instance.initial_values)
+    remaining = set(range(instance.node_count))
+    adj = adjacency(instance.graph)
+    normalized = []
+    for price in validate_prices(prices):
+        buyers = [i for i in remaining if values[i] >= price]
+        if buyers:
+            normalized.append(min(values[i] for i in buyers))
+        remaining.difference_update(buyers)
+        for buyer in buyers:
+            for neighbor, weight in adj[buyer]:
+                if neighbor in remaining:
+                    values[neighbor] -= weight
+    return tuple(normalized)
 
 
 def rescan_greedy(instance):
@@ -122,6 +143,80 @@ def heap_greedy(instance):
                     values[neighbor] -= weight
                     heapq.heappush(heap, (-values[neighbor], neighbor))
     return tuple(prices)
+
+
+def split_dp_reference(instance):
+    """``split_dp`` as a per-neighbour set-membership DP whose closing-price
+    loop scans every degree from k down: the same recursion and back-pointers
+    with no shortcut."""
+    if not instance.graph.is_unweighted() or any(instance.intrinsic):
+        raise ValueError("split_dp requires unit edge weights and zero intrinsic values")
+    graph = instance.graph
+    partition = recognize_split(graph)
+    if partition is None:
+        raise ValueError("split_dp requires a split graph")
+    clique = partition.clique
+    indep_set = set(partition.independent)
+
+    k = len(clique)
+    clique_deg = [graph.degrees[v] for v in clique]  # nondecreasing
+    indptr, indices = graph.indptr, graph.indices
+
+    # prefix_deg[u]: neighbors of independent node u among the first i clique nodes
+    prefix_deg = [0] * graph.node_count
+    bucket = [0] * (k + 2)  # count of independent nodes at each prefix degree
+    max_indep_deg = 0
+    opt = [0] * (k + 1)
+    # back[i]: (price, h) posts price, selling clique[h:i], then prices prefix
+    # h; a closing price d is (d, 0) and also sells independents of degree
+    # >= d. None: the prefix is worthless, as prefix 0 always is.
+    back: list[tuple[int, int] | None] = [None] * (k + 1)
+
+    for i in range(1, k + 1):
+        node = clique[i - 1]
+        for u in indices[indptr[node]:indptr[node + 1]].tolist():
+            if u in indep_set:
+                old = prefix_deg[u]
+                prefix_deg[u] = old + 1
+                if old:
+                    bucket[old] -= 1
+                bucket[old + 1] += 1
+                if old + 1 > max_indep_deg:
+                    max_indep_deg = old + 1
+        best = 0
+        for h in range(i):
+            if h > 0 and clique_deg[h - 1] == clique_deg[h]:
+                continue  # price would also sell clique[h-1]
+            price = clique_deg[h] - (k - i)
+            if price <= max_indep_deg:
+                continue  # price would also sell an independent node
+            candidate = opt[h] + price * (i - h)
+            if candidate > best:
+                best = candidate
+                back[i] = (price, h)
+        lowest_clique_deg = clique_deg[0] - (k - i)
+        ahead = 0
+        for d in range(k, 0, -1):
+            ahead += bucket[d]
+            if bucket[d] == 0:
+                continue
+            if d > lowest_clique_deg:
+                raise RuntimeError(f"independent degree {d} above the whole clique")
+            candidate = (i + ahead) * d
+            if candidate > best:
+                best = candidate
+                back[i] = (d, 0)
+        opt[i] = best
+
+    prices = []
+    i = k
+    while back[i] is not None:
+        price, i = back[i]
+        prices.append(price)
+    trace = simulate(instance, prices)
+    if trace.revenue != opt[k]:
+        raise RuntimeError(f"split_dp realizer {trace.prices} does not reproduce revenue {opt[k]}")
+    return trace
 
 
 def json_loads_instance(text):

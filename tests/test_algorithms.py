@@ -4,7 +4,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from netprice import (
@@ -30,7 +30,8 @@ from netprice import (
     simulate,
     split_dp,
 )
-from references import heap_greedy, naive_opt, rescan_greedy, rescan_simulate, weighted_instances
+from references import (heap_greedy, naive_opt, rescan_greedy, rescan_normalize, rescan_simulate,
+                        split_dp_reference, weighted_instances)
 
 
 def _random_instance(rng, max_n=12, max_w=5, max_nu=3):
@@ -83,23 +84,41 @@ def test_batched_greedy_matches_rescan_references(inst):
     trace = greedy_iterative(inst)
     assert trace == rescan_simulate(inst, trace.prices)
     assert trace.prices == rescan_greedy(inst)
+    # greedy prices each round at its buyers' value, so they are normalized
+    assert normalize(inst, trace.prices) == trace.prices
 
 
-def test_greedy_on_sparse_weighted_matches_heap_reference():
-    # distinct values, about one buyer per round: the scans sell long runs
+def _sparse_weighted(n=2000):
     rng = random.Random(2000)
-    n = 2000
     pairs = set()
     while len(pairs) < 3 * n:
         u, v = rng.randrange(n), rng.randrange(n)
         if u != v:
             pairs.add((min(u, v), max(u, v)))
     edges = [(u, v, rng.randint(1, 10**6)) for u, v in sorted(pairs)]
-    inst = PncInstance.from_edges(n, edges, [rng.randint(1, 10**6) for _ in range(n)])
+    return PncInstance.from_edges(n, edges, [rng.randint(1, 10**6) for _ in range(n)])
+
+
+def test_greedy_on_sparse_weighted_matches_heap_reference():
+    # distinct values, about one buyer per round: the scans sell long runs
+    inst = _sparse_weighted()
     trace = greedy_iterative(inst)
     assert trace.prices == heap_greedy(inst)
     assert trace == simulate(inst, trace.prices)
-    assert len(trace.rounds) > n * 9 // 10
+    assert normalize(inst, trace.prices) == trace.prices
+    assert len(trace.rounds) > inst.node_count * 9 // 10
+
+
+def test_long_price_lists_match_rescan_references():
+    # runs over many prices: new minima and prices that sell nobody, runs cut
+    # by adjacent candidates, and a tail after everyone owns
+    inst = _sparse_weighted(600)
+    rng = random.Random(5)
+    top = max(inst.initial_values)
+    falling = sorted((rng.randint(0, top) for _ in range(400)), reverse=True)
+    for prices in (falling, [rng.randint(0, top + 1) for _ in range(300)], falling[::3] + [0] + falling[:50]):
+        assert simulate(inst, prices) == rescan_simulate(inst, prices)
+        assert normalize(inst, prices) == rescan_normalize(inst, prices)
 
 
 def test_greedy_lower_bound_and_two_approx():
@@ -232,6 +251,18 @@ def test_split_dp_realizers_are_pinned(args, prices, revenue):
     # The first best realizer the DP's back-pointers give, not only its revenue.
     result = split_dp(gen_split(*args))
     assert (result.prices, result.revenue) == (prices, revenue)
+
+
+@given(st.integers(2, 30), st.floats(0.05, 0.99),
+       st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0, 1)), st.integers(0, 2**16))
+@example(10, 0.95, 0.5, 0)  # k == n: the whole graph is the clique
+@example(12, 0.5, 0.0, 1)
+@example(12, 0.5, 1.0, 1)
+def test_split_dp_matches_reference(n, clique_fraction, edge_prob, seed):
+    # the masked row filter and the closing-price scan from the highest
+    # independent degree must give the reference DP's realizer and trace
+    instance = gen_split(n, clique_fraction, edge_prob, seed)
+    assert split_dp(instance) == split_dp_reference(instance)
 
 
 def test_split_dp_partition_validation():

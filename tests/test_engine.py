@@ -20,7 +20,7 @@ from netprice import (
     simulate,
 )
 from netprice.engine import Market
-from references import heap_greedy, rescan_simulate
+from references import heap_greedy, rescan_normalize, rescan_simulate
 
 
 def _buyers(trace):
@@ -69,16 +69,16 @@ def test_market_values_track_remaining():
     inst = PncInstance.from_edges(3, [(0, 1, 2), (1, 2, 3)], (1, 0, 0))
     market = Market(inst)
     assert market.values.tolist() == [3, 5, 3]
-    assert market.sale(4).buyers == {1}
+    assert market.sale(4) == (4, [1])
     # the buyer's neighbours drop by their edge weights; the buyer reads -1
     assert market.values.tolist() == [1, -1, 0]
-    assert market.sale(6).buyers == frozenset()
-    assert market.sale(1).buyers == {0}
+    assert market.sale(6) == (6, [])
+    assert market.sale(1) == (1, [0])
     # an owner is never lowered again, and the last consumer keeps its value
     assert market.values.tolist() == [-1, -1, 0]
     # buyers in one round do not lower each other
     triangle = Market(PncInstance.unweighted(3, [(0, 1), (1, 2), (0, 2)]))
-    assert triangle.sale(2).buyers == {0, 1, 2}
+    assert triangle.sale(2) == (2, [0, 1, 2])
     assert triangle.values.tolist() == [-1, -1, -1]
 
 
@@ -181,6 +181,7 @@ def test_simulate_and_greedy_match_references(case):
 def test_normalize_and_make_irredundant_properties(case):
     instance, prices = case
     revenue = simulate(instance, prices).revenue
+    assert normalize(instance, prices) == rescan_normalize(instance, prices)
     assert simulate(instance, normalize(instance, prices)).revenue >= revenue
     pruned = make_irredundant(instance, prices)
     assert all(p > q for p, q in zip(pruned, pruned[1:]))

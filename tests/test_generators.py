@@ -501,10 +501,25 @@ def test_forest_many_components_at_the_size_limit():
     (lambda: gen_er(40, 0.3, seed=5), "e3d97fbcb5446ef8"),
     (lambda: gen_ba(50, 3, seed=2), "564da16135c3ff1f"),
     (lambda: gen_example1(3), "c373799dc100a812"),
+    (lambda: gen_split(14, 0.4, 0.5, seed=0), "c0b16a3d7f022d4b"),
+    (lambda: gen_split(1000, 0.3, 0.5, seed=43), "8f0906e65defa471"),
+    (lambda: gen_er(2000, 0.3, seed=3), "1a6655de9bcdae70"),
 ])
 def test_generator_output_is_pinned(build, digest):
     text = dumps_instance(build())
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
+
+def test_canonical_families_are_not_sorted_again(monkeypatch):
+    # these generators lay their edges out in canonical order, so the graph
+    # keeps them as they are and never sorts them
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.lexsort called")
+
+    monkeypatch.setattr(np, "lexsort", refuse)
+    for build in (lambda: gen_er(300, 0.2, 1), lambda: gen_split(300, 0.3, 0.5, 2),
+                  lambda: gen_split(10, 0.95, 0.5, 0), lambda: gen_spider(50)):
+        assert build().graph.edge_count
 
 
 # --- the generate dispatcher --------------------------------------------------

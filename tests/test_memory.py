@@ -1,12 +1,15 @@
 """Traced peak memory of instance loading, dumping and generation on
-G(2000, 0.3), and of dumping on G(1000, 0.3).
+G(2000, 0.3), of dumping on G(1000, 0.3), and of generating a split graph
+with about as many edges.
 
 numpy reports its buffers to tracemalloc, so these peaks are byte counts of
 every Python object and array a step holds at once: deterministic, unlike a
 resident set size. Each bound is the measured peak with about 10% headroom.
 Before edge lists were read and written in blocks, the peaks were 73 MiB
 (loads), 73 MiB (dumps) and 106 MiB (gen_er) on G(2000, 0.3), and the
-dumper's was 17.1 MiB on G(1000, 0.3).
+dumper's was 17.1 MiB on G(1000, 0.3). Before the split generator laid its
+edges out in canonical order, which the graph then had to sort, its peak
+was 45.5 MiB.
 """
 
 import gc
@@ -14,7 +17,7 @@ import tracemalloc
 
 import pytest
 
-from netprice import dumps_instance, gen_er, load_instance, loads_instance
+from netprice import dumps_instance, gen_er, gen_split, load_instance, loads_instance
 
 MIB = 1 << 20
 
@@ -44,6 +47,12 @@ def test_gen_er_peak():
     instance, peak, _ = _traced(lambda: gen_er(2000, 0.3, seed=3))
     assert instance.graph.edge_count > 590_000
     assert peak < 23.5 * MIB, peak / MIB  # measured 21.4 MiB
+
+
+def test_gen_split_peak():
+    instance, peak, _ = _traced(lambda: gen_split(2000, 0.3, 0.5, seed=3))
+    assert instance.graph.edge_count > 590_000
+    assert peak < 31.5 * MIB, peak / MIB  # measured 28.6 MiB
 
 
 def test_dumps_peak():
