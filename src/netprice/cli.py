@@ -187,8 +187,8 @@ def _read_instance(path: str) -> PncInstance:
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
+    if path == "-":  # as strict UTF-8, as a file is, under any locale
+        return sys.stdin.buffer.read().decode("utf-8")
     with open(path, "r", encoding="utf-8") as handle:
         return handle.read()
 
@@ -213,9 +213,10 @@ def _trace_json(trace: SaleTrace) -> str:
     def ints(values) -> str:
         return "[" + ", ".join(map(str, values)) + "]"
 
+    buyers, ends = trace.buyers.tolist(), trace.ends.tolist()
     rounds = ", ".join(
-        f'{{"price": {sale.price}, "buyers": {ints(sorted(sale.buyers))}, "revenue": {sale.revenue}}}'
-        for sale in trace.rounds
+        f'{{"price": {price}, "buyers": {ints(buyers[a:b])}, "revenue": {price * (b - a)}}}'
+        for price, a, b in zip(trace.prices, ends, ends[1:])
     )
     return (f'{{"prices": {ints(trace.prices)}, "rounds": [{rounds}], '
             f'"total_revenue": {trace.revenue}, "unsold": {ints(sorted(trace.residual))}}}')
@@ -223,8 +224,9 @@ def _trace_json(trace: SaleTrace) -> str:
 
 def _print_trace(trace: SaleTrace) -> None:
     print(f"{'round':>5} {'price':>14} {'buyers':>7} {'revenue':>14}")
-    for index, sale in enumerate(trace.rounds):
-        print(f"{index:>5} {sale.price:>14} {len(sale.buyers):>7} {sale.revenue:>14}")
+    ends = trace.ends.tolist()
+    for index, (price, a, b) in enumerate(zip(trace.prices, ends, ends[1:])):
+        print(f"{index:>5} {price:>14} {b - a:>7} {price * (b - a):>14}")
     print(f"total revenue: {trace.revenue}")
     print(f"unsold: {len(trace.residual)}")
 

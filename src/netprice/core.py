@@ -5,7 +5,9 @@ numpy arrays ``u, v, w`` and, from their first use, as compressed sparse
 rows ``indptr, indices, weights``; all are read-only. Every quantity is an
 exact integer: an array of weights or values is int64 when its largest
 possible sum fits, else an object array of Python ints, and the same numpy
-code runs on either. What leaves the package is Python ints.
+code runs on either. What leaves the package is Python ints, but for a
+``SaleTrace``'s buyers and round offsets: read-only int64 arrays, as the
+engine's kernel returns them, which ``SaleTrace.rounds`` views per round.
 """
 
 from __future__ import annotations
@@ -318,21 +320,31 @@ class SaleRound:
     revenue: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SaleTrace:
-    """Outcome of posting a price sequence: per-round buyer sets and revenue.
-
-    ``residual`` is the set of consumers who never bought. Rounds posted after
-    everyone has bought are recorded with empty buyer sets.
+    """Outcome of posting a price sequence: each round's price, every buyer
+    (round ``i``'s are ``buyers[ends[i]:ends[i + 1]]``, increasing), the
+    consumers who never bought and the revenue. Rounds posted after everyone
+    has bought sell nobody.
     """
 
-    rounds: tuple[SaleRound, ...]
+    prices: PriceSequence
+    buyers: np.ndarray
+    ends: np.ndarray
     residual: frozenset[int]
     revenue: int
 
+    def __eq__(self, other: object) -> bool:
+        return (isinstance(other, SaleTrace) and np.array_equal(self.ends, other.ends)
+                and np.array_equal(self.buyers, other.buyers)
+                and (self.prices, self.residual, self.revenue) == (other.prices, other.residual, other.revenue))
+
     @property
-    def prices(self) -> PriceSequence:
-        return tuple(r.price for r in self.rounds)
+    def rounds(self) -> tuple[SaleRound, ...]:
+        """Each round's price, buyer set and revenue, built on each call."""
+        buyers, ends = self.buyers.tolist(), self.ends.tolist()
+        return tuple(SaleRound(price, frozenset(buyers[a:b]), price * (b - a))
+                     for price, a, b in zip(self.prices, ends, ends[1:]))
 
 
 def validate_prices(prices: Sequence[int]) -> PriceSequence:

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import PncInstance, PriceSequence, SaleRound, SaleTrace, validate_prices
+from .core import PncInstance, PriceSequence, SaleTrace, _read_only, validate_prices
 
 class Market:
     """A selling process in progress: ``values`` holds every consumer's current
@@ -64,7 +64,7 @@ class Market:
         # exact in either dtype, and a neighbour of several buyers drops once per buyer
         np.subtract.at(self.values, neighbours[still], self.weights[rows][still])
 
-    def sale(self, price: int, last: bool = False, lowest: bool = False) -> tuple[int, list[int]]:
+    def sale(self, price: int, last: bool = False, lowest: bool = False) -> tuple[int, np.ndarray]:
         """One round at ``price`` (its buyers' lowest value with ``lowest``) and its
         buyers, increasing. A process's ``last`` round only marks its buyers."""
         buyers = (self.values >= price).nonzero()[0] if price <= self.top else np.zeros(0, np.intp)
@@ -74,14 +74,14 @@ class Market:
             self.values[buyers] = -1
         elif len(buyers):
             self.settle(buyers)
-        return price, buyers.tolist()
+        return price, buyers
 
     def sell(self, prices: PriceSequence | None = None,
-             lowest: bool = False) -> tuple[list[int], list[int], list[int]]:
+             lowest: bool = False) -> tuple[list[int], np.ndarray, np.ndarray]:
         """Post ``prices``, or with None greedy's (the highest current value,
         until everyone owns): each round's price (with ``lowest``, greedy's
-        always, its buyers' lowest value if it sold), all buyers in sale
-        order, and where each round's buyers end, after a leading 0.
+        always, its buyers' lowest value if it sold), all buyers round by round
+        (each round's increasing), and the offsets where rounds end, from 0.
 
         One scan sells a run: the next ``want`` prices that are new minima at
         most ``top`` (no other sells), or greedy's tie groups among the ``want``
@@ -96,7 +96,7 @@ class Market:
         """
         values, n = self.values, len(self.values)
         end, lowest = (None, True) if prices is None else (len(prices), lowest)
-        paid, buyers, bounds = [], [], [0]
+        paid, chunks, bounds = [], [], [0]
         at, want, pause, plain = 0, 2, 1, 3
         while at != end:
             if plain:
@@ -106,8 +106,8 @@ class Market:
                     break
                 price, bought = self.sale(price, at + 1 == end, lowest)
                 paid.append(price)
-                buyers += bought
-                bounds.append(len(buyers))
+                chunks.append(bought)
+                bounds.append(bounds[-1] + len(bought))
                 at += 1
                 continue
             if prices is None:
@@ -124,11 +124,12 @@ class Market:
                 if prices is None:
                     break
                 paid += prices[at:stop]
-                bounds += [len(buyers)] * (stop - at)
+                bounds += [bounds[-1]] * (stop - at)
                 at, want = stop, 2 * want
                 continue
-            candidates = candidates[values[candidates].argsort()[::-1]]
             own = values[candidates]
+            order = (-own).argsort(kind="stable")  # highest first, ties increasing
+            candidates, own = candidates[order], own[order]
             if prices is None:
                 tops = own[np.concatenate(([True], own[1:] != own[:-1])).nonzero()[0]]
                 index, stop = range(at, at + len(tops)), at + len(tops)
@@ -157,19 +158,23 @@ class Market:
             if len(index) != stop - at:  # a price that is no new minimum sells nobody
                 reach = np.append(0, reach)[np.searchsorted(index[:taken], np.arange(at, done), "right")]
             paid += own[reach - 1].tolist() if lowest else prices[at:done]
-            bounds += (len(buyers) + reach).tolist()
-            buyers += candidates[:count].tolist()
+            bounds += (bounds[-1] + reach).tolist()
+            bought = candidates[:count]
+            if prices is not None:  # each round's buyers increasing, as greedy's tie groups are
+                bought = bought[np.lexsort((bought, ends[:taken].searchsorted(np.arange(count), "right")))]
+            chunks.append(bought)
             want = 2 * want if taken == len(tops) else 2 * (count if prices is None else done - at)
             plain, pause = (pause, 2 * pause) if done - at == 1 else (0, 1)
             at = done
-        return paid, buyers, bounds
+        buyers = chunks[0] if len(chunks) == 1 else np.concatenate([np.zeros(0, np.intp), *chunks])
+        return paid, buyers, np.array(bounds, np.int64)
 
-    def trace(self, paid: Sequence[int], buyers: Sequence[int], bounds: Sequence[int]) -> SaleTrace:
+    def trace(self, paid: list[int], buyers: np.ndarray, ends: np.ndarray) -> SaleTrace:
         """The trace of the rounds ``Market.sell`` returns, at the values now."""
-        rounds = tuple(SaleRound(price, frozenset(buyers[a:b]), price * (b - a))
-                       for price, a, b in zip(paid, bounds, bounds[1:]))
+        bounds = ends.tolist()
+        revenue = sum(price * (b - a) for price, a, b in zip(paid, bounds, bounds[1:]))
         residual = frozenset(np.flatnonzero(self.values >= 0).tolist())
-        return SaleTrace(rounds, residual, sum(r.revenue for r in rounds))
+        return SaleTrace(tuple(paid), _read_only(buyers), _read_only(ends), residual, revenue)
 
 
 def simulate(instance: PncInstance, prices: Sequence[int]) -> SaleTrace:
@@ -185,7 +190,8 @@ def make_irredundant(instance: PncInstance, prices: Sequence[int]) -> PriceSeque
     strictly decreasing: a consumer priced out at one round has an even lower
     value later, so a repeated or higher price can never sell again.
     """
-    return tuple(r.price for r in simulate(instance, prices).rounds if r.buyers)
+    paid, _, ends = Market(instance).sell(validate_prices(prices))
+    return tuple(price for price, count in zip(paid, np.diff(ends).tolist()) if count)
 
 
 def normalize(instance: PncInstance, prices: Sequence[int]) -> PriceSequence:
@@ -196,5 +202,5 @@ def normalize(instance: PncInstance, prices: Sequence[int]) -> PriceSequence:
     result sells the same partition for at least the original revenue.
     Empty rounds change nobody's value, so one pass serves both steps.
     """
-    paid, _, bounds = Market(instance).sell(validate_prices(prices), lowest=True)
-    return tuple(price for price, a, b in zip(paid, bounds, bounds[1:]) if b > a)
+    paid, _, ends = Market(instance).sell(validate_prices(prices), lowest=True)
+    return tuple(price for price, count in zip(paid, np.diff(ends).tolist()) if count)

@@ -122,24 +122,23 @@ def gen_ba(n: int, beta: int, seed: int) -> PncInstance:
     edge_count = math.comb(beta, 2) + beta * (n - beta)
     _check_size(edge_count, f"gen_ba({n}, {beta})")
     below = _below(_rng(seed))
-    # Entries 2e and 2e + 1 are edge e's ends, in the order the edges are
-    # made: one entry per edge endpoint, so a uniform pick among the entries
-    # made so far is degree-proportional.
-    ends = np.empty(2 * edge_count, np.int64)
-    clique = np.triu_indices(beta, k=1)
-    made = 2 * len(clique[0])
-    ends[0:made:2], ends[1:made:2] = clique
-    # the first arrival takes the whole seed clique
-    ends[made:made + 2 * beta:2], ends[made + 1:made + 2 * beta:2] = range(beta), beta
-    made += 2 * beta
-    entry = memoryview(ends)  # reads a Python int, not a numpy scalar
+    # Entries 2e and 2e + 1 are edge e's lower and upper end, in the order
+    # the edges are made: one entry per edge endpoint, so a uniform pick
+    # among the entries made so far is degree-proportional. The seed clique
+    # comes first, then the first arrival, which takes all of it.
+    ends = [end for u in range(beta) for v in range(u + 1, beta) for end in (u, v)]
+    ends += [end for u in range(beta) for end in (u, beta)]
     for arrival in range(beta + 1, n):
         chosen = set()
         while len(chosen) < beta:
-            chosen.add(entry[below(made)])
-        ends[made:made + 2 * beta:2], ends[made + 1:made + 2 * beta:2] = sorted(chosen), arrival
-        made += 2 * beta
-    return PncInstance.from_edges(n, _unit_edges([ends[0::2]], [ends[1::2]]))
+            chosen.add(ends[below(len(ends))])
+        for u in sorted(chosen):
+            ends += (u, arrival)
+    pairs = np.array(ends, np.int64).reshape(-1, 2)
+    # the upper ends grow with each arrival, so a stable sort on the lower
+    # end lays the edges out canonically
+    pairs = pairs[pairs[:, 0].argsort(kind="stable")]
+    return PncInstance.from_edges(n, _unit_edges([pairs[:, 0]], [pairs[:, 1]]))
 
 
 def gen_spider(k: int) -> PncInstance:

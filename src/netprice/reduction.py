@@ -298,10 +298,7 @@ def assignment_pricing(artifact: ReductionArtifact, assignment: Sequence[bool]) 
 def clause_window_round(artifact: ReductionArtifact, trace: SaleTrace) -> int | None:
     """Index of the first round priced inside the clause band (<= 2*a+3)."""
     top = 2 * artifact.clause_scale + 3
-    for index, sale in enumerate(trace.rounds):
-        if sale.price <= top:
-            return index
-    return None
+    return next((index for index, price in enumerate(trace.prices) if price <= top), None)
 
 
 @dataclass(frozen=True)
@@ -357,24 +354,16 @@ class GadgetReport:
         return "\n".join(lines)
 
 
-def _gadget_revenue(trace: SaleTrace, members: frozenset[int]) -> int:
-    return sum(sale.price * len(sale.buyers & members) for sale in trace.rounds)
-
-
-def _run_check(
-    artifact: ReductionArtifact,
-    gadget: str,
-    prices: Sequence[int],
-    members: frozenset[int],
-    expected_revenue: int,
-    expected_sold: Sequence[tuple[str, int, bool]],
-) -> GadgetCheck:
+def _run_check(artifact: ReductionArtifact, gadget: str, prices: Sequence[int], members: frozenset[int],
+               expected_revenue: int, expected_sold: Sequence[tuple[str, int, bool]]) -> GadgetCheck:
     trace = simulate(artifact.instance, tuple(prices))
+    buyers, ends = trace.buyers.tolist(), trace.ends.tolist()
     return GadgetCheck(
         gadget=gadget,
         prices=tuple(prices),
         expected_revenue=expected_revenue,
-        observed_revenue=_gadget_revenue(trace, members),
+        observed_revenue=sum(price * len(members.intersection(buyers[a:b]))
+                             for price, a, b in zip(trace.prices, ends, ends[1:])),
         expected_sold=tuple((label, want) for label, _, want in expected_sold),
         observed_sold=tuple((label, node not in trace.residual) for label, node, _ in expected_sold),
     )
@@ -419,9 +408,7 @@ def verify_gadget_claims(artifact: ReductionArtifact) -> GadgetReport:
         for prices, expected, sold in scenarios:
             if prices not in ((10 * s, 2 * s), (6 * s,)) and expected >= 24 * s:
                 raise RuntimeError(f"variable {i}: off-pattern prices {prices} expect {expected}")
-            checks.append(
-                _run_check(artifact, f"variable {i}", prices, members, expected, sold)
-            )
+            checks.append(_run_check(artifact, f"variable {i}", prices, members, expected, sold))
 
     for j, clause in enumerate(artifact.formula.clauses, start=1):
         c, d, e = artifact.clause_nodes[j - 1]
@@ -448,20 +435,12 @@ def verify_gadget_claims(artifact: ReductionArtifact) -> GadgetReport:
             ("satisfied, price 2a+1", prefix_sat + (2 * a + 1,), 6 * a + 3, [c_sold] + de_sold),
             ("falsified, price 2a+1", prefix_unsat + (2 * a + 1,), 4 * a + 2, [c_kept] + de_sold),
             ("satisfied, price 2a", prefix_sat + (2 * a,), 6 * a, [c_sold] + de_sold),
-            (
-                "all satisfied, split window",
-                prefix_allsat + (2 * a + 3, 2 * a + 1),
-                2 * a + 3,
-                [c_sold] + de_kept,
-            ),
+            ("all satisfied, split window", prefix_allsat + (2 * a + 3, 2 * a + 1), 2 * a + 3,
+             [c_sold] + de_kept),
             ("satisfied, no clause price", prefix_sat, 0, [c_kept] + de_kept),
         ]
         for label, prices, expected, sold in scenarios:
-            checks.append(
-                _run_check(
-                    artifact, f"clause {j} ({label})", prices, members, expected, sold
-                )
-            )
+            checks.append(_run_check(artifact, f"clause {j} ({label})", prices, members, expected, sold))
 
     return GadgetReport(tuple(checks))
 

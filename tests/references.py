@@ -20,7 +20,7 @@ import math
 import numpy as np
 from hypothesis import strategies as st
 
-from netprice import PncInstance, SaleRound, SaleTrace, recognize_split, simulate, validate_prices
+from netprice import PncInstance, SaleTrace, recognize_split, simulate, validate_prices
 from netprice.core import _as_int, _edge_table
 
 NAIVE_NODE_LIMIT = 8
@@ -52,19 +52,19 @@ def rescan_simulate(instance, prices):
     values = list(instance.initial_values)
     remaining = set(range(instance.node_count))
     adj = adjacency(instance.graph)
-    rounds = []
+    sold, ends = [], [0]
     total = 0
     for price in prices:
-        buyers = frozenset(i for i in remaining if values[i] >= price)
-        revenue = price * len(buyers)
-        total += revenue
-        rounds.append(SaleRound(price, buyers, revenue))
-        remaining -= buyers
+        buyers = sorted(i for i in remaining if values[i] >= price)
+        total += price * len(buyers)
+        sold += buyers
+        ends.append(len(sold))
+        remaining -= set(buyers)
         for buyer in buyers:
             for neighbor, weight in adj[buyer]:
                 if neighbor in remaining:
                     values[neighbor] -= weight
-    return SaleTrace(tuple(rounds), frozenset(remaining), total)
+    return SaleTrace(prices, np.array(sold, np.int64), np.array(ends, np.int64), frozenset(remaining), total)
 
 
 def rescan_normalize(instance, prices):

@@ -8,16 +8,21 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import netprice
-from netprice import dumps_instance, gen_er, gen_forest, gen_spider, gen_split, loads_instance
+from netprice import (PncInstance, dumps_instance, gen_er, gen_forest, gen_spider, gen_split,
+                      greedy_iterative, loads_instance, simulate)
 from netprice.cli import (
     EXPERIMENTS,
     _build_parser,
+    _trace_json,
     experiment_tasks,
     run_cli,
     run_experiment,
 )
+from references import weighted_instances
 
 SAMPLE_CNF = """\
 p cnf 3 3
@@ -134,6 +139,23 @@ def test_simulate_rejects_negative_price(tmp_path, capsys):
 
 
 # --- strategies and the oracle ----------------------------------------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(weighted_instances(), st.lists(st.integers(0, 50), max_size=12), st.sampled_from([1, 2**62]))
+def test_trace_json_is_json_dumps_of_the_rounds(instance, prices, scale):
+    # greedy's trace, and a random price list's, with empty rounds and price
+    # 0; every number times 2**62 in some draws, past int64 (values reach 48)
+    if scale > 1:
+        graph = instance.graph
+        instance = PncInstance.from_edges(graph.node_count, [(u, v, w * scale) for u, v, w in graph.edges],
+                                          [x * scale for x in instance.intrinsic])
+    for trace in (greedy_iterative(instance), simulate(instance, [p * scale for p in prices])):
+        rounds = [{"price": sale.price, "buyers": sorted(sale.buyers), "revenue": sale.revenue}
+                  for sale in trace.rounds]
+        assert _trace_json(trace) == json.dumps({"prices": list(trace.prices), "rounds": rounds,
+                                                 "total_revenue": trace.revenue,
+                                                 "unsold": sorted(trace.residual)})
 
 
 def _stdin(data, encoding="utf-8"):
@@ -357,9 +379,24 @@ def test_reduce_json_combined(tmp_path, capsys):
 
 
 def test_reduce_from_stdin(monkeypatch, capsys):
-    monkeypatch.setattr("sys.stdin", io.StringIO(SAMPLE_CNF))
+    monkeypatch.setattr("sys.stdin", _stdin(SAMPLE_CNF.encode()))
     assert run_cli(["reduce"]) == 0
     assert loads_instance(capsys.readouterr().out).node_count == 24
+
+
+@pytest.mark.parametrize("command", ["reduce", "verify-gadgets"])
+def test_cnf_stdin_is_read_as_the_file_bytes(tmp_path, monkeypatch, capsys, command):
+    # a byte that is not UTF-8 in a comment line: a file is refused, and so
+    # is stdin, though a latin-1 locale would decode it
+    data = b"c bad\xff comment\n" + SAMPLE_CNF.encode()
+    cnf = tmp_path / "bad.cnf"
+    cnf.write_bytes(data)
+    assert run_cli([command, str(cnf)]) == 1
+    from_file = capsys.readouterr().err
+    assert from_file == "error: 'utf-8' codec can't decode byte 0xff in position 5: invalid start byte\n"
+    monkeypatch.setattr("sys.stdin", _stdin(data, "latin-1"))
+    assert run_cli([command, "-"]) == 1
+    assert capsys.readouterr().err == from_file
 
 
 def test_reduce_rejects_bad_cnf(tmp_path, capsys):

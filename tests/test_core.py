@@ -208,8 +208,13 @@ def test_trace_views():
         SaleRound(3, frozenset({1}), 3),
         SaleRound(1, frozenset({0, 2}), 2),
     )
-    trace = SaleTrace(rounds, frozenset(), 5)
+    trace = SaleTrace((3, 1), np.array([1, 0, 2]), np.array([0, 1, 3]), frozenset(), 5)
     assert trace.prices == (3, 1)
+    assert trace.rounds == rounds
+    # equal by value, as graphs are
+    again = SaleTrace((3, 1), np.array([1, 0, 2]), np.array([0, 1, 3]), frozenset(), 5)
+    assert again == trace
+    assert again != SaleTrace((3, 1), np.array([1, 0, 2]), np.array([0, 2, 3]), frozenset(), 5)
 
 
 def test_dumps_is_canonical():

@@ -68,17 +68,22 @@ def test_price_zero_sells_to_everyone():
 def test_market_values_track_remaining():
     inst = PncInstance.from_edges(3, [(0, 1, 2), (1, 2, 3)], (1, 0, 0))
     market = Market(inst)
+
+    def sale(market, price):
+        price, buyers = market.sale(price)
+        return price, buyers.tolist()
+
     assert market.values.tolist() == [3, 5, 3]
-    assert market.sale(4) == (4, [1])
+    assert sale(market, 4) == (4, [1])
     # the buyer's neighbours drop by their edge weights; the buyer reads -1
     assert market.values.tolist() == [1, -1, 0]
-    assert market.sale(6) == (6, [])
-    assert market.sale(1) == (1, [0])
+    assert sale(market, 6) == (6, [])
+    assert sale(market, 1) == (1, [0])
     # an owner is never lowered again, and the last consumer keeps its value
     assert market.values.tolist() == [-1, -1, 0]
     # buyers in one round do not lower each other
     triangle = Market(PncInstance.unweighted(3, [(0, 1), (1, 2), (0, 2)]))
-    assert triangle.sale(2) == (2, [0, 1, 2])
+    assert sale(triangle, 2) == (2, [0, 1, 2])
     assert triangle.values.tolist() == [-1, -1, -1]
 
 

@@ -504,6 +504,7 @@ def test_forest_many_components_at_the_size_limit():
     (lambda: gen_split(14, 0.4, 0.5, seed=0), "c0b16a3d7f022d4b"),
     (lambda: gen_split(1000, 0.3, 0.5, seed=43), "8f0906e65defa471"),
     (lambda: gen_er(2000, 0.3, seed=3), "1a6655de9bcdae70"),
+    (lambda: gen_ba(5000, 3, seed=43), "436a1122ca41fde8"),
 ])
 def test_generator_output_is_pinned(build, digest):
     text = dumps_instance(build())
@@ -518,7 +519,8 @@ def test_canonical_families_are_not_sorted_again(monkeypatch):
 
     monkeypatch.setattr(np, "lexsort", refuse)
     for build in (lambda: gen_er(300, 0.2, 1), lambda: gen_split(300, 0.3, 0.5, 2),
-                  lambda: gen_split(10, 0.95, 0.5, 0), lambda: gen_spider(50)):
+                  lambda: gen_split(10, 0.95, 0.5, 0), lambda: gen_spider(50),
+                  lambda: gen_ba(500, 3, 4)):
         assert build().graph.edge_count
 
 

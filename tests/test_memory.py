@@ -9,15 +9,18 @@ Before edge lists were read and written in blocks, the peaks were 73 MiB
 (loads), 73 MiB (dumps) and 106 MiB (gen_er) on G(2000, 0.3), and the
 dumper's was 17.1 MiB on G(1000, 0.3). Before the split generator laid its
 edges out in canonical order, which the graph then had to sort, its peak
-was 45.5 MiB.
+was 45.5 MiB. Before a sale trace kept the engine's buyer array, with a
+frozenset of Python ints per round, greedy's peaks were 109 MiB (edgeless)
+and 52 MiB (matching).
 """
 
 import gc
 import tracemalloc
 
+import numpy as np
 import pytest
 
-from netprice import dumps_instance, gen_er, gen_split, load_instance, loads_instance
+from netprice import PncInstance, dumps_instance, gen_er, gen_split, greedy_iterative, load_instance, loads_instance
 
 MIB = 1 << 20
 
@@ -93,3 +96,25 @@ def test_load_file_peak(dense, tmp_path):
     # the file's bytes, 7.4 MB, where loads_instance is handed the text
     assert peak < 28.3 * MIB, peak / MIB  # measured 25.7 MiB
     assert kept < 15 * MIB, kept / MIB  # measured 13.7 MiB
+
+
+def test_greedy_trace_peak_edgeless():
+    # one round sells all 1,000,001 consumers at price 0: the trace keeps
+    # them as one int64 array
+    instance = PncInstance.from_edges(1_000_001, [])
+    instance.value_array  # built before the step, as any strategy's input
+    trace, peak, _ = _traced(lambda: greedy_iterative(instance))
+    assert trace.prices == (0,) and not trace.residual
+    assert peak < 59 * MIB, peak / MIB  # measured 53.4 MiB
+
+
+def test_greedy_trace_peak_matching():
+    # 100,000 edges (2i, 2i + 1) of distinct weights: greedy sells one edge's
+    # two ends per round, 100,000 rounds
+    n = 200_000
+    edges = np.column_stack((np.arange(n).reshape(-1, 2), np.arange(1, n // 2 + 1)))
+    instance = PncInstance.from_edges(n, edges)
+    instance.value_array
+    trace, peak, _ = _traced(lambda: greedy_iterative(instance))
+    assert len(trace.prices) == n // 2 and trace.revenue == (n // 2) * (n // 2 + 1)
+    assert peak < 22.8 * MIB, peak / MIB  # measured 20.7 MiB

@@ -1,5 +1,6 @@
 """Benchmark tooling that the test suite can check without the benchmark harness."""
 
+import ast
 import importlib
 import importlib.util
 import sys
@@ -10,6 +11,7 @@ import pytest
 from netprice.cli import _build_parser, experiment_tasks, run_cli
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "netprice"
 
 
 def _load(name):
@@ -82,3 +84,14 @@ def test_cli_io_goes_through_the_traced_names(tmp_path, monkeypatch):
     assert calls == {"load_instance": 0, "dumps_instance": 2}
     assert run_cli(["greedy", instance]) == 0
     assert calls == {"load_instance": 1, "dumps_instance": 2}
+
+
+def test_package_has_no_assert():
+    # python -O strips assert statements, and the package's invariants must
+    # hold there too: each is a check that raises
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert modules
+    found = [f"{path.name}:{node.lineno}" for path in modules
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Assert)]
+    assert found == []
