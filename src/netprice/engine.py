@@ -5,11 +5,11 @@ value (intrinsic plus weights of edges to other non-owners, fixed at the start
 of the round) against the posted price, and buys iff value >= price. All
 purchases in a round happen simultaneously; the value drops they cause are
 visible from the next round on. A price of 0 sells to every remaining
-consumer and contributes no revenue. ``Market.sell`` sells a run of rounds
-per O(n) vectorised scan, reading the CSR (from its first settle on) only
-in rows of nodes it may sell. A process's last round, when plain, only
-marks its buyers as owners: no later round reads a value, so a single
-price never builds the CSR.
+consumer and contributes no revenue. ``Market.sell`` sells every round in
+a run of rounds per O(n) vectorised scan, reading the CSR (from its first
+settle on) only in rows of nodes it may sell. A run whose only round is the
+process's last only marks its buyers: no later round reads a value, so a
+single price never builds the CSR, nor does one tie group of everyone.
 """
 
 from __future__ import annotations
@@ -64,18 +64,6 @@ class Market:
         # exact in either dtype, and a neighbour of several buyers drops once per buyer
         np.subtract.at(self.values, neighbours[still], self.weights[rows][still])
 
-    def sale(self, price: int, last: bool = False, lowest: bool = False) -> tuple[int, np.ndarray]:
-        """One round at ``price`` (its buyers' lowest value with ``lowest``) and its
-        buyers, increasing. A process's ``last`` round only marks its buyers."""
-        buyers = (self.values >= price).nonzero()[0] if price <= self.top else np.zeros(0, np.intp)
-        if lowest and len(buyers):
-            price = int(self.values[buyers].min())
-        if last:
-            self.values[buyers] = -1
-        elif len(buyers):
-            self.settle(buyers)
-        return price, buyers
-
     def sell(self, prices: PriceSequence | None = None,
              lowest: bool = False) -> tuple[list[int], np.ndarray, np.ndarray]:
         """Post ``prices``, or with None greedy's (the highest current value,
@@ -89,30 +77,22 @@ class Market:
         price is a candidate, of the first round priced at or below its value.
         Values only fall, so the rounds before the first with a member adjacent
         to an earlier round's candidate sell exactly their candidates: the run
-        takes them. ``want`` then doubles, or is twice what a cut run took
-        (nodes for greedy, prices else). A run costs about three plain rounds
-        (``Market.sale``), so a process opens with three, and a run taking one
-        round is followed by 1, then 2, 4, ... plain rounds while runs do.
+        takes them. ``want`` starts at 1 and doubles, or is twice what a cut
+        run took (nodes for greedy, prices else). A run of one round needs no
+        sort, and when that round is the process's last (no price follows it,
+        or it sells every unsold node) it only marks its buyers as owners.
         """
-        values, n = self.values, len(self.values)
+        values = self.values
         end, lowest = (None, True) if prices is None else (len(prices), lowest)
+        left = int(np.count_nonzero(values >= 0))
         paid, chunks, bounds = [], [], [0]
-        at, want, pause, plain = 0, 2, 1, 3
-        while at != end:
-            if plain:
-                plain -= 1
-                price = int(values.max()) if prices is None else prices[at]
-                if price < 0:
-                    break
-                price, bought = self.sale(price, at + 1 == end, lowest)
-                paid.append(price)
-                chunks.append(bought)
-                bounds.append(bounds[-1] + len(bought))
-                at += 1
-                continue
+        at, want = 0, 1
+        while left and at != end:
             if prices is None:
-                kth = n - min(want, n)
-                low = max(int(np.partition(values, kth)[kth]), 0)
+                # the want-th highest value: selected among the negated values, the owners'
+                # many equal entries lie past it (before it, they slow numpy's partition ~10x)
+                kth = min(want, left) - 1
+                low = -int(np.partition(-values, kth)[kth])
             else:
                 stop, index, low = min(at + want, end), [], self.top + 1
                 for i in range(at, stop):
@@ -121,51 +101,63 @@ class Market:
                         low = prices[i]
             candidates = (values >= low).nonzero()[0] if prices is None or index else ()
             if not len(candidates):
-                if prices is None:
-                    break
                 paid += prices[at:stop]
                 bounds += [bounds[-1]] * (stop - at)
                 at, want = stop, 2 * want
                 continue
             own = values[candidates]
-            order = (-own).argsort(kind="stable")  # highest first, ties increasing
-            candidates, own = candidates[order], own[order]
-            if prices is None:
-                tops = own[np.concatenate(([True], own[1:] != own[:-1])).nonzero()[0]]
-                index, stop = range(at, at + len(tops)), at + len(tops)
+            if len(index) == 1 if prices is not None else own.max() == low:
+                # one round, of every candidate, so no sort; as the process's
+                # last round it only marks them, for no later round reads a value
+                ends, lows, taken, bought = np.array([len(own)]), own.min(keepdims=True), 1, candidates
+                if len(own) == left or prices is not None and stop == end:
+                    values[candidates] = -1
+                else:
+                    self.settle(candidates)
             else:
-                tops = np.array([prices[i] for i in index], values.dtype)
-            # the candidates of the rounds up to each: those valued at or above its price
-            ends = len(own) - own[::-1].searchsorted(tops)
-            # Round 0 settles first: then a later member whose value fell is
-            # adjacent to it, and one adjacent to a later round's member has a
-            # neighbour valued at or above the price of the round before its own
-            self.settle(candidates[:ends[0]])
-            fell = (values[candidates[ends[0]:]] < own[ends[0]:]).nonzero()[0]
-            taken = int(ends.searchsorted(ends[0] + fell[0], "right")) if len(fell) else len(tops)
-            if taken > 1:
-                rows, lengths = self.rows(candidates[ends[0]:ends[taken - 1]])
-                bars = tops[:taken - 1].repeat(ends[1:taken] - ends[:taken - 1]).repeat(lengths)
-                blocked = (values[self.graph.indices[rows]] >= bars).nonzero()[0]
-                if len(blocked):
-                    member = ends[0] + lengths.cumsum().searchsorted(blocked[0], "right")
-                    taken = int(ends.searchsorted(member, "right"))
-                    rows = rows[:lengths[:ends[taken - 1] - ends[0]].sum()]
-                self.settle(candidates[ends[0]:ends[taken - 1]], rows)
+                order = (-own).argsort(kind="stable")  # highest first, ties increasing
+                candidates, own = candidates[order], own[order]
+                if prices is None:
+                    tops = own[np.concatenate(([True], own[1:] != own[:-1])).nonzero()[0]]
+                else:
+                    tops = np.array([prices[i] for i in index], values.dtype)
+                # the candidates of the rounds up to each: those valued at or above its price
+                ends = len(own) - own[::-1].searchsorted(tops)
+                lows = own[ends - 1]
+                # Round 0 settles first: then a later member whose value fell is
+                # adjacent to it, and one adjacent to a later round's member has a
+                # neighbour valued at or above the price of the round before its own
+                self.settle(candidates[:ends[0]])
+                fell = (values[candidates[ends[0]:]] < own[ends[0]:]).nonzero()[0]
+                taken = int(ends.searchsorted(ends[0] + fell[0], "right")) if len(fell) else len(tops)
+                if taken > 1:
+                    rows, lengths = self.rows(candidates[ends[0]:ends[taken - 1]])
+                    bars = tops[:taken - 1].repeat(ends[1:taken] - ends[:taken - 1]).repeat(lengths)
+                    blocked = (values[self.graph.indices[rows]] >= bars).nonzero()[0]
+                    if len(blocked):
+                        member = ends[0] + lengths.cumsum().searchsorted(blocked[0], "right")
+                        taken = int(ends.searchsorted(member, "right"))
+                        rows = rows[:lengths[:ends[taken - 1] - ends[0]].sum()]
+                    self.settle(candidates[ends[0]:ends[taken - 1]], rows)
+                bought = candidates[:ends[taken - 1]]
+                if prices is not None:  # each round's buyers increasing, as greedy's tie groups are
+                    bought = bought[np.lexsort((bought, ends[:taken].searchsorted(np.arange(len(bought)), "right")))]
+            if prices is None:  # greedy's rounds are the run's tie groups
+                index, stop = range(at, at + len(ends)), at + len(ends)
             count = int(ends[taken - 1])
-            done = index[taken] if taken < len(tops) else stop
-            reach = ends[:taken]
+            done = index[taken] if taken < len(index) else stop
+            reach, lows = ends[:taken], lows[:taken]
             if len(index) != stop - at:  # a price that is no new minimum sells nobody
-                reach = np.append(0, reach)[np.searchsorted(index[:taken], np.arange(at, done), "right")]
-            paid += own[reach - 1].tolist() if lowest else prices[at:done]
+                slot = np.searchsorted(index[:taken], np.arange(at, done), "right")
+                reach, lows = np.append(0, reach)[slot], lows[slot - 1]
+            paid += lows.tolist() if lowest else prices[at:done]
             bounds += (bounds[-1] + reach).tolist()
-            bought = candidates[:count]
-            if prices is not None:  # each round's buyers increasing, as greedy's tie groups are
-                bought = bought[np.lexsort((bought, ends[:taken].searchsorted(np.arange(count), "right")))]
             chunks.append(bought)
-            want = 2 * want if taken == len(tops) else 2 * (count if prices is None else done - at)
-            plain, pause = (pause, 2 * pause) if done - at == 1 else (0, 1)
-            at = done
+            want = 2 * want if taken == len(index) else 2 * (count if prices is None else done - at)
+            at, left = done, left - count
+        if prices is not None:  # every price after everyone owns sells nobody
+            paid += prices[at:]
+            bounds += [bounds[-1]] * (end - at)
         buyers = chunks[0] if len(chunks) == 1 else np.concatenate([np.zeros(0, np.intp), *chunks])
         return paid, buyers, np.array(bounds, np.int64)
 
@@ -190,8 +182,7 @@ def make_irredundant(instance: PncInstance, prices: Sequence[int]) -> PriceSeque
     strictly decreasing: a consumer priced out at one round has an even lower
     value later, so a repeated or higher price can never sell again.
     """
-    paid, _, ends = Market(instance).sell(validate_prices(prices))
-    return tuple(price for price, count in zip(paid, np.diff(ends).tolist()) if count)
+    return _sold_rounds(instance, prices, lowest=False)
 
 
 def normalize(instance: PncInstance, prices: Sequence[int]) -> PriceSequence:
@@ -202,5 +193,10 @@ def normalize(instance: PncInstance, prices: Sequence[int]) -> PriceSequence:
     result sells the same partition for at least the original revenue.
     Empty rounds change nobody's value, so one pass serves both steps.
     """
-    paid, _, ends = Market(instance).sell(validate_prices(prices), lowest=True)
+    return _sold_rounds(instance, prices, lowest=True)
+
+
+def _sold_rounds(instance: PncInstance, prices: Sequence[int], lowest: bool) -> PriceSequence:
+    """The prices of the rounds that sell, with ``lowest`` their buyers' lowest values."""
+    paid, _, ends = Market(instance).sell(validate_prices(prices), lowest)
     return tuple(price for price, count in zip(paid, np.diff(ends).tolist()) if count)

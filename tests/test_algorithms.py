@@ -109,16 +109,23 @@ def test_greedy_on_sparse_weighted_matches_heap_reference():
     assert len(trace.rounds) > inst.node_count * 9 // 10
 
 
+def _dense_weighted(n=150):
+    rng = random.Random(150)
+    edges = [(u, v, rng.randint(1, 9)) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5]
+    return PncInstance.from_edges(n, edges, [rng.randint(0, 9) for _ in range(n)])
+
+
 def test_long_price_lists_match_rescan_references():
     # runs over many prices: new minima and prices that sell nobody, runs cut
-    # by adjacent candidates, and a tail after everyone owns
-    inst = _sparse_weighted(600)
-    rng = random.Random(5)
-    top = max(inst.initial_values)
-    falling = sorted((rng.randint(0, top) for _ in range(400)), reverse=True)
-    for prices in (falling, [rng.randint(0, top + 1) for _ in range(300)], falling[::3] + [0] + falling[:50]):
-        assert simulate(inst, prices) == rescan_simulate(inst, prices)
-        assert normalize(inst, prices) == rescan_normalize(inst, prices)
+    # by adjacent candidates (on the dense graph, nearly every run), and a
+    # tail after everyone owns
+    for inst in (_sparse_weighted(600), _dense_weighted()):
+        rng = random.Random(5)
+        top = max(inst.initial_values)
+        falling = sorted((rng.randint(0, top) for _ in range(400)), reverse=True)
+        for prices in (falling, [rng.randint(0, top + 1) for _ in range(300)], falling[::3] + [0] + falling[:50]):
+            assert simulate(inst, prices) == rescan_simulate(inst, prices)
+            assert normalize(inst, prices) == rescan_normalize(inst, prices)
 
 
 def test_greedy_lower_bound_and_two_approx():
@@ -324,10 +331,16 @@ def test_degree_bound():
 
 
 def test_single_prices_build_no_csr():
-    # simulate's last round only marks its buyers as owners, so a strategy
-    # that posts one price never builds the graph's CSR rows
+    # A process's last round only marks its buyers as owners, when it is a
+    # run's only round: a price list's last new minimum with no price after
+    # it, or a tie group of every unsold node. So a strategy that posts one
+    # price never builds the graph's CSR rows, and neither does greedy when
+    # its first tie group sells everyone.
+    clique = [(u, v) for u in range(30) for v in range(u + 1, 30)]
     for strategy, instance in ((best_single_price, gen_er(300, 0.1, 2)),
-                               (forest_single_price, gen_forest(200, 3, 1))):
+                               (forest_single_price, gen_forest(200, 3, 1)),
+                               (greedy_iterative, PncInstance.from_edges(1000, [])),
+                               (greedy_iterative, PncInstance.unweighted(30, clique))):
         fresh = loads_instance(dumps_instance(instance))
         trace = strategy(fresh)
         assert "_rows" not in fresh.graph.__dict__

@@ -69,21 +69,24 @@ def test_market_values_track_remaining():
     inst = PncInstance.from_edges(3, [(0, 1, 2), (1, 2, 3)], (1, 0, 0))
     market = Market(inst)
 
-    def sale(market, price):
-        price, buyers = market.sale(price)
-        return price, buyers.tolist()
+    def sell(market, prices):
+        paid, buyers, ends = market.sell(prices)
+        return paid, buyers.tolist(), ends.tolist()
 
     assert market.values.tolist() == [3, 5, 3]
-    assert sale(market, 4) == (4, [1])
+    # price 4 is followed by another, so its round settles
+    assert sell(market, (4, 6)) == ([4, 6], [1], [0, 1, 1])
     # the buyer's neighbours drop by their edge weights; the buyer reads -1
     assert market.values.tolist() == [1, -1, 0]
-    assert sale(market, 6) == (6, [])
-    assert sale(market, 1) == (1, [0])
-    # an owner is never lowered again, and the last consumer keeps its value
+    assert sell(market, (6,)) == ([6], [], [0, 0])
+    assert market.values.tolist() == [1, -1, 0]
+    # a process's last round only marks its buyers: no later round reads a
+    # value, and an owner is never lowered again
+    assert sell(market, (1,)) == ([1], [0], [0, 1])
     assert market.values.tolist() == [-1, -1, 0]
     # buyers in one round do not lower each other
     triangle = Market(PncInstance.unweighted(3, [(0, 1), (1, 2), (0, 2)]))
-    assert sale(triangle, 2) == (2, [0, 1, 2])
+    assert sell(triangle, (2, 0)) == ([2, 0], [0, 1, 2], [0, 3, 3])
     assert triangle.values.tolist() == [-1, -1, -1]
 
 

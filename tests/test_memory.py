@@ -11,7 +11,9 @@ dumper's was 17.1 MiB on G(1000, 0.3). Before the split generator laid its
 edges out in canonical order, which the graph then had to sort, its peak
 was 45.5 MiB. Before a sale trace kept the engine's buyer array, with a
 frozenset of Python ints per round, greedy's peaks were 109 MiB (edgeless)
-and 52 MiB (matching).
+and 52 MiB (matching). Before a process's last round, sold alone in a run,
+only marked its buyers, greedy's last round on the edgeless instance built
+the CSR and gathered every buyer's row: its peak was 53.4 MiB, now 22.9.
 """
 
 import gc
@@ -100,12 +102,13 @@ def test_load_file_peak(dense, tmp_path):
 
 def test_greedy_trace_peak_edgeless():
     # one round sells all 1,000,001 consumers at price 0: the trace keeps
-    # them as one int64 array
+    # them as one int64 array, and the round only marks them as owners, so
+    # the peak is the values, the candidates and their values, and no CSR
     instance = PncInstance.from_edges(1_000_001, [])
     instance.value_array  # built before the step, as any strategy's input
     trace, peak, _ = _traced(lambda: greedy_iterative(instance))
     assert trace.prices == (0,) and not trace.residual
-    assert peak < 59 * MIB, peak / MIB  # measured 53.4 MiB
+    assert peak < 25.2 * MIB, peak / MIB  # measured 22.9 MiB
 
 
 def test_greedy_trace_peak_matching():

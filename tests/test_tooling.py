@@ -3,7 +3,9 @@
 import ast
 import importlib
 import importlib.util
+import re
 import sys
+from functools import reduce
 from pathlib import Path
 
 import pytest
@@ -12,6 +14,7 @@ from netprice.cli import _build_parser, experiment_tasks, run_cli
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "netprice"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def _load(name):
@@ -95,3 +98,26 @@ def test_package_has_no_assert():
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def _resolves(dotted):
+    """Whether ``dotted`` names an attribute of a netprice module, of a name
+    one of them defines (``Market.sell``), or of a standard module."""
+    head, *rest = dotted.split(".")
+    modules = [importlib.import_module(f"netprice.{path.stem}")
+               for path in sorted(PACKAGE.glob("*.py")) if path.stem != "__init__"]
+    owners = [module for module in modules if module.__name__ == f"netprice.{head}"]
+    owners += [getattr(module, head) for module in modules if hasattr(module, head)]
+    if not owners and importlib.util.find_spec(head) is not None:
+        owners = [importlib.import_module(head)]
+    return any(reduce(lambda owner, name: getattr(owner, name, None), rest, owner) is not None
+               for owner in owners)
+
+
+def test_readme_names_resolve():
+    # every backticked dotted name in the README (`Market.sell`,
+    # `cli.EXPERIMENTS`, `json.dumps`) must exist, so a name deleted from the
+    # code cannot stay in the docs
+    names = sorted(set(re.findall(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)`", README.read_text(encoding="utf-8"))))
+    assert "Market.sell" in names and "cli.EXPERIMENTS" in names
+    assert [name for name in names if not _resolves(name)] == []
