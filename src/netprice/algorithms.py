@@ -103,25 +103,24 @@ def forest_single_price(instance: PncInstance) -> SaleTrace:
 
 
 def recognize_split(graph: WeightedGraph) -> SplitPartition | None:
-    """Degree-sequence recognition of split graphs.
+    """Degree-sequence recognition of split graphs (Hammer and Simeone, 1981).
 
-    With degrees sorted nonincreasing and m the largest index (1-based) with
-    d_i >= i - 1, the graph is split iff the first m degrees sum to
-    m(m-1) plus the remaining degrees; the m highest-degree nodes then form
-    a clique and the rest an independent set. Returns None if not split.
+    With degrees ranked nonincreasing (ties by node id) and m the number of
+    0-based ranks i with d_i >= i (a prefix: d_i - i falls), the graph is split
+    iff the first m degrees sum to m(m-1) plus the remaining degrees; the m
+    highest-degree nodes then form a clique and the rest an independent set.
+    Returns None if not split.
     """
     if not graph.is_unweighted():
         raise ValueError("recognize_split requires unit edge weights")
-    degrees = graph.degrees
-    order = sorted(range(graph.node_count), key=lambda v: (-degrees[v], v))
-    ranked = [degrees[v] for v in order]
-    m = 0
-    while m < len(ranked) and ranked[m] >= m:
-        m += 1
-    if sum(ranked[:m]) != m * (m - 1) + sum(ranked[m:]):
+    degrees = np.diff(graph.indptr)
+    order = np.argsort(-degrees, kind="stable")
+    ranked = degrees[order]
+    m = int(np.count_nonzero(ranked >= np.arange(graph.node_count)))
+    if int(ranked[:m].sum()) != m * (m - 1) + int(ranked[m:].sum()):
         return None
-    clique = sorted(order[:m], key=lambda v: (degrees[v], v))
-    return SplitPartition(tuple(clique), tuple(sorted(order[m:])))
+    clique = order[:m][np.lexsort((order[:m], ranked[:m]))]
+    return SplitPartition(tuple(clique.tolist()), tuple(np.sort(order[m:]).tolist()))
 
 
 def split_dp(instance: PncInstance) -> SaleTrace:
@@ -138,6 +137,10 @@ def split_dp(instance: PncInstance) -> SaleTrace:
     exceed both the next clique degree down and every current independent
     degree, otherwise the posted price would sell a different set than the
     candidate assumes.
+
+    Each prefix scores every suffix and closing price at once. Of equal
+    revenues, a suffix beats a closing price, a longer suffix a shorter one,
+    and a higher closing price a lower one.
     """
     _require_plain(instance, "split_dp")
     graph = instance.graph
@@ -145,56 +148,39 @@ def split_dp(instance: PncInstance) -> SaleTrace:
     if partition is None:
         raise ValueError("split_dp requires a split graph")
     clique = partition.clique
-    independent = np.zeros(graph.node_count, bool)
-    independent[list(partition.independent)] = True
+    independent = np.array(partition.independent, np.int64)
 
     k = len(clique)
-    clique_deg = [graph.degrees[v] for v in clique]  # nondecreasing
     indptr, indices = graph.indptr, graph.indices
-
-    # prefix_deg[u]: neighbors of independent node u among the first i clique nodes
-    prefix_deg = [0] * graph.node_count
-    bucket = [0] * (k + 2)  # count of independent nodes at each prefix degree
-    max_indep_deg = 0
-    opt = [0] * (k + 1)
+    clique_deg = np.diff(indptr)[list(clique)]  # nondecreasing
+    # a suffix from h priced at clique_deg[h] would also sell an equal clique[h - 1]
+    distinct = np.concatenate(([True], clique_deg[1:] != clique_deg[:-1]))
+    # prefix_deg[u]: neighbors of node u among the first i clique nodes,
+    # read for independent nodes only
+    prefix_deg = np.zeros(graph.node_count, np.int64)
+    opt = np.zeros(k + 1, np.int64)
     # back[i]: (price, h) posts price, selling clique[h:i], then prices prefix
     # h; a closing price d is (d, 0) and also sells independents of degree
     # >= d. None: the prefix is worthless, as prefix 0 always is.
     back: list[tuple[int, int] | None] = [None] * (k + 1)
 
     for i, node in enumerate(clique, start=1):
-        row = indices[indptr[node]:indptr[node + 1]]
-        for u in row[independent[row]].tolist():
-            old = prefix_deg[u]
-            prefix_deg[u] = old + 1
-            if old:
-                bucket[old] -= 1
-            bucket[old + 1] += 1
-            if old + 1 > max_indep_deg:
-                max_indep_deg = old + 1
-        best = 0
-        for h in range(i):
-            if h > 0 and clique_deg[h - 1] == clique_deg[h]:
-                continue  # price would also sell clique[h-1]
-            price = clique_deg[h] - (k - i)
-            if price <= max_indep_deg:
-                continue  # price would also sell an independent node
-            candidate = opt[h] + price * (i - h)
-            if candidate > best:
-                best = candidate
-                back[i] = (price, h)
-        if max_indep_deg > clique_deg[0] - (k - i):
-            raise RuntimeError(f"independent degree {max_indep_deg} above the whole clique")
-        ahead = 0
-        for d in range(max_indep_deg, 0, -1):  # every bucket above it is empty
-            ahead += bucket[d]
-            if bucket[d] == 0:
-                continue
-            candidate = (i + ahead) * d
-            if candidate > best:
-                best = candidate
-                back[i] = (d, 0)
-        opt[i] = best
+        prefix_deg[indices[indptr[node]:indptr[node + 1]]] += 1
+        # independent nodes at each prefix degree from the highest, top, down to 0
+        count = np.bincount(prefix_deg[independent], minlength=1)[::-1]
+        top = len(count) - 1
+        if top > clique_deg[0] - (k - i):
+            raise RuntimeError(f"independent degree {top} above the whole clique")
+        price = clique_deg[:i] - (k - i)
+        gain = np.where(distinct[:i] & (price > top), opt[:i] + price * np.arange(i, 0, -1), 0)
+        h = int(gain.argmax())  # the first of equal gains
+        if gain[h]:
+            opt[i], back[i] = gain[h], (int(price[h]), h)
+        # closing at degree d sells the prefix and every independent at d or above
+        close = np.where(count > 0, (i + np.cumsum(count)) * np.arange(top, -1, -1), 0)
+        j = int(close.argmax())  # the highest of equal degrees
+        if close[j] > opt[i]:
+            opt[i], back[i] = close[j], (top - j, 0)
 
     prices = []
     i = k

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from operator import add
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -378,8 +378,8 @@ def validate_prices(prices: Sequence[int]) -> PriceSequence:
 #
 # Both directions run through an edge list in blocks of a fixed size, so a
 # large instance passes through cache-sized temporaries rather than fresh
-# whole-list arrays: touching a fresh page costs about 2 ms per MiB on a
-# 2-vCPU host, more than parsing the bytes on it. A small file is one block.
+# whole-list arrays, and dump_instance holds one block of text at a time.
+# A small file is one block.
 # Neither direction handles one number at a time: the writer lays a block out
 # as a matrix of digit bytes, one row per edge, and the reader finds a block's
 # numbers from the positions of its non-digit bytes and reads each from the
@@ -416,19 +416,23 @@ def _edge_rows(columns: tuple[np.ndarray, np.ndarray, np.ndarray]) -> str:
     return text[text != 0].tobytes().decode("ascii")
 
 
-def dumps_instance(instance: PncInstance) -> str:
+def _instance_blocks(instance: PncInstance) -> Iterator[str]:
+    """The text of ``dumps_instance``, made and handed out a block at a time."""
     graph = instance.graph
-    parts = [f'{{"n":{instance.node_count},"edges":[']
+    yield f'{{"n":{instance.node_count},"edges":['
     for start in range(0, graph.edge_count, _WRITE_ROWS):
         rows = slice(start, start + _WRITE_ROWS)
-        parts.append(_edge_rows((graph.u[rows], graph.v[rows], graph.w[rows])))
-    if len(parts) > 1:  # each edge is led by a comma, as are all but the first in the list
-        parts[1] = parts[1][1:]
-    parts.append("]")
+        text = _edge_rows((graph.u[rows], graph.v[rows], graph.w[rows]))
+        # each edge is led by a comma, as are all but the first in the list
+        yield text[1:] if start == 0 else text
+    yield "]"
     if any(instance.intrinsic):
-        parts.append(',"nu":' + json.dumps(list(instance.intrinsic), separators=(",", ":")))
-    parts.append("}\n")
-    return "".join(parts)
+        yield ',"nu":' + json.dumps(list(instance.intrinsic), separators=(",", ":"))
+    yield "}\n"
+
+
+def dumps_instance(instance: PncInstance) -> str:
+    return "".join(_instance_blocks(instance))
 
 
 _DECODER = json.JSONDecoder()
@@ -709,4 +713,4 @@ def load_instance(path: str) -> PncInstance:
 
 def dump_instance(instance: PncInstance, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_instance(instance))
+        fh.writelines(_instance_blocks(instance))

@@ -18,11 +18,15 @@ import numpy as np
 from .core import PncInstance, _as_int, _as_real, _check_params
 
 
-def _rng(seed: int) -> np.random.Generator:
+def _seed(seed: int) -> int:
     # numpy's own error for a negative seed does not name it
     if _as_int(seed, "seed") < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
-    return np.random.Generator(np.random.PCG64(seed))
+    return seed
+
+
+def _rng(seed: int) -> np.random.Generator:
+    return np.random.Generator(np.random.PCG64(_seed(seed)))
 
 
 def _unit_edges(us: list[np.ndarray], vs: list[np.ndarray]) -> np.ndarray:
@@ -346,10 +350,10 @@ FAMILIES: dict[str, Family] = {
 
 
 def generate(family: str, params: dict, seed: int = 0) -> PncInstance:
-    """The ``FAMILIES`` graph built from ``params`` and ``seed`` (which an
-    unseeded family ignores); a parameter not given takes its default."""
-    spec = FAMILIES.get(family)
+    """The ``FAMILIES`` graph built from ``params`` and a checked ``seed``, which
+    an unseeded family ignores; a parameter not given takes its default."""
+    spec = FAMILIES.get(family) if isinstance(family, str) else None
     if spec is None:
         raise ValueError(f"unknown family {family!r}")
     _check_params(f"family {family!r}", params, spec.params)
-    return spec.build(*(params.get(name, default) for name, default in spec.params.items()), seed)
+    return spec.build(*(params.get(name, default) for name, default in spec.params.items()), _seed(seed))

@@ -181,6 +181,8 @@ def variable_gadget_edges(
     y1 = y2 = 10*scale, y3 = 6*scale (stubs are unit links added per
     clause occurrence, at most two per literal node).
     """
+    if not _all_ints((x, not_x, y1, y2, y3, scale)):
+        raise ValueError(f"gadget nodes and scale must be integers, got {(x, not_x, y1, y2, y3, scale)!r}")
     return [
         (x, y1, 3 * scale),
         (x, y2, 3 * scale),
@@ -194,6 +196,8 @@ def variable_gadget_edges(
 def clause_gadget_edges(c: int, d: int, e: int, scale: int) -> list[tuple[int, int, int]]:
     """Internal edges of one clause gadget: d and e are worth 2*scale + 1,
     c is worth 2*scale plus one unit per still-unsold literal node."""
+    if not _all_ints((c, d, e, scale)):
+        raise ValueError(f"gadget nodes and scale must be integers, got {(c, d, e, scale)!r}")
     return [(c, d, scale), (c, e, scale), (d, e, scale + 1)]
 
 

@@ -5,7 +5,8 @@ edge-list reader is checked against, the forest-count recurrence the
 closed form is checked against, the one-draw Erdős–Rényi generator the
 row-block one is checked against, the one-``integers``-call-per-pick
 preferential attachment generator the block-read one is checked against,
-and the plain split-graph DP ``split_dp`` is checked against.
+and the plain split-graph recognition and DP ``recognize_split`` and
+``split_dp`` are checked against.
 
 The engine and oracle references read only ``graph.edges``,
 ``instance.intrinsic`` and ``instance.initial_values`` and keep every number
@@ -20,7 +21,7 @@ import math
 import numpy as np
 from hypothesis import strategies as st
 
-from netprice import PncInstance, SaleTrace, recognize_split, simulate, validate_prices
+from netprice import PncInstance, SaleTrace, SplitPartition, simulate, validate_prices
 from netprice.core import _as_int, _edge_table
 
 NAIVE_NODE_LIMIT = 8
@@ -145,6 +146,23 @@ def heap_greedy(instance):
     return tuple(prices)
 
 
+def recognize_split_reference(graph):
+    """``recognize_split`` as a sort by key and a walk down the ranked
+    degrees, one node at a time."""
+    if not graph.is_unweighted():
+        raise ValueError("recognize_split requires unit edge weights")
+    degrees = graph.degrees
+    order = sorted(range(graph.node_count), key=lambda v: (-degrees[v], v))
+    ranked = [degrees[v] for v in order]
+    m = 0
+    while m < len(ranked) and ranked[m] >= m:
+        m += 1
+    if sum(ranked[:m]) != m * (m - 1) + sum(ranked[m:]):
+        return None
+    clique = sorted(order[:m], key=lambda v: (degrees[v], v))
+    return SplitPartition(tuple(clique), tuple(sorted(order[m:])))
+
+
 def split_dp_reference(instance):
     """``split_dp`` as a per-neighbour set-membership DP whose closing-price
     loop scans every degree from k down: the same recursion and back-pointers
@@ -152,7 +170,7 @@ def split_dp_reference(instance):
     if not instance.graph.is_unweighted() or any(instance.intrinsic):
         raise ValueError("split_dp requires unit edge weights and zero intrinsic values")
     graph = instance.graph
-    partition = recognize_split(graph)
+    partition = recognize_split_reference(graph)
     if partition is None:
         raise ValueError("split_dp requires a split graph")
     clique = partition.clique

@@ -30,8 +30,8 @@ from netprice import (
     simulate,
     split_dp,
 )
-from references import (heap_greedy, naive_opt, rescan_greedy, rescan_normalize, rescan_simulate,
-                        split_dp_reference, weighted_instances)
+from references import (heap_greedy, naive_opt, recognize_split_reference, rescan_greedy, rescan_normalize,
+                        rescan_simulate, split_dp_reference, weighted_instances)
 
 
 def _random_instance(rng, max_n=12, max_w=5, max_nu=3):
@@ -236,6 +236,18 @@ def test_recognize_split():
                     assert (u, v) in present
         for u, v, _ in inst.graph.edges:
             assert u in clique or v in clique
+
+
+@given(st.one_of(st.builds(gen_split, st.integers(2, 30), st.floats(0.05, 0.99), st.floats(0, 1),
+                          st.integers(0, 2**16)),
+                 st.builds(gen_er, st.integers(2, 14), st.floats(0.2, 0.8), st.integers(0, 2**16))),
+       st.randoms(use_true_random=False))
+def test_recognize_split_matches_reference(instance, rng):
+    # relabelled, so that ties in degree meet node ids in any order
+    order = list(range(instance.node_count))
+    rng.shuffle(order)
+    graph = PncInstance.unweighted(len(order), [(order[u], order[v]) for u, v, _ in instance.graph.edges]).graph
+    assert recognize_split(graph) == recognize_split_reference(graph)
 
 
 def test_split_dp_matches_oracle():

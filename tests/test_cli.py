@@ -101,6 +101,12 @@ def test_gen_over_the_size_limit_is_one_error_line(capsys):
     assert err.startswith("error: ") and "over 30,000,000" in err and err.count("\n") == 1
 
 
+def test_gen_negative_seed_is_one_error_line(capsys):
+    # an unseeded family checks the seed as a seeded one does
+    assert run_cli(["gen", "--family", "spider", "--k", "3", "--seed", "-1"]) == 1
+    assert capsys.readouterr().err == "error: seed must be nonnegative, got -1\n"
+
+
 def test_gen_unknown_family_is_usage_error(capsys):
     assert run_cli(["gen", "--family", "smallworld", "--n", "5"]) == 2
     capsys.readouterr()

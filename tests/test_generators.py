@@ -16,6 +16,7 @@ from netprice import (
     assignment_pricing,
     ba_single_price,
     build_reduction,
+    clause_gadget_edges,
     dumps_instance,
     er_single_price,
     gen_ba,
@@ -32,6 +33,7 @@ from netprice import (
     recognize_split,
     simulate,
     validate_prices,
+    variable_gadget_edges,
 )
 from netprice import generators
 from netprice.cli import experiment_tasks, run_experiment
@@ -256,6 +258,7 @@ def test_array_built_families_match_list_built_references(build, reference, case
     (lambda: ba_single_price(gen_ba(20, 2, 0), 2.0), "beta"),
     (lambda: gen_spider(3.0), "k"),
     (lambda: gen_example1(False), "k"),
+    (lambda: generate("example1", {"k": 2}, "x"), "seed"),
     (lambda: gen_split(10.0, 0.3, 0.5, 0), "n"),
     (lambda: gen_split(10, 0.3, 0.5, True), "seed"),
     (lambda: gen_forest(10.0, 2, 0), "n"),
@@ -267,7 +270,7 @@ def test_array_built_families_match_list_built_references(build, reference, case
     (lambda: run_experiment("bound_sweep", {"n_max": 8.0}), "n_max"),
     (lambda: run_experiment("forest_ratio", trials=1, jobs=1.5), "jobs"),
 ], ids=["er-n", "er-seed", "ba-n", "ba-seed", "ba-beta", "ba-beta-bool", "ba-single-beta",
-        "spider-k", "example1-k", "split-n", "split-seed", "forest-n", "forest-trees", "forest-seed",
+        "spider-k", "example1-k", "example1-seed", "split-n", "split-seed", "forest-n", "forest-trees", "forest-seed",
         "trials", "trials-bool", "master-seed", "n-max", "jobs"])
 def test_integer_parameters_are_checked(call, name):
     # numpy's seeding and range() would raise TypeError, or read a bool as 0 or 1
@@ -306,6 +309,7 @@ _FORMULA = ((1, 2, 3), (-1, -2, 3), (1, -2, -3))
     (lambda: gen_er(10, 0.5, -1), ValueError, "seed must be nonnegative, got -1"),
     (lambda: gen_forest(5, 1, -2), ValueError, "seed must be nonnegative, got -2"),
     (lambda: generate("split", {"n": 10}, -3), ValueError, "seed must be nonnegative, got -3"),
+    (lambda: generate("spider", {"k": 2}, -1), ValueError, "seed must be nonnegative, got -1"),
     (lambda: run_experiment("forest_ratio", trials=2, master_seed=-1), ValueError,
      "master_seed must be nonnegative, got -1"),
     (lambda: validate_prices(5), ValueError, "prices must be a sequence, got 5"),
@@ -328,22 +332,29 @@ _FORMULA = ((1, 2, 3), (-1, -2, 3), (1, -2, -3))
      "assignment must be a sequence, got None"),
     (lambda: assignment_pricing(build_reduction(CnfFormula(3, _FORMULA)), 5), ValueError,
      "assignment must be a sequence, got 5"),
-], ids=["er-seed", "forest-seed", "generate-seed", "master-seed", "prices", "simulate-prices",
+    (lambda: generate([], {}), ValueError, "unknown family []"),
+    (lambda: clause_gadget_edges(0, 1, 2, None), ValueError,
+     "gadget nodes and scale must be integers, got (0, 1, 2, None)"),
+    (lambda: variable_gadget_edges(0, 1, 2, 3, "4", 1), ValueError,
+     "gadget nodes and scale must be integers, got (0, 1, 2, 3, '4', 1)"),
+], ids=["er-seed", "forest-seed", "generate-seed", "unseeded-seed", "master-seed", "prices", "simulate-prices",
         "irredundant-prices", "graph-edges", "graph-edges-none", "from-edges-intrinsic",
         "unweighted-pairs", "unweighted-pair", "unweighted-triple",
         "unweighted-endpoint", "unweighted-second-endpoint",
         "instance-intrinsic", "generate-params", "experiment-params", "formula-clauses",
-        "formula-clause", "satisfying-assignment", "assignment-pricing"])
+        "formula-clause", "satisfying-assignment", "assignment-pricing", "generate-family",
+        "clause-gadget", "variable-gadget"])
 def test_seeds_and_sequences_are_checked(call, error, message):
     # numpy refuses a negative seed without naming it; len() and iteration of
-    # a non-sequence raise TypeError
+    # a non-sequence raise TypeError, as do hashing a list and arithmetic on None
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call()
 
 
-def test_unseeded_families_ignore_a_negative_seed():
-    assert generate("spider", {"k": 3}, -1) == gen_spider(3)
-    assert generate("example1", {"k": 2}, -1) == gen_example1(2)
+def test_unseeded_families_ignore_a_valid_seed():
+    # a negative or non-integer seed is refused as for a seeded family (above)
+    assert generate("spider", {"k": 3}, 7) == gen_spider(3)
+    assert generate("example1", {"k": 2}, 2**70) == gen_example1(2)
 
 
 @pytest.mark.parametrize("k", [7, 8, 9, 10**6])

@@ -14,6 +14,8 @@ frozenset of Python ints per round, greedy's peaks were 109 MiB (edgeless)
 and 52 MiB (matching). Before a process's last round, sold alone in a run,
 only marked its buyers, greedy's last round on the edgeless instance built
 the CSR and gathered every buyer's row: its peak was 53.4 MiB, now 22.9.
+Before ``dump_instance`` wrote each block of text as it was made, it joined
+the whole text first: its peak on G(2000, 0.3) was 14.7 MiB.
 """
 
 import gc
@@ -22,7 +24,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from netprice import PncInstance, dumps_instance, gen_er, gen_split, greedy_iterative, load_instance, loads_instance
+from netprice import (PncInstance, dump_instance, dumps_instance, gen_er, gen_split, greedy_iterative, load_instance,
+                      loads_instance)
 
 MIB = 1 << 20
 
@@ -87,6 +90,15 @@ def test_dumps_peak_dense(dense):
     assert again == text
     # the blocks' text and the joined text, 7.4 MB each
     assert peak < 16.2 * MIB, peak / MIB  # measured 14.7 MiB
+
+
+def test_dump_file_peak(dense, tmp_path):
+    instance, text = dense
+    path = tmp_path / "dense.json"
+    _, peak, _ = _traced(lambda: dump_instance(instance, str(path)))
+    assert path.read_text(encoding="utf-8") == text
+    # one block's text and temporaries, written before the next is made
+    assert peak < 0.32 * MIB, peak / MIB  # measured 0.29 MiB
 
 
 def test_load_file_peak(dense, tmp_path):
