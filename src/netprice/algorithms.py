@@ -9,11 +9,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
-from .core import PncInstance, SaleTrace, WeightedGraph, _as_int, _as_real
+from .core import PncInstance, SaleTrace, WeightedGraph, _as_int, _as_real, _as_type
 from .engine import Market, simulate
 
 
@@ -31,9 +30,9 @@ class SplitPartition:
 
 
 def _require_plain(instance: PncInstance, op: str) -> None:
-    if not instance.graph.is_unweighted():
+    if not _as_type(instance, PncInstance, "instance").graph.is_unweighted():
         raise ValueError(f"{op} requires unit edge weights")
-    if any(instance.intrinsic):
+    if instance.intrinsic.any():
         raise ValueError(f"{op} requires all intrinsic values to be zero")
 
 
@@ -50,13 +49,13 @@ def greedy_iterative(instance: PncInstance) -> SaleTrace:
     return market.trace(*market.sell())
 
 
-def _best_single(values: Iterable[int]) -> tuple[int, int]:
+def _best_single(values: np.ndarray) -> tuple[int, int]:
     """The single price that earns most from consumers valued at ``values``,
     and its revenue: everyone valued at or above the price buys. Only the
     values themselves can be optimal (any other price can be raised to the
     next value below it without losing a buyer). Ties break toward the
     higher price."""
-    ranked = sorted(values, reverse=True)
+    ranked = np.sort(values)[::-1].tolist()
     # a run of tied prices earns most at its last place; an earlier place
     # of equal revenue is a higher price, or everyone is valued at 0
     revenues = [price * count for count, price in enumerate(ranked, start=1)]
@@ -67,7 +66,7 @@ def _best_single(values: Iterable[int]) -> tuple[int, int]:
 def best_single_price(instance: PncInstance) -> SaleTrace:
     """Best revenue from posting one price, over all initial total values,
     as ``_best_single`` finds it."""
-    return simulate(instance, (_best_single(instance.initial_values)[0],))
+    return simulate(instance, (_best_single(_as_type(instance, PncInstance, "instance").initial_values)[0],))
 
 
 def _require_forest(graph: WeightedGraph) -> None:
@@ -96,8 +95,8 @@ def forest_single_price(instance: PncInstance) -> SaleTrace:
     _require_plain(instance, "forest_single_price")
     _require_forest(instance.graph)
     degrees = instance.graph.degrees
-    revenue_at_1 = sum(1 for d in degrees if d >= 1)
-    revenue_at_2 = 2 * sum(1 for d in degrees if d >= 2)
+    revenue_at_1 = int(np.count_nonzero(degrees >= 1))
+    revenue_at_2 = 2 * int(np.count_nonzero(degrees >= 2))
     price = 2 if revenue_at_2 >= revenue_at_1 else 1
     return simulate(instance, (price,))
 
@@ -111,9 +110,9 @@ def recognize_split(graph: WeightedGraph) -> SplitPartition | None:
     highest-degree nodes then form a clique and the rest an independent set.
     Returns None if not split.
     """
-    if not graph.is_unweighted():
+    if not _as_type(graph, WeightedGraph, "graph").is_unweighted():
         raise ValueError("recognize_split requires unit edge weights")
-    degrees = np.diff(graph.indptr)
+    degrees = graph.degrees
     order = np.argsort(-degrees, kind="stable")
     ranked = degrees[order]
     m = int(np.count_nonzero(ranked >= np.arange(graph.node_count)))
@@ -152,7 +151,7 @@ def split_dp(instance: PncInstance) -> SaleTrace:
 
     k = len(clique)
     indptr, indices = graph.indptr, graph.indices
-    clique_deg = np.diff(indptr)[list(clique)]  # nondecreasing
+    clique_deg = graph.degrees[list(clique)]  # nondecreasing
     # a suffix from h priced at clique_deg[h] would also sell an equal clique[h - 1]
     distinct = np.concatenate(([True], clique_deg[1:] != clique_deg[:-1]))
     # prefix_deg[u]: neighbors of node u among the first i clique nodes,
@@ -215,14 +214,14 @@ def ba_single_price(instance: PncInstance, beta: int) -> SaleTrace:
     every consumer buys immediately, for revenue exactly n * beta."""
     if _as_int(beta, "beta") < 1:
         raise ValueError(f"beta must be a positive integer, got {beta!r}")
-    if min(instance.graph.degrees) < beta:
+    if int(_as_type(instance, PncInstance, "instance").graph.degrees.min()) < beta:
         raise ValueError("ba_single_price requires minimum degree >= beta")
     return simulate(instance, (beta,))
 
 
 def min_degree_independent(graph: WeightedGraph) -> bool:
     """Whether the minimum-degree nodes form an independent set."""
-    degrees = np.diff(graph.indptr)
+    degrees = _as_type(graph, WeightedGraph, "graph").degrees
     lowest = degrees == degrees.min()
     return not (lowest[graph.u] & lowest[graph.v]).any()
 

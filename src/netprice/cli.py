@@ -55,7 +55,7 @@ def _forest_ratio_trial(seed: int, params: dict) -> dict:
     result = forest_single_price(instance)
     opt = exact_opt(instance).revenue
     return {
-        "seed": seed, "n": n, "edges": instance.graph.edge_count, "price": result.prices[0],
+        "seed": seed, "n": n, "edges": instance.graph.edge_count, "price": int(result.prices[0]),
         "single_revenue": result.revenue, "oracle_revenue": opt,
         "opt_over_single": opt / result.revenue if result.revenue else None,
     }
@@ -68,7 +68,7 @@ def _er_ratio_trial(seed: int, params: dict) -> dict:
     greedy = greedy_iterative(instance)
     edges = instance.graph.edge_count
     return {
-        "seed": seed, "n": n, "edges": edges, "price": result.prices[0],
+        "seed": seed, "n": n, "edges": edges, "price": int(result.prices[0]),
         "single_revenue": result.revenue, "greedy_revenue": greedy.revenue,
         "edge_ratio": 2 * edges / result.revenue if result.revenue else None,
     }
@@ -83,7 +83,7 @@ def _ba_ratio_trial(seed: int, params: dict) -> dict:
     return {
         "seed": seed, "n": n, "edges": instance.graph.edge_count, "price": beta,
         "single_revenue": single.revenue, "greedy_revenue": greedy.revenue,
-        "min_degree_fraction": sum(1 for d in instance.graph.degrees if d == beta) / n,
+        "min_degree_fraction": int((instance.graph.degrees == beta).sum()) / n,
         "gamma_independent": int(min_degree_independent(instance.graph)),
     }
 
@@ -213,19 +213,19 @@ def _trace_json(trace: SaleTrace) -> str:
     def ints(values) -> str:
         return "[" + ", ".join(map(str, values)) + "]"
 
-    buyers, ends = trace.buyers.tolist(), trace.ends.tolist()
+    prices, buyers, ends = trace.prices.tolist(), trace.buyers.tolist(), trace.ends.tolist()
     rounds = ", ".join(
         f'{{"price": {price}, "buyers": {ints(buyers[a:b])}, "revenue": {price * (b - a)}}}'
-        for price, a, b in zip(trace.prices, ends, ends[1:])
+        for price, a, b in zip(prices, ends, ends[1:])
     )
-    return (f'{{"prices": {ints(trace.prices)}, "rounds": [{rounds}], '
+    return (f'{{"prices": {ints(prices)}, "rounds": [{rounds}], '
             f'"total_revenue": {trace.revenue}, "unsold": {ints(sorted(trace.residual))}}}')
 
 
 def _print_trace(trace: SaleTrace) -> None:
     print(f"{'round':>5} {'price':>14} {'buyers':>7} {'revenue':>14}")
     ends = trace.ends.tolist()
-    for index, (price, a, b) in enumerate(zip(trace.prices, ends, ends[1:])):
+    for index, (price, a, b) in enumerate(zip(trace.prices.tolist(), ends, ends[1:])):
         print(f"{index:>5} {price:>14} {b - a:>7} {price * (b - a):>14}")
     print(f"total revenue: {trace.revenue}")
     print(f"unsold: {len(trace.residual)}")
@@ -258,7 +258,7 @@ def _cmd_strategy(args: argparse.Namespace) -> int:
     if args.json:
         print(_trace_json(trace))
     else:
-        print(f"prices: {' '.join(str(p) for p in trace.prices)}")
+        print(f"prices: {' '.join(map(str, trace.prices.tolist()))}")
         print(f"revenue: {trace.revenue}")
     return 0
 

@@ -5,9 +5,10 @@ numpy arrays ``u, v, w`` and, from their first use, as compressed sparse
 rows ``indptr, indices, weights``; all are read-only. Every quantity is an
 exact integer: an array of weights or values is int64 when its largest
 possible sum fits, else an object array of Python ints, and the same numpy
-code runs on either. What leaves the package is Python ints, but for a
-``SaleTrace``'s buyers and round offsets: read-only int64 arrays, as the
-engine's kernel returns them, which ``SaleTrace.rounds`` views per round.
+code runs on either. Per-node and per-round numbers are only read-only
+arrays (degrees, intrinsic and initial values, a trace's prices, buyers and
+round offsets); sums are Python ints, and a Python loop reads an array once
+with ``tolist()``, so no product is taken in int64.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from operator import add
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -49,12 +49,23 @@ def _as_real(value: object, what: str) -> int | float:
 
 def _as_tuple(value: object, what: str, error: type[ValueError] = ValueError) -> tuple:
     # tuple() of a non-iterable raises TypeError; an error raised while
-    # iterating is the iterable's own, so only iter() is guarded
+    # iterating is the iterable's own, so only iter() is guarded. An array
+    # is read as Python numbers, as a trace's prices are passed back in.
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
     try:
         items = iter(value)
     except TypeError:
         raise error(f"{what} must be a sequence, got {value!r}") from None
     return tuple(items)
+
+
+def _as_type(value: object, kind: type, what: str):
+    """``value`` if it is a ``kind``, else ValueError: the check of every
+    instance, graph, formula, artifact or trace a public function takes."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{what} must be a {kind.__name__}, got {type(value).__name__}")
+    return value
 
 
 def _check_params(owner: str, params: object, table: dict) -> None:
@@ -79,6 +90,15 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 def _exact_dtype(top: int) -> np.dtype:
     """int64 when every number up to ``top`` fits in it, else object (Python ints)."""
     return np.dtype(np.int64 if top <= INT64_MAX else object)
+
+
+def _exact_array(values: Sequence[int]) -> np.ndarray:
+    """Python ints as a new read-only array: int64, or object if one is past it."""
+    try:
+        array = np.array(values, np.int64)
+    except OverflowError:
+        array = np.array(values, object)
+    return _read_only(array)
 
 
 def _all_ints(values: Iterable) -> bool:
@@ -172,11 +192,11 @@ class WeightedGraph:
         self.node_count = n
         self.u, self.v = u, v = lo.astype(np.int64, copy=False), hi.astype(np.int64, copy=False)
         # u is sorted: its counts are the gaps between where each node starts
-        self._degrees = np.diff(np.searchsorted(u, np.arange(n + 1))) + np.bincount(v, minlength=n)
+        self.degrees = np.diff(np.searchsorted(u, np.arange(n + 1))) + np.bincount(v, minlength=n)
         # no weighted degree exceeds the top weight times the top degree
-        top = int(w.max()) * int(self._degrees.max()) if len(w) else 0
+        top = int(w.max()) * int(self.degrees.max()) if len(w) else 0
         self.w = w.astype(_exact_dtype(top), copy=False)
-        for array in (self.u, self.v, self.w, self._degrees):
+        for array in (self.u, self.v, self.w, self.degrees):
             array.setflags(write=False)
 
     def __eq__(self, other: object) -> bool:
@@ -202,12 +222,8 @@ class WeightedGraph:
         return sum(self.w.tolist())
 
     @cached_property
-    def degrees(self) -> tuple[int, ...]:
-        return tuple(self._degrees.tolist())
-
-    @cached_property
     def indptr(self) -> np.ndarray:
-        return _read_only(np.concatenate(([0], np.cumsum(self._degrees))))
+        return _read_only(np.concatenate(([0], np.cumsum(self.degrees))))
 
     @cached_property
     def _rows(self) -> tuple[np.ndarray, np.ndarray]:
@@ -231,40 +247,51 @@ class WeightedGraph:
         return self._rows[1]
 
     @cached_property
-    def weighted_degrees(self) -> tuple[int, ...]:
+    def weighted_degrees(self) -> np.ndarray:
         wdeg = np.zeros(self.node_count, self.w.dtype)
         np.add.at(wdeg, self.u, self.w)
         np.add.at(wdeg, self.v, self.w)
-        return tuple(wdeg.tolist())
+        return _read_only(wdeg)
 
     def is_unweighted(self) -> bool:
         return bool((self.w == 1).all())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PncInstance:
     """A selling instance: a weighted graph plus per-node intrinsic values.
 
     A consumer who has not bought yet values the good at their intrinsic value
     plus the total weight of edges to other consumers who have not bought
-    either; purchases by neighbors only ever lower their value.
+    either; purchases by neighbors only ever lower their value. ``intrinsic``,
+    any sequence of ints or an integer array, is kept as a read-only copy.
     """
 
     graph: WeightedGraph
-    intrinsic: tuple[int, ...]
+    intrinsic: np.ndarray
 
     def __post_init__(self) -> None:
-        values = _as_tuple(self.intrinsic, "intrinsic")
-        if not _all_ints(values):  # the scan names the first bad value
-            for i, x in enumerate(values):
-                _as_int(x, f"intrinsic[{i}]")
-        if len(values) != self.graph.node_count:
-            raise ValueError(
-                f"intrinsic has {len(values)} entries for {self.graph.node_count} nodes"
-            )
-        if values and min(values) < 0:
+        n = _as_type(self.graph, WeightedGraph, "graph").node_count
+        values = self.intrinsic
+        if not (isinstance(values, np.ndarray) and values.dtype.kind == "i" and values.ndim == 1):
+            values = _as_tuple(values, "intrinsic")
+            if not _all_ints(values):  # the scan names the first bad value
+                for i, x in enumerate(values):
+                    _as_int(x, f"intrinsic[{i}]")
+        values = _exact_array(values)
+        if len(values) != n:
+            raise ValueError(f"intrinsic has {len(values)} entries for {n} nodes")
+        if values.min() < 0:
             raise ValueError("intrinsic values must be nonnegative")
         object.__setattr__(self, "intrinsic", values)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PncInstance):
+            return NotImplemented
+        return self.graph == other.graph and np.array_equal(self.intrinsic, other.intrinsic)
+
+    def __hash__(self) -> int:
+        return hash(self.graph)
 
     @classmethod
     def from_edges(
@@ -275,7 +302,7 @@ class PncInstance:
     ) -> "PncInstance":
         graph = WeightedGraph(node_count, edges)
         if intrinsic is None:
-            intrinsic = (0,) * node_count
+            intrinsic = np.zeros(node_count, np.int64)
         return cls(graph, intrinsic)
 
     @classmethod
@@ -299,18 +326,14 @@ class PncInstance:
         return self.graph.node_count
 
     @cached_property
-    def initial_values(self) -> tuple[int, ...]:
-        """Total value of every consumer before anyone has bought."""
-        return tuple(map(add, self.intrinsic, self.graph.weighted_degrees))
-
-    @cached_property
-    def value_array(self) -> np.ndarray:
-        """``initial_values`` as a read-only array: int64 when the largest
-        fits, else object. Values only fall, so the dtype holds for a whole
-        selling process."""
-        values = np.array(self.initial_values, dtype=_exact_dtype(max(self.initial_values)))
-        values.setflags(write=False)
-        return values
+    def initial_values(self) -> np.ndarray:
+        """Total value of every consumer before anyone has bought, read-only:
+        int64 when the largest fits, else object. Values only fall, so the
+        dtype holds for a whole selling process."""
+        weighted = self.graph.weighted_degrees
+        top = int(self.intrinsic.max()) + int(weighted.max())
+        # every sum is at most top, so each cast into its dtype is exact
+        return _read_only(np.add(self.intrinsic, weighted, dtype=_exact_dtype(top), casting="unsafe"))
 
 
 @dataclass(frozen=True, slots=True)
@@ -325,26 +348,28 @@ class SaleTrace:
     """Outcome of posting a price sequence: each round's price, every buyer
     (round ``i``'s are ``buyers[ends[i]:ends[i + 1]]``, increasing), the
     consumers who never bought and the revenue. Rounds posted after everyone
-    has bought sell nobody.
+    has bought sell nobody. ``prices``, ``buyers`` and ``ends`` are read-only
+    arrays; ``prices`` is int64, or object if a price is past it.
     """
 
-    prices: PriceSequence
+    prices: np.ndarray
     buyers: np.ndarray
     ends: np.ndarray
     residual: frozenset[int]
     revenue: int
 
     def __eq__(self, other: object) -> bool:
-        return (isinstance(other, SaleTrace) and np.array_equal(self.ends, other.ends)
-                and np.array_equal(self.buyers, other.buyers)
-                and (self.prices, self.residual, self.revenue) == (other.prices, other.residual, other.revenue))
+        return (isinstance(other, SaleTrace)
+                and all(map(np.array_equal, (self.prices, self.buyers, self.ends),
+                            (other.prices, other.buyers, other.ends)))
+                and (self.residual, self.revenue) == (other.residual, other.revenue))
 
     @property
     def rounds(self) -> tuple[SaleRound, ...]:
         """Each round's price, buyer set and revenue, built on each call."""
         buyers, ends = self.buyers.tolist(), self.ends.tolist()
         return tuple(SaleRound(price, frozenset(buyers[a:b]), price * (b - a))
-                     for price, a, b in zip(self.prices, ends, ends[1:]))
+                     for price, a, b in zip(self.prices.tolist(), ends, ends[1:]))
 
 
 def validate_prices(prices: Sequence[int]) -> PriceSequence:
@@ -426,13 +451,13 @@ def _instance_blocks(instance: PncInstance) -> Iterator[str]:
         # each edge is led by a comma, as are all but the first in the list
         yield text[1:] if start == 0 else text
     yield "]"
-    if any(instance.intrinsic):
-        yield ',"nu":' + json.dumps(list(instance.intrinsic), separators=(",", ":"))
+    if instance.intrinsic.any():
+        yield ',"nu":' + json.dumps(instance.intrinsic.tolist(), separators=(",", ":"))
     yield "}\n"
 
 
 def dumps_instance(instance: PncInstance) -> str:
-    return "".join(_instance_blocks(instance))
+    return "".join(_instance_blocks(_as_type(instance, PncInstance, "instance")))
 
 
 _DECODER = json.JSONDecoder()
@@ -712,5 +737,6 @@ def load_instance(path: str) -> PncInstance:
 
 
 def dump_instance(instance: PncInstance, path: str) -> None:
+    _as_type(instance, PncInstance, "instance")
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(_instance_blocks(instance))

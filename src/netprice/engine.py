@@ -10,16 +10,28 @@ a run of rounds per O(n) vectorised scan, reading the CSR (from its first
 settle on) only in rows of nodes it may sell. A run whose only round is the
 process's last only marks its buyers: no later round reads a value, so a
 single price never builds the CSR, nor does one tie group of everyone.
+``sell`` hands out arrays, and its callers pick each round's price.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import compress
+from operator import mul
 from typing import Sequence
 
 import numpy as np
 
-from .core import PncInstance, PriceSequence, SaleTrace, _read_only, validate_prices
+from .core import PncInstance, PriceSequence, SaleTrace, _as_type, _exact_array, _read_only, validate_prices
+
+
+def _join(parts: list[np.ndarray], dtype: np.dtype) -> np.ndarray:
+    """The arrays of ``parts`` end to end. ``parts`` is emptied, so a caller
+    joining several lists holds each part or its copy, never both at once."""
+    joined = parts[0] if len(parts) == 1 else np.concatenate([np.zeros(0, dtype), *parts])
+    parts.clear()
+    return joined
+
 
 class Market:
     """A selling process in progress: ``values`` holds every consumer's current
@@ -29,7 +41,7 @@ class Market:
     """
 
     def __init__(self, instance: PncInstance) -> None:
-        self.values = instance.value_array.copy()
+        self.values = _as_type(instance, PncInstance, "instance").initial_values.copy()
         # no price above this sells, and every price compared is within the dtype
         self.top = int(self.values.max())
         self.graph = instance.graph
@@ -42,9 +54,7 @@ class Market:
     def rows(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The positions of ``nodes``' CSR rows back to back, in the order
         given, and each row's length."""
-        indptr = self.graph.indptr
-        starts = indptr[nodes]
-        lengths = indptr[nodes + 1] - starts
+        starts, lengths = self.graph.indptr[nodes], self.graph.degrees[nodes]
         rows = (starts - lengths.cumsum() + lengths).repeat(lengths) + np.arange(lengths.sum())
         return rows, lengths
 
@@ -64,12 +74,11 @@ class Market:
         # exact in either dtype, and a neighbour of several buyers drops once per buyer
         np.subtract.at(self.values, neighbours[still], self.weights[rows][still])
 
-    def sell(self, prices: PriceSequence | None = None,
-             lowest: bool = False) -> tuple[list[int], np.ndarray, np.ndarray]:
+    def sell(self, prices: PriceSequence | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Post ``prices``, or with None greedy's (the highest current value,
-        until everyone owns): each round's price (with ``lowest``, greedy's
-        always, its buyers' lowest value if it sold), all buyers round by round
-        (each round's increasing), and the offsets where rounds end, from 0.
+        until everyone owns): each round's lowest buyer value (0 if it sold
+        nobody; greedy's prices), all buyers round by round (each round's
+        increasing), and the offsets where rounds end, from 0, as arrays.
 
         One scan sells a run: the next ``want`` prices that are new minima at
         most ``top`` (no other sells), or greedy's tie groups among the ``want``
@@ -83,10 +92,11 @@ class Market:
         or it sells every unsold node) it only marks its buyers as owners.
         """
         values = self.values
-        end, lowest = (None, True) if prices is None else (len(prices), lowest)
+        end = None if prices is None else len(prices)
         left = int(np.count_nonzero(values >= 0))
-        paid, chunks, bounds = [], [], [0]
-        at, want = 0, 1
+        # each run's lows, buyers and round ends, joined once
+        lows_parts, chunks, ends_parts = [], [], [np.zeros(1, np.int64)]
+        at, want, sold = 0, 1, 0
         while left and at != end:
             if prices is None:
                 # the want-th highest value: selected among the negated values, the owners'
@@ -101,8 +111,8 @@ class Market:
                         low = prices[i]
             candidates = (values >= low).nonzero()[0] if prices is None or index else ()
             if not len(candidates):
-                paid += prices[at:stop]
-                bounds += [bounds[-1]] * (stop - at)
+                lows_parts.append(np.zeros(stop - at, values.dtype))
+                ends_parts.append(np.full(stop - at, sold))
                 at, want = stop, 2 * want
                 continue
             own = values[candidates]
@@ -149,30 +159,34 @@ class Market:
             reach, lows = ends[:taken], lows[:taken]
             if len(index) != stop - at:  # a price that is no new minimum sells nobody
                 slot = np.searchsorted(index[:taken], np.arange(at, done), "right")
-                reach, lows = np.append(0, reach)[slot], lows[slot - 1]
-            paid += lows.tolist() if lowest else prices[at:done]
-            bounds += (bounds[-1] + reach).tolist()
+                reach, spread = np.append(0, reach)[slot], np.zeros(done - at, values.dtype)
+                spread[np.subtract(index[:taken], at)] = lows
+                lows = spread
+            lows_parts.append(lows)
+            ends_parts.append(sold + reach)
             chunks.append(bought)
             want = 2 * want if taken == len(index) else 2 * (count if prices is None else done - at)
-            at, left = done, left - count
+            at, left, sold = done, left - count, sold + count
         if prices is not None:  # every price after everyone owns sells nobody
-            paid += prices[at:]
-            bounds += [bounds[-1]] * (end - at)
-        buyers = chunks[0] if len(chunks) == 1 else np.concatenate([np.zeros(0, np.intp), *chunks])
-        return paid, buyers, np.array(bounds, np.int64)
+            lows_parts.append(np.zeros(end - at, values.dtype))
+            ends_parts.append(np.full(end - at, sold))
+        return _join(lows_parts, values.dtype), _join(chunks, np.intp), _join(ends_parts, np.int64)
 
-    def trace(self, paid: list[int], buyers: np.ndarray, ends: np.ndarray) -> SaleTrace:
-        """The trace of the rounds ``Market.sell`` returns, at the values now."""
-        bounds = ends.tolist()
-        revenue = sum(price * (b - a) for price, a, b in zip(paid, bounds, bounds[1:]))
+    def trace(self, prices: np.ndarray, buyers: np.ndarray, ends: np.ndarray) -> SaleTrace:
+        """The trace of the rounds ``Market.sell`` returns, priced at ``prices``
+        (greedy's are its lows), at the values now."""
+        counts = np.diff(ends)  # summed exactly in Python ints, 4,096 rounds at a time
+        revenue = sum(sum(map(mul, prices[i:i + 4096].tolist(), counts[i:i + 4096].tolist()))
+                      for i in range(0, len(prices), 4096))
         residual = frozenset(np.flatnonzero(self.values >= 0).tolist())
-        return SaleTrace(tuple(paid), _read_only(buyers), _read_only(ends), residual, revenue)
+        return SaleTrace(_read_only(prices), _read_only(buyers), _read_only(ends), residual, revenue)
 
 
 def simulate(instance: PncInstance, prices: Sequence[int]) -> SaleTrace:
     """Run the selling process for ``prices`` and return the full trace."""
     market = Market(instance)
-    return market.trace(*market.sell(validate_prices(prices)))
+    prices = validate_prices(prices)
+    return market.trace(_exact_array(prices), *market.sell(prices)[1:])
 
 
 def make_irredundant(instance: PncInstance, prices: Sequence[int]) -> PriceSequence:
@@ -182,7 +196,8 @@ def make_irredundant(instance: PncInstance, prices: Sequence[int]) -> PriceSeque
     strictly decreasing: a consumer priced out at one round has an even lower
     value later, so a repeated or higher price can never sell again.
     """
-    return _sold_rounds(instance, prices, lowest=False)
+    prices = validate_prices(prices)
+    return tuple(compress(prices, np.diff(Market(instance).sell(prices)[2]).tolist()))
 
 
 def normalize(instance: PncInstance, prices: Sequence[int]) -> PriceSequence:
@@ -193,10 +208,5 @@ def normalize(instance: PncInstance, prices: Sequence[int]) -> PriceSequence:
     result sells the same partition for at least the original revenue.
     Empty rounds change nobody's value, so one pass serves both steps.
     """
-    return _sold_rounds(instance, prices, lowest=True)
-
-
-def _sold_rounds(instance: PncInstance, prices: Sequence[int], lowest: bool) -> PriceSequence:
-    """The prices of the rounds that sell, with ``lowest`` their buyers' lowest values."""
-    paid, _, ends = Market(instance).sell(validate_prices(prices), lowest)
-    return tuple(price for price, count in zip(paid, np.diff(ends).tolist()) if count)
+    lows, _, ends = Market(instance).sell(validate_prices(prices))
+    return tuple(lows[np.diff(ends) > 0].tolist())

@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algorithms import _best_single, greedy_iterative
-from .core import PncInstance, PriceSequence, _as_int
+from .core import PncInstance, PriceSequence, _as_int, _as_type
 from .engine import simulate
 
 
@@ -97,10 +97,12 @@ def exact_opt(instance: PncInstance, state_budget: int = STATE_BUDGET) -> Oracle
     ValueError if ``state_budget`` is not a positive integer or
     ``min(n, 1 + largest initial value)`` exceeds ``DEPTH_LIMIT``.
     """
+    n = _as_type(instance, PncInstance, "instance").node_count
     if _as_int(state_budget, "state_budget") < 1:
         raise ValueError("state_budget must be positive")
-    n = instance.node_count
-    depth = min(n, 1 + max(instance.initial_values))
+    # every node's numbers as Python ints, read once: the search's sums stay exact
+    initial = instance.initial_values.tolist()
+    depth = min(n, 1 + max(initial))
     if depth > DEPTH_LIMIT:
         raise ValueError(f"instance's search may recurse {depth} deep, above the oracle depth limit {DEPTH_LIMIT}")
     # each node's CSR row as (neighbour, weight) pairs of Python ints, so
@@ -109,7 +111,7 @@ def exact_opt(instance: PncInstance, state_budget: int = STATE_BUDGET) -> Oracle
     neighbours = instance.graph.indices.tolist()
     weights = instance.graph.weights.tolist()
     rows = [tuple(zip(neighbours[a:b], weights[a:b])) for a, b in zip(indptr, indptr[1:])]
-    intrinsic = instance.intrinsic
+    intrinsic = instance.intrinsic.tolist()
     full = (1 << n) - 1
     # mask -> (revenue, exact, next price (0 = stop), the set it leaves). An
     # exact entry holds the set's optimum; otherwise revenue only bounds it.
@@ -173,8 +175,8 @@ def exact_opt(instance: PncInstance, state_budget: int = STATE_BUDGET) -> Oracle
         memo[mask] = (best, best > need, best_price, best_rest)
         return best
 
-    top = sum(instance.initial_values)  # the full set's bound
-    start = [(value, node) for node, value in enumerate(instance.initial_values)]
+    top = sum(initial)  # the full set's bound
+    start = [(value, node) for node, value in enumerate(initial)]
     incumbent = _best_single(instance.initial_values)[1]
     # every optimum is at least the incumbent, so the root's entry is exact
     revenue = solve(start, full, top, incumbent - 1)

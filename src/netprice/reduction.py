@@ -23,7 +23,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import PncInstance, PriceSequence, SaleTrace, _all_ints, _as_tuple
+from .core import PncInstance, PriceSequence, SaleTrace, _all_ints, _as_tuple, _as_type
 from .engine import simulate
 
 Clause = tuple[int, int, int]
@@ -98,7 +98,7 @@ class CnfFormula:
 def is_satisfying(formula: CnfFormula, assignment: Sequence[bool]) -> bool:
     """Whether ``assignment`` (index i-1 holds variable i) satisfies every clause."""
     assignment = _as_tuple(assignment, "assignment")
-    if len(assignment) != formula.variable_count:
+    if len(assignment) != _as_type(formula, CnfFormula, "formula").variable_count:
         raise ValueError("assignment must cover every variable exactly once")
     return all(
         any((literal > 0) == bool(assignment[abs(literal) - 1]) for literal in clause)
@@ -230,7 +230,7 @@ def build_reduction(formula: CnfFormula) -> ReductionArtifact:
     link to each of its clause's three literal nodes. Scales are the minimal
     chain a = 5mn+1, a_n = 5a+1, a_i = 5a_{i+1}+1.
     """
-    n = formula.variable_count
+    n = _as_type(formula, CnfFormula, "formula").variable_count
     m = len(formula.clauses)
     clause_scale = 5 * m * n + 1
     scales = [0] * n
@@ -284,7 +284,7 @@ def assignment_pricing(artifact: ReductionArtifact, assignment: Sequence[bool]) 
     threshold exactly when the assignment satisfies the formula.
     """
     assignment = _as_tuple(assignment, "assignment")
-    if len(assignment) != len(artifact.variable_scales):
+    if len(assignment) != len(_as_type(artifact, ReductionArtifact, "artifact").variable_scales):
         raise ValueError("assignment must cover every variable exactly once")
     prices: list[int] = []
     for value, scale in zip(assignment, artifact.variable_scales):
@@ -301,8 +301,9 @@ def assignment_pricing(artifact: ReductionArtifact, assignment: Sequence[bool]) 
 
 def clause_window_round(artifact: ReductionArtifact, trace: SaleTrace) -> int | None:
     """Index of the first round priced inside the clause band (<= 2*a+3)."""
-    top = 2 * artifact.clause_scale + 3
-    return next((index for index, price in enumerate(trace.prices) if price <= top), None)
+    top = 2 * _as_type(artifact, ReductionArtifact, "artifact").clause_scale + 3
+    prices = _as_type(trace, SaleTrace, "trace").prices.tolist()
+    return next((index for index, price in enumerate(prices) if price <= top), None)
 
 
 @dataclass(frozen=True)
@@ -367,7 +368,7 @@ def _run_check(artifact: ReductionArtifact, gadget: str, prices: Sequence[int], 
         prices=tuple(prices),
         expected_revenue=expected_revenue,
         observed_revenue=sum(price * len(members.intersection(buyers[a:b]))
-                             for price, a, b in zip(trace.prices, ends, ends[1:])),
+                             for price, a, b in zip(trace.prices.tolist(), ends, ends[1:])),
         expected_sold=tuple((label, want) for label, _, want in expected_sold),
         observed_sold=tuple((label, node not in trace.residual) for label, node, _ in expected_sold),
     )
@@ -386,7 +387,7 @@ def verify_gadget_claims(artifact: ReductionArtifact) -> GadgetReport:
     its gadget even though the whole instance is simulated.
     """
     checks: list[GadgetCheck] = []
-    a = artifact.clause_scale
+    a = _as_type(artifact, ReductionArtifact, "artifact").clause_scale
     n = artifact.formula.variable_count
 
     for i in range(1, n + 1):
@@ -455,7 +456,7 @@ def best_assignment_revenue(artifact: ReductionArtifact) -> tuple[int, tuple[boo
     Equals the threshold exactly when the formula is satisfiable. Cost is
     2^n simulations; guarded to keep runtime sane.
     """
-    n = artifact.formula.variable_count
+    n = _as_type(artifact, ReductionArtifact, "artifact").formula.variable_count
     if n > 16:
         raise ValueError("exhaustive assignment search is limited to 16 variables")
     best_revenue = -1
@@ -472,7 +473,7 @@ def best_assignment_revenue(artifact: ReductionArtifact) -> tuple[int, tuple[boo
 def artifact_metadata(artifact: ReductionArtifact) -> dict:
     """JSON-ready sidecar describing the artifact's parameters and node maps."""
     return {
-        "variables": artifact.formula.variable_count,
+        "variables": _as_type(artifact, ReductionArtifact, "artifact").formula.variable_count,
         "clauses": [list(clause) for clause in artifact.formula.clauses],
         "clause_scale": artifact.clause_scale,
         "variable_scales": list(artifact.variable_scales),

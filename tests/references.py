@@ -9,8 +9,8 @@ and the plain split-graph recognition and DP ``recognize_split`` and
 ``split_dp`` are checked against.
 
 The engine and oracle references read only ``graph.edges``,
-``instance.intrinsic`` and ``instance.initial_values`` and keep every number
-a Python int, so they share no code with the numpy paths or with the CSR
+``instance.intrinsic`` and ``instance.initial_values`` (as Python lists, with
+``tolist()``) and keep every number a Python int, so they share no code with the numpy paths or with the CSR
 rows the engine and the oracle both read.
 """
 
@@ -50,7 +50,7 @@ def adjacency(graph):
 def rescan_simulate(instance, prices):
     """The selling process by a full scan of the remaining consumers per round."""
     prices = validate_prices(prices)
-    values = list(instance.initial_values)
+    values = instance.initial_values.tolist()
     remaining = set(range(instance.node_count))
     adj = adjacency(instance.graph)
     sold, ends = [], [0]
@@ -65,14 +65,15 @@ def rescan_simulate(instance, prices):
             for neighbor, weight in adj[buyer]:
                 if neighbor in remaining:
                     values[neighbor] -= weight
-    return SaleTrace(prices, np.array(sold, np.int64), np.array(ends, np.int64), frozenset(remaining), total)
+    return SaleTrace(np.array(prices, object), np.array(sold, np.int64), np.array(ends, np.int64),
+                     frozenset(remaining), total)
 
 
 def rescan_normalize(instance, prices):
     """Normalized prices by a full scan of the remaining consumers per round:
     drop the rounds that sell nobody and price each other round at its
     buyers' lowest value."""
-    values = list(instance.initial_values)
+    values = instance.initial_values.tolist()
     remaining = set(range(instance.node_count))
     adj = adjacency(instance.graph)
     normalized = []
@@ -91,7 +92,7 @@ def rescan_normalize(instance, prices):
 def rescan_greedy(instance):
     """Greedy iterative prices by a full scan of the remaining consumers per
     round: post the highest current value, sell everyone at it."""
-    values = list(instance.initial_values)
+    values = instance.initial_values.tolist()
     remaining = set(range(instance.node_count))
     adj = adjacency(instance.graph)
     prices = []
@@ -113,7 +114,7 @@ def heap_greedy(instance):
     Stale entries (from before a neighbor's decrement) are discarded on pop;
     values only fall, so the freshest entry for a node is the first valid one.
     """
-    values = list(instance.initial_values)
+    values = instance.initial_values.tolist()
     remaining = set(range(instance.node_count))
     adj = adjacency(instance.graph)
     heap = [(-values[i], i) for i in remaining]
@@ -151,7 +152,7 @@ def recognize_split_reference(graph):
     degrees, one node at a time."""
     if not graph.is_unweighted():
         raise ValueError("recognize_split requires unit edge weights")
-    degrees = graph.degrees
+    degrees = graph.degrees.tolist()
     order = sorted(range(graph.node_count), key=lambda v: (-degrees[v], v))
     ranked = [degrees[v] for v in order]
     m = 0
@@ -167,7 +168,7 @@ def split_dp_reference(instance):
     """``split_dp`` as a per-neighbour set-membership DP whose closing-price
     loop scans every degree from k down: the same recursion and back-pointers
     with no shortcut."""
-    if not instance.graph.is_unweighted() or any(instance.intrinsic):
+    if not instance.graph.is_unweighted() or instance.intrinsic.any():
         raise ValueError("split_dp requires unit edge weights and zero intrinsic values")
     graph = instance.graph
     partition = recognize_split_reference(graph)
@@ -177,7 +178,8 @@ def split_dp_reference(instance):
     indep_set = set(partition.independent)
 
     k = len(clique)
-    clique_deg = [graph.degrees[v] for v in clique]  # nondecreasing
+    degrees = graph.degrees.tolist()
+    clique_deg = [degrees[v] for v in clique]  # nondecreasing
     indptr, indices = graph.indptr, graph.indices
 
     # prefix_deg[u]: neighbors of independent node u among the first i clique nodes
@@ -313,13 +315,14 @@ def naive_opt(instance):
     if n > NAIVE_NODE_LIMIT:
         raise ValueError(f"naive_opt handles at most {NAIVE_NODE_LIMIT} nodes, got {n}")
     adj = adjacency(instance.graph)
+    intrinsic = instance.intrinsic.tolist()
     best = 0
 
     def dfs(remaining, banked):
         nonlocal best
         best = max(best, banked)
         values = sorted(
-            ((instance.intrinsic[i] + sum(w for j, w in adj[i] if j in remaining), i)
+            ((intrinsic[i] + sum(w for j, w in adj[i] if j in remaining), i)
              for i in remaining),
             reverse=True,
         )

@@ -155,11 +155,11 @@ def test_trace_json_is_json_dumps_of_the_rounds(instance, prices, scale):
     if scale > 1:
         graph = instance.graph
         instance = PncInstance.from_edges(graph.node_count, [(u, v, w * scale) for u, v, w in graph.edges],
-                                          [x * scale for x in instance.intrinsic])
+                                          [x * scale for x in instance.intrinsic.tolist()])
     for trace in (greedy_iterative(instance), simulate(instance, [p * scale for p in prices])):
         rounds = [{"price": sale.price, "buyers": sorted(sale.buyers), "revenue": sale.revenue}
                   for sale in trace.rounds]
-        assert _trace_json(trace) == json.dumps({"prices": list(trace.prices), "rounds": rounds,
+        assert _trace_json(trace) == json.dumps({"prices": trace.prices.tolist(), "rounds": rounds,
                                                  "total_revenue": trace.revenue,
                                                  "unsold": sorted(trace.residual)})
 

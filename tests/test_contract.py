@@ -1,12 +1,11 @@
 """Contracts of the public API and the CLI, for any argument.
 
-A public function given junk for a scalar, sequence, dict or str argument
-either works or raises ``ValueError`` (``CnfError`` is one). A CLI run
-returns 0, or 1 with one ``error:`` line, or argparse's 2, and never prints
-a traceback. An argument that must be an instance, graph, formula, artifact
-or trace is drawn valid: the package does not type-check its own objects.
-Sizes stay small and ``jobs`` stays 1, so no call allocates much or starts
-a process.
+A public function given junk for any argument, a scalar, sequence, dict or
+str, or an instance, graph, formula, artifact or trace, either works or
+raises ``ValueError`` (``CnfError`` is one). A CLI run returns 0, or 1 with
+one ``error:`` line, or argparse's 2, and never prints a traceback. Sizes
+stay small and ``jobs`` stays 1, so no call allocates much or starts a
+process.
 """
 
 import contextlib
@@ -79,9 +78,6 @@ VALID = {
     "instance_text": _INSTANCES.map(dumps_instance).flatmap(
         lambda text: st.integers(0, len(text)).map(lambda cut: text[:cut]) | st.just(text)),
     "cnf_text": st.integers(0, len(_DIMACS)).map(lambda cut: _DIMACS[:cut]) | st.text(max_size=20),
-}
-# drawn valid only
-OBJECTS = {
     "instance": _INSTANCES,
     "graph": _INSTANCES.map(lambda instance: instance.graph),
     "formula": st.just(_FORMULA),
@@ -163,9 +159,7 @@ def test_public_calls_work_or_raise_value_error(folder, name, data):
         return
     args = []
     for kind in kinds:
-        if kind in OBJECTS:
-            strategy = OBJECTS[kind]
-        elif kind.endswith("_path"):
+        if kind.endswith("_path"):
             strategy = _paths(folder)
         else:
             strategy = VALID[kind] | JUNK

@@ -4,6 +4,7 @@ import ast
 import json
 import random
 import warnings
+from operator import mul
 from pathlib import Path
 from unittest import mock
 
@@ -15,13 +16,18 @@ from hypothesis import strategies as st
 import netprice
 from netprice import core
 from netprice import (
+    CnfFormula,
     PncInstance,
     SaleRound,
     SaleTrace,
     WeightedGraph,
+    assignment_pricing,
+    build_reduction,
     dumps_instance,
+    greedy_iterative,
     load_instance,
     loads_instance,
+    simulate,
     validate_prices,
 )
 from references import json_loads_instance
@@ -149,8 +155,8 @@ def test_graph_views():
     g = WeightedGraph(4, ((0, 1, 2), (1, 2, 3), (1, 3, 1)))
     assert g.edge_count == 3
     assert g.total_edge_weight == 6
-    assert g.degrees == (1, 3, 1, 1)
-    assert g.weighted_degrees == (2, 6, 3, 1)
+    assert g.degrees.tolist() == [1, 3, 1, 1]
+    assert g.weighted_degrees.tolist() == [2, 6, 3, 1]
     assert g.indptr.tolist() == [0, 1, 4, 5, 6]
     assert g.indices.tolist() == [1, 0, 2, 3, 1, 1]
     assert g.weights.tolist() == [2, 2, 3, 1, 3, 1]
@@ -182,15 +188,67 @@ def test_instance_validation():
     with pytest.raises(ValueError, match=r"^intrinsic\[0\] must be an integer, got 2\.5$"):
         PncInstance(g, (2.5,))
     inst = PncInstance(g, (3, 0))
-    assert inst.initial_values == (4, 1)
+    assert inst.initial_values.tolist() == [4, 1]
     assert inst.node_count == 2
 
 
 def test_unweighted_constructor():
     inst = PncInstance.unweighted(3, [(0, 1), (1, 2)])
     assert inst.graph.edges == ((0, 1, 1), (1, 2, 1))
-    assert inst.intrinsic == (0, 0, 0)
-    assert inst.initial_values == (1, 2, 1)
+    assert inst.intrinsic.tolist() == [0, 0, 0]
+    assert inst.initial_values.tolist() == [1, 2, 1]
+
+
+def _arrays(instance, *traces):
+    """Every per-node and per-round array the instance and traces hand out."""
+    graph = instance.graph
+    arrays = {"intrinsic": instance.intrinsic, "initial_values": instance.initial_values,
+              "degrees": graph.degrees, "weighted_degrees": graph.weighted_degrees}
+    for index, trace in enumerate(traces):
+        arrays.update({f"prices {index}": trace.prices, f"buyers {index}": trace.buyers,
+                       f"ends {index}": trace.ends})
+    return arrays
+
+
+def test_per_node_and_per_round_numbers_are_read_only_arrays():
+    # one instance in int64 and one past it: the reduction's weight scales
+    # grow about 5x per variable, so 26 variables reach about 2^75
+    small = PncInstance.from_edges(4, [(0, 1, 3), (1, 2, 2), (2, 3, 5)], np.array([1, 0, 4, 0]))
+    formula = CnfFormula(26, tuple((j + 1, -((j + 1) % 26 + 1), (j + 2) % 26 + 1) for j in range(26)))
+    artifact = build_reduction(formula)
+    big = artifact.instance
+    prices = assignment_pricing(artifact, (True,) * 26)
+    cases = [(small, (9, 3, 0), np.int64), (big, prices, object)]
+    for instance, posted, dtype in cases:
+        traces = greedy_iterative(instance), simulate(instance, posted)
+        for name, array in _arrays(instance, *traces).items():
+            assert isinstance(array, np.ndarray) and array.ndim == 1, name
+            assert not array.flags.writeable, name
+            with pytest.raises(ValueError, match="read-only"):
+                array[:1] = 0
+        assert instance.initial_values.dtype == traces[0].prices.dtype == dtype
+        # exact: each node's value summed from the canonical edges in Python ints
+        values = instance.intrinsic.tolist()
+        for u, v, w in instance.graph.edges:
+            values[u] += w
+            values[v] += w
+        assert instance.initial_values.tolist() == values
+        intrinsic = instance.intrinsic.tolist()
+        assert instance.graph.weighted_degrees.tolist() == [x - y for x, y in zip(values, intrinsic)]
+        replayed = traces[1]
+        assert replayed.prices.tolist() == list(posted)
+        assert sum(map(mul, replayed.prices.tolist(), np.diff(replayed.ends).tolist())) == replayed.revenue
+    assert max(big.initial_values) > 2**70 and big.graph.w.dtype == object
+    assert simulate(big, prices).revenue == artifact.threshold
+    # a value past int64 in the intrinsic values makes them an object array
+    huge = PncInstance.from_edges(2, [(0, 1, 1)], (2**70, 0))
+    assert huge.intrinsic.dtype == object and huge.initial_values.tolist() == [2**70 + 1, 1]
+    # an array of intrinsic values is copied, so its caller's writes do not reach the instance
+    nu = np.array([1, 2])
+    copied = PncInstance.from_edges(2, [], nu)
+    nu[0] = 9
+    assert copied.intrinsic.tolist() == [1, 2] and copied == PncInstance.from_edges(2, [], (1, 2))
+    assert copied != PncInstance.from_edges(2, [], (1, 3))
 
 
 def test_validate_prices():
@@ -208,13 +266,14 @@ def test_trace_views():
         SaleRound(3, frozenset({1}), 3),
         SaleRound(1, frozenset({0, 2}), 2),
     )
-    trace = SaleTrace((3, 1), np.array([1, 0, 2]), np.array([0, 1, 3]), frozenset(), 5)
-    assert trace.prices == (3, 1)
+    trace = SaleTrace(np.array([3, 1]), np.array([1, 0, 2]), np.array([0, 1, 3]), frozenset(), 5)
+    assert trace.prices.tolist() == [3, 1]
     assert trace.rounds == rounds
     # equal by value, as graphs are
-    again = SaleTrace((3, 1), np.array([1, 0, 2]), np.array([0, 1, 3]), frozenset(), 5)
+    again = SaleTrace(np.array([3, 1]), np.array([1, 0, 2]), np.array([0, 1, 3]), frozenset(), 5)
     assert again == trace
-    assert again != SaleTrace((3, 1), np.array([1, 0, 2]), np.array([0, 2, 3]), frozenset(), 5)
+    assert again != SaleTrace(np.array([3, 1]), np.array([1, 0, 2]), np.array([0, 2, 3]), frozenset(), 5)
+    assert again != SaleTrace(np.array([3, 2]), np.array([1, 0, 2]), np.array([0, 1, 3]), frozenset(), 5)
 
 
 def test_dumps_is_canonical():
@@ -270,8 +329,8 @@ def test_dumps_is_json_dumps_in_any_blocks(instance, rows):
     # blocks of 1-5 edges give each block its own column widths
     graph = instance.graph
     payload = {"n": instance.node_count, "edges": [list(e) for e in graph.edges]}
-    if any(instance.intrinsic):
-        payload["nu"] = list(instance.intrinsic)
+    if instance.intrinsic.any():
+        payload["nu"] = instance.intrinsic.tolist()
     with mock.patch.object(core, "_WRITE_ROWS", rows):
         assert dumps_instance(instance) == json.dumps(payload, separators=(",", ":")) + "\n"
 
@@ -397,7 +456,7 @@ def _load(loader, text):
         instance = loader(text)
     except ValueError as exc:
         return str(exc)
-    return instance, instance.graph.w.dtype, instance.intrinsic
+    return instance, instance.graph.w.dtype, instance.intrinsic.tolist()
 
 
 @settings(max_examples=300)

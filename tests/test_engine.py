@@ -33,7 +33,7 @@ def path3():
 
 def test_path3_two_prices():
     trace = simulate(path3(), (2, 1))
-    assert trace.prices == (2, 1)
+    assert trace.prices.tolist() == [2, 1]
     assert _buyers(trace) == (frozenset({1}), frozenset())
     assert [r.revenue for r in trace.rounds] == [2, 0]
     assert trace.revenue == 2
@@ -70,15 +70,16 @@ def test_market_values_track_remaining():
     market = Market(inst)
 
     def sell(market, prices):
-        paid, buyers, ends = market.sell(prices)
-        return paid, buyers.tolist(), ends.tolist()
+        lows, buyers, ends = market.sell(prices)
+        return lows.tolist(), buyers.tolist(), ends.tolist()
 
     assert market.values.tolist() == [3, 5, 3]
-    # price 4 is followed by another, so its round settles
-    assert sell(market, (4, 6)) == ([4, 6], [1], [0, 1, 1])
+    # price 4 is followed by another, so its round settles; each round
+    # reports its lowest buyer value, 0 for a round that sells nobody
+    assert sell(market, (4, 6)) == ([5, 0], [1], [0, 1, 1])
     # the buyer's neighbours drop by their edge weights; the buyer reads -1
     assert market.values.tolist() == [1, -1, 0]
-    assert sell(market, (6,)) == ([6], [], [0, 0])
+    assert sell(market, (6,)) == ([0], [], [0, 0])
     assert market.values.tolist() == [1, -1, 0]
     # a process's last round only marks its buyers: no later round reads a
     # value, and an owner is never lowered again
@@ -87,12 +88,14 @@ def test_market_values_track_remaining():
     # buyers in one round do not lower each other
     triangle = Market(PncInstance.unweighted(3, [(0, 1), (1, 2), (0, 2)]))
     assert sell(triangle, (2, 0)) == ([2, 0], [0, 1, 2], [0, 3, 3])
+    # greedy's lows are its prices
+    assert sell(Market(path3()), None) == ([2, 0], [1, 0, 2], [0, 1, 3])
     assert triangle.values.tolist() == [-1, -1, -1]
 
 
 def test_weighted_and_intrinsic():
     inst = PncInstance.from_edges(3, [(0, 1, 4), (1, 2, 2)], (0, 1, 3))
-    assert inst.initial_values == (4, 7, 5)
+    assert inst.initial_values.tolist() == [4, 7, 5]
     trace = simulate(inst, (7, 5, 1))
     assert _buyers(trace) == (
         frozenset({1}),
@@ -123,7 +126,7 @@ def _random_instance(rng, max_n=10):
 
 
 def _random_prices(rng, inst):
-    top = max(inst.initial_values) + 2
+    top = int(inst.initial_values.max()) + 2
     return tuple(rng.randint(0, top) for _ in range(rng.randint(0, 6)))
 
 
@@ -168,8 +171,8 @@ def priced_instances(draw):
     nu = draw(st.lists(st.integers(0, scale), min_size=n, max_size=n))
     instance = PncInstance.from_edges(n, edges, nu)
     price = st.one_of(
-        st.sampled_from(instance.initial_values + (0,)),
-        st.integers(0, max(instance.initial_values) + 1),
+        st.sampled_from(instance.initial_values.tolist() + [0]),
+        st.integers(0, int(instance.initial_values.max()) + 1),
         st.integers(2**63 - 2, 2**70),
     )
     return instance, tuple(draw(st.lists(price, max_size=8)))
@@ -180,7 +183,7 @@ def test_simulate_and_greedy_match_references(case):
     instance, prices = case
     assert simulate(instance, prices) == rescan_simulate(instance, prices)
     greedy = greedy_iterative(instance)
-    assert greedy.prices == heap_greedy(instance)
+    assert greedy.prices.tolist() == list(heap_greedy(instance))
     # greedy's trace is made of the rounds it sold, with no replay
     assert greedy == rescan_simulate(instance, greedy.prices)
 
@@ -200,14 +203,14 @@ def test_shared_neighbour_exact_near_2_60():
     # that a float64 cannot hold: node 2 must be left worth exactly 5.
     w1, w2 = 2**60 + 1, 2**60 + 3
     inst = PncInstance.from_edges(4, [(0, 2, w1), (1, 2, w2), (2, 3, 5)], (2**61, 2**61, 0, 0))
-    assert inst.value_array.dtype == np.int64
+    assert inst.initial_values.dtype == np.int64
     first = 2**61 + w1
     trace = simulate(inst, (first, 5))
     assert trace == rescan_simulate(inst, (first, 5))
     assert _buyers(trace) == (frozenset({0, 1}), frozenset({2, 3}))
     assert trace.revenue == 2 * first + 10
     assert normalize(inst, (first, 5)) == (first, 5)
-    assert greedy_iterative(inst).prices == heap_greedy(inst)
+    assert greedy_iterative(inst).prices.tolist() == list(heap_greedy(inst))
 
 
 def _cyclic_formula(count):
@@ -223,12 +226,12 @@ def test_values_past_int64_use_python_ints():
     artifact = build_reduction(_cyclic_formula(26))
     inst = artifact.instance
     assert max(inst.initial_values) > 2**63
-    assert inst.value_array.dtype == object
+    assert inst.initial_values.dtype == object
     prices = assignment_pricing(artifact, (True,) * 26)
     trace = simulate(inst, prices)
     assert trace.revenue == artifact.threshold
     assert trace == rescan_simulate(inst, prices)
-    assert greedy_iterative(inst).prices == heap_greedy(inst)
+    assert greedy_iterative(inst).prices.tolist() == list(heap_greedy(inst))
     assert loads_instance(dumps_instance(inst)) == inst
 
 

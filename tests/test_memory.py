@@ -15,7 +15,13 @@ and 52 MiB (matching). Before a process's last round, sold alone in a run,
 only marked its buyers, greedy's last round on the edgeless instance built
 the CSR and gathered every buyer's row: its peak was 53.4 MiB, now 22.9.
 Before ``dump_instance`` wrote each block of text as it was made, it joined
-the whole text first: its peak on G(2000, 0.3) was 14.7 MiB.
+the whole text first: its peak on G(2000, 0.3) was 14.7 MiB. Before
+per-node and per-round numbers were kept only as arrays (intrinsic and
+initial values, degrees, and a trace's prices and round offsets, where
+tuples and lists of Python ints stood beside them), loading and
+greedy-pricing an edgeless 1,000,000-node instance with values uniform in
+[0, 10^6) peaked at 196.7 MiB, now 90.4, and greedy's peak on the matching
+was 20.7 MiB, now 15.4.
 """
 
 import gc
@@ -117,9 +123,9 @@ def test_greedy_trace_peak_edgeless():
     # them as one int64 array, and the round only marks them as owners, so
     # the peak is the values, the candidates and their values, and no CSR
     instance = PncInstance.from_edges(1_000_001, [])
-    instance.value_array  # built before the step, as any strategy's input
+    instance.initial_values  # built before the step, as any strategy's input
     trace, peak, _ = _traced(lambda: greedy_iterative(instance))
-    assert trace.prices == (0,) and not trace.residual
+    assert trace.prices.tolist() == [0] and not trace.residual
     assert peak < 25.2 * MIB, peak / MIB  # measured 22.9 MiB
 
 
@@ -129,7 +135,23 @@ def test_greedy_trace_peak_matching():
     n = 200_000
     edges = np.column_stack((np.arange(n).reshape(-1, 2), np.arange(1, n // 2 + 1)))
     instance = PncInstance.from_edges(n, edges)
-    instance.value_array
+    instance.initial_values
     trace, peak, _ = _traced(lambda: greedy_iterative(instance))
     assert len(trace.prices) == n // 2 and trace.revenue == (n // 2) * (n // 2 + 1)
-    assert peak < 22.8 * MIB, peak / MIB  # measured 20.7 MiB
+    assert peak < 17.0 * MIB, peak / MIB  # measured 15.4 MiB
+
+
+def test_load_and_greedy_peak_with_values(tmp_path):
+    # an edgeless 1,000,000-node file with values uniform in [0, 10^6): greedy
+    # sells each distinct value in its own round, 632,093 rounds. The loader
+    # decodes the values once as Python ints; after that the peak is the
+    # per-node and per-round arrays: about 95 B per node in all (about 3 GiB
+    # at the node limit, 2^25, by extrapolation)
+    n = 1_000_000
+    nu = np.random.default_rng(0).integers(0, 10**6, n)
+    path = tmp_path / "values.json"
+    dump_instance(PncInstance.from_edges(n, [], nu), str(path))
+    trace, peak, _ = _traced(lambda: greedy_iterative(load_instance(str(path))))
+    assert len(trace.prices) == len(np.unique(nu)) == 632_093
+    assert trace.revenue == int(nu.sum()) and not trace.residual
+    assert peak < 99.5 * MIB, peak / MIB  # measured 90.4 MiB

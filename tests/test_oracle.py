@@ -37,10 +37,11 @@ def _reference_opt(instance):
     adjacency lists, not passed down from its parent as the oracle does.
     """
     adj = adjacency(instance.graph)
+    intrinsic = instance.intrinsic.tolist()
 
     def values(mask):
         return [
-            (instance.intrinsic[node] + sum(w for nb, w in adj[node] if mask >> nb & 1), node)
+            (intrinsic[node] + sum(w for nb, w in adj[node] if mask >> nb & 1), node)
             for node in range(instance.node_count)
             if mask >> node & 1
         ]

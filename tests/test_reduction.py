@@ -196,7 +196,7 @@ def test_variable_gadget_standalone_revenue():
     # with no clause stubs the two intended price sets both collect 24 * scale
     s = 7
     gadget = PncInstance.from_edges(5, variable_gadget_edges(0, 1, 2, 3, 4, s))
-    assert gadget.initial_values == (6 * s, 2 * s, 10 * s, 10 * s, 6 * s)
+    assert gadget.initial_values.tolist() == [6 * s, 2 * s, 10 * s, 10 * s, 6 * s]
     keep_x = simulate(gadget, (10 * s, 2 * s))
     assert keep_x.revenue == 24 * s
     assert 0 in keep_x.residual and 1 not in keep_x.residual

@@ -16,7 +16,7 @@ def _rebuilt(instance, label=lambda x: x, scale=1, nodes=None, extra_edges=(), e
     intrinsic values after the renamed ones."""
     n = instance.node_count
     nu = [0] * (n if nodes is None else nodes)
-    for x, value in enumerate(instance.intrinsic):
+    for x, value in enumerate(instance.intrinsic.tolist()):
         nu[label(x)] = scale * value
     nu[n:n + len(extra_nu)] = extra_nu
     edges = [(label(u), label(v), scale * w) for u, v, w in instance.graph.edges]
@@ -27,7 +27,7 @@ def _joined(a, b):
     """The disjoint union of ``a`` and ``b``, ``b``'s nodes after ``a``'s."""
     shift = a.node_count
     edges = [(u + shift, v + shift, w) for u, v, w in b.graph.edges]
-    return _rebuilt(a, nodes=shift + b.node_count, extra_edges=edges, extra_nu=b.intrinsic)
+    return _rebuilt(a, nodes=shift + b.node_count, extra_edges=edges, extra_nu=b.intrinsic.tolist())
 
 
 @settings(max_examples=80, deadline=None)
@@ -48,7 +48,7 @@ def test_scaling_scales_revenue_and_greedy_prices(instance, c):
     assert exact_opt(scaled).revenue == c * exact_opt(instance).revenue
     assert best_single_price(scaled).revenue == c * best_single_price(instance).revenue
     greedy, greedy_scaled = greedy_iterative(instance), greedy_iterative(scaled)
-    assert greedy_scaled.prices == tuple(c * p for p in greedy.prices)
+    assert greedy_scaled.prices.tolist() == [c * p for p in greedy.prices.tolist()]
     assert [r.buyers for r in greedy_scaled.rounds] == [r.buyers for r in greedy.rounds]
 
 

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import json
 import importlib.util
 import re
 import sys
@@ -10,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from netprice import gen_er, greedy_iterative, simulate
 from netprice.cli import _build_parser, experiment_tasks, run_cli
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -60,6 +62,27 @@ def test_benchmark_commands_parse(size, tmp_path, monkeypatch, capsys):
             for step in job.steps():
                 code = run_cli(list(step.argv))
                 assert code == 0, (workload.name, step.name, capsys.readouterr().err)
+
+
+def test_traced_counts_read_real_traces():
+    # The traced pass keeps what it counts from each wrapped call's result
+    # (_KEEP) and reduces it to numbers (_count); a change to the trace type
+    # that broke either would otherwise fail only when that pass runs.
+    tracing = _load("tracing")
+    instance = gen_er(40, 0.3, seed=1)
+    tracer = tracing.Tracer()
+    greedy = tracer.wrap("algorithms.greedy", greedy_iterative)(instance)
+    # greedy's prices with an empty round and a repeated price among them
+    prices = [*greedy.prices.tolist()[:3], 10**9, *greedy.prices.tolist()[3:], 0, 0]
+    replayed = tracer.wrap("engine.simulate", simulate)(instance, prices)
+    records = json.loads(json.dumps(tracing.span_records(tracer.spans)))
+    counts = {record["name"]: record["count"] for record in records}
+    ends = replayed.ends.tolist()
+    scanned = sum(instance.node_count - sold for sold in ends[:-1])
+    assert counts == {"algorithms.greedy": len(greedy.prices), "engine.simulate": [len(prices), 40, scanned]}
+    metrics = tracing.job_metrics(records, job_s=1.0, startup_s=0.0)
+    assert metrics["algorithms.greedy_rounds"] == len(greedy.prices) > 3
+    assert metrics["engine.simulate_rounds"] == len(prices)
 
 
 def test_cli_io_goes_through_the_traced_names(tmp_path, monkeypatch):
