@@ -199,9 +199,9 @@ def er_single_price(instance: PncInstance, eta: float, delta: float) -> SaleTrac
     every degree, so nearly everyone buys in the single round.
     """
     _require_plain(instance, "er_single_price")
-    if not 0 < _as_real(eta, "eta") <= 1:
+    if not 0 < (eta := _as_real(eta, "eta")) <= 1:
         raise ValueError(f"eta must be in (0, 1], got {eta}")
-    if not 0 < _as_real(delta, "delta") < 1:
+    if not 0 < (delta := _as_real(delta, "delta")) < 1:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
     price = math.floor((1 - delta) * (instance.node_count - 1) * eta)
     if price < 1:
@@ -212,7 +212,7 @@ def er_single_price(instance: PncInstance, eta: float, delta: float) -> SaleTrac
 def ba_single_price(instance: PncInstance, beta: int) -> SaleTrace:
     """Post the minimum-attachment count beta once; with min degree >= beta
     every consumer buys immediately, for revenue exactly n * beta."""
-    if _as_int(beta, "beta") < 1:
+    if (beta := _as_int(beta, "beta")) < 1:
         raise ValueError(f"beta must be a positive integer, got {beta!r}")
     if int(_as_type(instance, PncInstance, "instance").graph.degrees.min()) < beta:
         raise ValueError("ba_single_price requires minimum degree >= beta")

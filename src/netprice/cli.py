@@ -131,9 +131,9 @@ def experiment_tasks(name: str, params: dict, trials: int, master_seed: int) -> 
     experiment = EXPERIMENTS.get(name)
     if experiment is None:
         raise ValueError(f"unknown experiment {name!r}")
-    if _as_int(trials, "trials") < 1:
+    if (trials := _as_int(trials, "trials")) < 1:
         raise ValueError("trials must be at least 1")
-    if _as_int(master_seed, "master_seed") < 0:
+    if (master_seed := _as_int(master_seed, "master_seed")) < 0:
         raise ValueError(f"master_seed must be nonnegative, got {master_seed}")
     _check_params(f"experiment {name!r}", params, experiment.defaults)
     params = {**experiment.defaults, **params}
@@ -142,7 +142,7 @@ def experiment_tasks(name: str, params: dict, trials: int, master_seed: int) -> 
         n_min, n_max = _as_int(params["n_min"], "n_min"), _as_int(params["n_max"], "n_max")
         if n_min > n_max:
             raise ValueError(f"n_min ({n_min}) must not exceed n_max ({n_max})")
-        grid = [{**params, "n": n} for n in range(n_min, n_max + 1)]
+        grid = [{**params, "n_min": n_min, "n_max": n_max, "n": n} for n in range(n_min, n_max + 1)]
     rows = [row for row in grid for _ in range(trials)]
     return [master_seed + index for index in range(len(rows))], rows
 
@@ -163,7 +163,7 @@ def run_experiment(name: str, params: dict | None = None, trials: int = 20,
     in seed order and the output is byte-reproducible.
     """
     seeds, trial_params = experiment_tasks(name, params or {}, trials, master_seed)
-    if _as_int(jobs, "jobs") < 1:
+    if (jobs := _as_int(jobs, "jobs")) < 1:
         raise ValueError("jobs must be at least 1")
     trial = EXPERIMENTS[name].trial
     workers = min(jobs, len(seeds), os.cpu_count() or 1)

@@ -6,9 +6,9 @@ rows ``indptr, indices, weights``; all are read-only. Every quantity is an
 exact integer: an array of weights or values is int64 when its largest
 possible sum fits, else an object array of Python ints, and the same numpy
 code runs on either. Per-node and per-round numbers are only read-only
-arrays (degrees, intrinsic and initial values, a trace's prices, buyers and
-round offsets); sums are Python ints, and a Python loop reads an array once
-with ``tolist()``, so no product is taken in int64.
+arrays, which ``_int_array`` makes of every integer sequence given in; sums
+are Python ints, and an integer given in (Python or numpy, never a bool) is
+read as a Python int, so no product is taken in int64.
 """
 
 from __future__ import annotations
@@ -33,18 +33,24 @@ INT64_MAX = int(np.iinfo(np.int64).max)
 NODE_LIMIT = 1 << 25
 
 
+def _all_ints(values: Iterable) -> bool:
+    """Whether every value is an integer, tested once per type: a Python or
+    numpy integer, never a bool (JSON's true and false) or ``np.bool_``,
+    which is no numpy integer. The one test of what counts as an integer."""
+    return all(issubclass(t, (int, np.integer)) and t is not bool for t in set(map(type, values)))
+
+
 def _as_int(value: object, what: str) -> int:
-    # bool is an int subclass; reject it so JSON true/false cannot leak in.
-    if isinstance(value, bool) or not isinstance(value, int):
+    if not _all_ints((value,)):
         raise ValueError(f"{what} must be an integer, got {value!r}")
-    return value
+    return int(value)  # a numpy integer as the Python int it holds
 
 
 def _as_real(value: object, what: str) -> int | float:
-    # comparing a str or None with a number raises TypeError; bool as in _as_int
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    # comparing a str or None with a number raises TypeError
+    if not (_all_ints((value,)) or isinstance(value, (float, np.floating))):
         raise ValueError(f"{what} must be a number, got {value!r}")
-    return value
+    return value.item() if isinstance(value, np.generic) else value
 
 
 def _as_tuple(value: object, what: str, error: type[ValueError] = ValueError) -> tuple:
@@ -92,58 +98,45 @@ def _exact_dtype(top: int) -> np.dtype:
     return np.dtype(np.int64 if top <= INT64_MAX else object)
 
 
-def _exact_array(values: Sequence[int]) -> np.ndarray:
-    """Python ints as a new read-only array: int64, or object if one is past it."""
+def _int_row(index: int, row: object, what: str, fields: tuple[tuple[str, str], ...]) -> int | tuple[int, ...]:
+    """Entry ``index`` of ``what`` as Python ints, or a ValueError naming it."""
+    if not fields:
+        return _as_int(row, f"{what}[{index}]")
+    if not hasattr(row, "__len__") or len(row) != len(fields):
+        raise ValueError(f"{what}[{index}]: expected ({', '.join(name for name, _ in fields)}), got {row!r}")
+    return tuple(map(_as_int, row, [f"{what}[{index}]: {label}" for _, label in fields]))
+
+
+def _int_array(values, what: str, fields: tuple[tuple[str, str], ...] = ()) -> np.ndarray:
+    """``values`` as a read-only exact array, int64 or object past int64: an
+    int per entry, or with ``fields`` (each column's name and label, as
+    ``("w", "weight")``) a row of ``len(fields)`` ints per entry.
+
+    A sequence of Python ints is checked in bulk, once per type; any other
+    is read entry by entry, each integer as the Python int it holds, up to a
+    ValueError naming the first bad entry. An int64 array that is read-only
+    and owns its data is kept as it is; any other is copied, so the result
+    never changes under its caller's writes.
+    """
+    width = len(fields)
+    if (isinstance(values, np.ndarray) and values.dtype.kind in "iu" and values.ndim
+            and values.shape[1:] == ((width,) if width else ())):
+        if values.dtype == np.int64 and not values.flags.writeable and values.base is None:
+            return values
+        past = values.dtype == np.uint64 and values.size and values.max() > INT64_MAX
+        return _read_only(values.astype(object if past else np.int64))
+    rows = _as_tuple(values, what)
     try:
-        array = np.array(values, np.int64)
+        fit = not width or set(map(len, rows)) <= {width}
+    except TypeError:  # an entry without a length
+        fit = False
+    if not fit or set(map(type, chain.from_iterable(rows) if width else rows)) - {int}:
+        rows = [_int_row(index, row, what, fields) for index, row in enumerate(rows)]
+    try:
+        array = np.fromiter(chain.from_iterable(rows) if width else rows, np.int64, len(rows) * max(width, 1))
     except OverflowError:
-        array = np.array(values, object)
-    return _read_only(array)
-
-
-def _all_ints(values: Iterable) -> bool:
-    """Whether every value is an int, and none a bool: ``_as_int``'s test in bulk."""
-    return all(issubclass(t, int) and t is not bool for t in set(map(type, values)))
-
-
-def _edge_table(edges) -> np.ndarray | None:
-    """``edges`` as an (m, 3) int64 array (object past int64), or None
-    unless every edge is three ints."""
-    if isinstance(edges, np.ndarray):
-        if edges.dtype.kind == "i" and edges.shape[1:] == (3,):
-            return edges
-        edges = edges.tolist()
-    try:
-        lengths = set(map(len, edges))
-    except TypeError:  # an edge without a length
-        return None
-    if lengths - {3} or not _all_ints(chain.from_iterable(edges)):
-        return None
-    try:
-        return np.fromiter(chain.from_iterable(edges), np.int64, 3 * len(edges)).reshape(-1, 3)
-    except OverflowError:
-        return np.array(list(chain.from_iterable(edges)), dtype=object).reshape(-1, 3)
-
-
-def _scan_edges(n: int, edges) -> None:
-    """Raise a ValueError naming the first bad edge in input order; runs only
-    once a bulk check has failed."""
-    for idx, edge in enumerate(edges):
-        try:
-            u, v, w = edge
-        except (TypeError, ValueError):
-            raise ValueError(f"edges[{idx}]: expected (u, v, w), got {edge!r}") from None
-        _as_int(u, f"edges[{idx}]: endpoint")
-        _as_int(v, f"edges[{idx}]: endpoint")
-        _as_int(w, f"edges[{idx}]: weight")
-        if u > v:
-            u, v = v, u
-        elif u == v:
-            raise ValueError(f"edges[{idx}]: self loop at node {u}")
-        if u < 0 or v >= n:
-            raise ValueError(f"edges[{idx}]: endpoints ({u}, {v}) out of range for n={n}")
-        if w < 1:
-            raise ValueError(f"edges[{idx}]: weight must be >= 1, got {w}")
+        array = np.array(rows, object)
+    return _read_only(array.reshape(-1, width) if width else array)
 
 
 class WeightedGraph:
@@ -162,33 +155,30 @@ class WeightedGraph:
     """
 
     def __init__(self, node_count: int, edges: Iterable | np.ndarray) -> None:
-        n = _as_int(node_count, "node_count")
+        n = node_count = _as_int(node_count, "node_count")
         if n < 1:
             raise ValueError(f"node_count must be >= 1, got {n}")
         if n > NODE_LIMIT:
             raise ValueError(f"node_count {n:,} is above the node limit {NODE_LIMIT:,}")
         # The only edge validator in the package: every loaded or generated
         # graph passes through here once, in bulk.
-        rows = edges if isinstance(edges, np.ndarray) else _as_tuple(edges, "edges")
-        table = _edge_table(rows)
-        valid = table is not None
-        if valid:
-            if table is rows and (table.flags.writeable or table.base is not None):
-                table = table.copy()
-            u, v, w = table.T
-            forward = bool((u < v).all())
-            lo, hi = (u, v) if forward else (np.minimum(u, v), np.maximum(u, v))
-            valid = bool((forward or (u != v).all()) and (lo >= 0).all() and (hi < n).all()
-                         and (w >= 1).all())
+        table = _int_array(edges, "edges", (("u", "endpoint"), ("v", "endpoint"), ("w", "weight")))
+        u, v, w = table.T
+        forward = bool((u < v).all())
+        lo, hi = (u, v) if forward else (np.minimum(u, v), np.maximum(u, v))
+        valid = bool((forward or (u != v).all()) and (lo >= 0).all() and (hi < n).all() and (w >= 1).all())
         if valid and not ((lo[1:] > lo[:-1]) | ((lo[1:] == lo[:-1]) & (hi[1:] > hi[:-1]))).all():
             order = np.lexsort((hi, lo))
             lo, hi, w = lo[order], hi[order], w[order]
             twice = np.flatnonzero((lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1]))
             if len(twice):  # every edge is fine on its own, so this is the error
                 raise ValueError(f"duplicate edge ({lo[twice[0]]}, {hi[twice[0]]})")
-        if not valid:
-            _scan_edges(n, rows.tolist() if isinstance(rows, np.ndarray) else rows)
-            raise RuntimeError("the per-edge scan accepted edges that a bulk check rejected")
+        if not valid:  # name the first bad edge in input order
+            idx = int(np.flatnonzero((lo == hi) | (lo < 0) | (hi >= n) | (w < 1))[0])
+            a, b = lo[idx], hi[idx]
+            fault = (f"self loop at node {a}" if a == b else f"endpoints ({a}, {b}) out of range for n={n}"
+                     if a < 0 or b >= n else f"weight must be >= 1, got {w[idx]}")
+            raise ValueError(f"edges[{idx}]: {fault}")
         self.node_count = n
         self.u, self.v = u, v = lo.astype(np.int64, copy=False), hi.astype(np.int64, copy=False)
         # u is sorted: its counts are the gaps between where each node starts
@@ -264,7 +254,9 @@ class PncInstance:
     A consumer who has not bought yet values the good at their intrinsic value
     plus the total weight of edges to other consumers who have not bought
     either; purchases by neighbors only ever lower their value. ``intrinsic``,
-    any sequence of ints or an integer array, is kept as a read-only copy.
+    any sequence of integers or an integer array, is kept as a read-only
+    array as ``_int_array`` reads it: an int64 array that is read-only and
+    owns its data as it is, any other as a copy.
     """
 
     graph: WeightedGraph
@@ -272,13 +264,7 @@ class PncInstance:
 
     def __post_init__(self) -> None:
         n = _as_type(self.graph, WeightedGraph, "graph").node_count
-        values = self.intrinsic
-        if not (isinstance(values, np.ndarray) and values.dtype.kind == "i" and values.ndim == 1):
-            values = _as_tuple(values, "intrinsic")
-            if not _all_ints(values):  # the scan names the first bad value
-                for i, x in enumerate(values):
-                    _as_int(x, f"intrinsic[{i}]")
-        values = _exact_array(values)
+        values = _int_array(self.intrinsic, "intrinsic")
         if len(values) != n:
             raise ValueError(f"intrinsic has {len(values)} entries for {n} nodes")
         if values.min() < 0:
@@ -301,9 +287,7 @@ class PncInstance:
         intrinsic: Sequence[int] | None = None,
     ) -> "PncInstance":
         graph = WeightedGraph(node_count, edges)
-        if intrinsic is None:
-            intrinsic = np.zeros(node_count, np.int64)
-        return cls(graph, intrinsic)
+        return cls(graph, _read_only(np.zeros(graph.node_count, np.int64)) if intrinsic is None else intrinsic)
 
     @classmethod
     def unweighted(
@@ -312,14 +296,9 @@ class PncInstance:
         pairs: Iterable[tuple[int, int]],
         intrinsic: Sequence[int] | None = None,
     ) -> "PncInstance":
-        edges = []
-        for idx, pair in enumerate(_as_tuple(pairs, "pairs")):
-            try:
-                u, v = pair
-            except (TypeError, ValueError):
-                raise ValueError(f"pairs[{idx}]: expected (u, v), got {pair!r}") from None
-            edges.append((_as_int(u, f"pairs[{idx}]: endpoint"), _as_int(v, f"pairs[{idx}]: endpoint"), 1))
-        return cls.from_edges(node_count, edges, intrinsic)
+        pairs = _int_array(pairs, "pairs", (("u", "endpoint"), ("v", "endpoint")))
+        return cls.from_edges(node_count, _read_only(np.column_stack((pairs, np.ones(len(pairs), pairs.dtype)))),
+                              intrinsic)
 
     @property
     def node_count(self) -> int:
@@ -372,11 +351,16 @@ class SaleTrace:
                      for price, a, b in zip(self.prices.tolist(), ends, ends[1:]))
 
 
-def validate_prices(prices: Sequence[int]) -> PriceSequence:
-    out = tuple(_as_int(p, f"prices[{i}]") for i, p in enumerate(_as_tuple(prices, "prices")))
-    if any(p < 0 for p in out):
+def _price_array(prices: Sequence[int]) -> np.ndarray:
+    """``prices`` as ``_int_array`` reads them, each checked nonnegative."""
+    array = _int_array(prices, "prices")
+    if len(array) and array.min() < 0:
         raise ValueError("prices must be nonnegative")
-    return out
+    return array
+
+
+def validate_prices(prices: Sequence[int]) -> PriceSequence:
+    return tuple(_price_array(prices).tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,11 @@ of the round) against the posted price, and buys iff value >= price. All
 purchases in a round happen simultaneously; the value drops they cause are
 visible from the next round on. A price of 0 sells to every remaining
 consumer and contributes no revenue. ``Market.sell`` sells every round in
-a run of rounds per O(n) vectorised scan, reading the CSR (from its first
-settle on) only in rows of nodes it may sell. A run whose only round is the
+a run of rounds per O(n) vectorised scan, reading the CSR only in rows of
+nodes it may sell that have an edge. A run whose only round is the
 process's last only marks its buyers: no later round reads a value, so a
-single price never builds the CSR, nor does one tie group of everyone.
+single price never builds the CSR, nor do one tie group of everyone and
+greedy on a graph without edges.
 ``sell`` hands out arrays, and its callers pick each round's price.
 """
 
@@ -22,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import PncInstance, PriceSequence, SaleTrace, _as_type, _exact_array, _read_only, validate_prices
+from .core import PncInstance, PriceSequence, SaleTrace, _as_type, _price_array, _read_only, validate_prices
 
 
 def _join(parts: list[np.ndarray], dtype: np.dtype) -> np.ndarray:
@@ -53,10 +54,13 @@ class Market:
 
     def rows(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The positions of ``nodes``' CSR rows back to back, in the order
-        given, and each row's length."""
-        starts, lengths = self.graph.indptr[nodes], self.graph.degrees[nodes]
-        rows = (starts - lengths.cumsum() + lengths).repeat(lengths) + np.arange(lengths.sum())
-        return rows, lengths
+        given, and each row's length; nodes without an edge read no CSR."""
+        lengths = self.graph.degrees[nodes]
+        size = int(lengths.sum())
+        if not size:
+            return np.zeros(0, np.intp), lengths
+        starts = self.graph.indptr[nodes]
+        return (starts - lengths.cumsum() + lengths).repeat(lengths) + np.arange(size), lengths
 
     def settle(self, buyers: np.ndarray, rows: np.ndarray | None = None) -> None:
         """Make ``buyers`` owners and lower their neighbours still selling,
@@ -64,8 +68,11 @@ class Market:
         gathered them already, as ``Market.rows`` gives them."""
         self.values[buyers] = -1
         if rows is None:
-            # one buyer's row is a slice, cheaper than gathered positions
+            # one buyer's row is a slice, cheaper than gathered positions, and
+            # a buyer without an edge reads no CSR
             if len(buyers) == 1:
+                if not self.graph.degrees[buyers[0]]:
+                    return
                 rows = slice(self.graph.indptr[buyers[0]], self.graph.indptr[buyers[0] + 1])
             else:
                 rows = self.rows(buyers)[0]
@@ -185,8 +192,8 @@ class Market:
 def simulate(instance: PncInstance, prices: Sequence[int]) -> SaleTrace:
     """Run the selling process for ``prices`` and return the full trace."""
     market = Market(instance)
-    prices = validate_prices(prices)
-    return market.trace(_exact_array(prices), *market.sell(prices)[1:])
+    prices = _price_array(prices)
+    return market.trace(prices, *market.sell(prices.tolist())[1:])
 
 
 def make_irredundant(instance: PncInstance, prices: Sequence[int]) -> PriceSequence:

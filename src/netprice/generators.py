@@ -20,7 +20,7 @@ from .core import PncInstance, _as_int, _as_real, _check_params
 
 def _seed(seed: int) -> int:
     # numpy's own error for a negative seed does not name it
-    if _as_int(seed, "seed") < 0:
+    if (seed := _as_int(seed, "seed")) < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
     return seed
 
@@ -54,9 +54,9 @@ def _check_size(count: int, call: str, items: str = "edges") -> None:
 
 def gen_er(n: int, eta: float, seed: int) -> PncInstance:
     """Every unordered pair becomes an edge independently with probability eta."""
-    if _as_int(n, "n") < 2:
+    if (n := _as_int(n, "n")) < 2:
         raise ValueError(f"gen_er needs n >= 2, got {n}")
-    if not 0 <= _as_real(eta, "eta") <= 1:
+    if not 0 <= (eta := _as_real(eta, "eta")) <= 1:
         raise ValueError(f"eta must be in [0, 1], got {eta}")
     _check_size(n * (n - 1) // 2, f"gen_er({n}, {eta})", "candidate pairs")
     rng = _rng(seed)
@@ -119,9 +119,9 @@ def gen_ba(n: int, beta: int, seed: int) -> PncInstance:
     arrival necessarily takes the whole seed clique, so the final minimum
     degree is beta. More than ``_DENSE_PAIR_LIMIT`` edges raises ValueError.
     """
-    if _as_int(beta, "beta") < 1:
+    if (beta := _as_int(beta, "beta")) < 1:
         raise ValueError(f"beta must be a positive integer, got {beta!r}")
-    if _as_int(n, "n") <= beta:
+    if (n := _as_int(n, "n")) <= beta:
         raise ValueError(f"gen_ba needs n > beta, got n={n}, beta={beta}")
     edge_count = math.comb(beta, 2) + beta * (n - beta)
     _check_size(edge_count, f"gen_ba({n}, {beta})")
@@ -150,7 +150,7 @@ def gen_spider(k: int) -> PncInstance:
 
     More than ``_DENSE_PAIR_LIMIT`` edges raises ValueError.
     """
-    if _as_int(k, "k") < 1:
+    if (k := _as_int(k, "k")) < 1:
         raise ValueError(f"gen_spider needs k >= 1, got {k}")
     _check_size(2 * k, f"gen_spider({k})")
     middles = np.arange(1, 2 * k, 2)
@@ -168,7 +168,7 @@ def gen_example1(k: int) -> PncInstance:
     a k whose edge count is above ``_DENSE_PAIR_LIMIT`` (k >= 7) raises
     ValueError before any edge is built.
     """
-    if _as_int(k, "k") < 2:
+    if (k := _as_int(k, "k")) < 2:
         raise ValueError(f"gen_example1 needs k >= 2, got {k}")
     # the count grows with k, and hub edges alone pass the limit at k = 11
     capped = min(k, 11)
@@ -198,11 +198,11 @@ def gen_split(n: int, clique_fraction: float, edge_prob: float, seed: int) -> Pn
     than ``_DENSE_PAIR_LIMIT`` candidate pairs raises ValueError before any
     draw.
     """
-    if _as_int(n, "n") < 2:
+    if (n := _as_int(n, "n")) < 2:
         raise ValueError(f"gen_split needs n >= 2, got {n}")
-    if not 0 < _as_real(clique_fraction, "clique_fraction") < 1:
+    if not 0 < (clique_fraction := _as_real(clique_fraction, "clique_fraction")) < 1:
         raise ValueError(f"clique_fraction must be in (0, 1), got {clique_fraction}")
-    if not 0 <= _as_real(edge_prob, "edge_prob") <= 1:
+    if not 0 <= (edge_prob := _as_real(edge_prob, "edge_prob")) <= 1:
         raise ValueError(f"edge_prob must be in [0, 1], got {edge_prob}")
     k = math.ceil(clique_fraction * n)
     _check_size(math.comb(k, 2) + k * (n - k), f"gen_split({n}, {clique_fraction})", "candidate pairs")
@@ -283,9 +283,9 @@ def gen_forest(n: int, tree_count: int, seed: int) -> PncInstance:
     half a second for any ``tree_count`` at n = 1000. All counting is exact
     integer arithmetic, so the distribution is exactly uniform.
     """
-    if _as_int(n, "n") < 1:
+    if (n := _as_int(n, "n")) < 1:
         raise ValueError(f"gen_forest needs n >= 1, got {n}")
-    if not 1 <= _as_int(tree_count, "tree_count") <= n:
+    if not 1 <= (tree_count := _as_int(tree_count, "tree_count")) <= n:
         raise ValueError(f"tree_count must be in [1, n], got {tree_count}")
     if n > 1000:
         raise ValueError("gen_forest's exact sampler is limited to n <= 1000")

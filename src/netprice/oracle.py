@@ -98,7 +98,7 @@ def exact_opt(instance: PncInstance, state_budget: int = STATE_BUDGET) -> Oracle
     ``min(n, 1 + largest initial value)`` exceeds ``DEPTH_LIMIT``.
     """
     n = _as_type(instance, PncInstance, "instance").node_count
-    if _as_int(state_budget, "state_budget") < 1:
+    if (state_budget := _as_int(state_budget, "state_budget")) < 1:
         raise ValueError("state_budget must be positive")
     # every node's numbers as Python ints, read once: the search's sums stay exact
     initial = instance.initial_values.tolist()

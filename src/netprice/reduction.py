@@ -40,7 +40,8 @@ class CnfFormula:
     Variables are 1-based; a negative literal negates its variable. Every
     clause names three distinct variables; every variable occurs at most
     three times overall and at least once in each polarity. ``clauses`` is
-    kept as a tuple of tuples.
+    kept as a tuple of tuples of Python ints, as is the variable count: a
+    numpy integer reads as the int it holds.
     """
 
     variable_count: int
@@ -49,6 +50,7 @@ class CnfFormula:
     def __post_init__(self) -> None:
         if not _all_ints((self.variable_count,)):
             raise CnfError(f"variable count must be an integer, got {self.variable_count!r}")
+        object.__setattr__(self, "variable_count", int(self.variable_count))
         if self.variable_count < 3:
             raise CnfError("at least 3 variables are required")
         clauses = _as_tuple(self.clauses, "clauses", CnfError)
@@ -86,7 +88,7 @@ class CnfFormula:
             if pos == 0 or neg == 0:
                 missing = "positive" if pos == 0 else "negative"
                 raise CnfError(f"variable {variable}: missing a {missing} occurrence")
-        object.__setattr__(self, "clauses", clauses)
+        object.__setattr__(self, "clauses", tuple(tuple(map(int, clause)) for clause in clauses))
 
     def occurrences(self, variable: int) -> tuple[int, int]:
         """Counts of positive and negative occurrences of ``variable``."""
@@ -183,6 +185,7 @@ def variable_gadget_edges(
     """
     if not _all_ints((x, not_x, y1, y2, y3, scale)):
         raise ValueError(f"gadget nodes and scale must be integers, got {(x, not_x, y1, y2, y3, scale)!r}")
+    x, not_x, y1, y2, y3, scale = map(int, (x, not_x, y1, y2, y3, scale))
     return [
         (x, y1, 3 * scale),
         (x, y2, 3 * scale),
@@ -198,6 +201,7 @@ def clause_gadget_edges(c: int, d: int, e: int, scale: int) -> list[tuple[int, i
     c is worth 2*scale plus one unit per still-unsold literal node."""
     if not _all_ints((c, d, e, scale)):
         raise ValueError(f"gadget nodes and scale must be integers, got {(c, d, e, scale)!r}")
+    c, d, e, scale = map(int, (c, d, e, scale))
     return [(c, d, scale), (c, e, scale), (d, e, scale + 1)]
 
 

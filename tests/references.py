@@ -22,7 +22,6 @@ import numpy as np
 from hypothesis import strategies as st
 
 from netprice import PncInstance, SaleTrace, SplitPartition, simulate, validate_prices
-from netprice.core import _as_int, _edge_table
 
 NAIVE_NODE_LIMIT = 8
 
@@ -253,7 +252,9 @@ def json_loads_instance(text):
         raise ValueError(f"unknown instance fields: {sorted(unknown)}")
     if "n" not in payload:
         raise ValueError("instance file is missing field 'n'")
-    n = _as_int(payload["n"], "n")
+    n = payload["n"]
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise ValueError(f"n must be an integer, got {n!r}")
     raw_edges = payload.get("edges", [])
     if not isinstance(raw_edges, list):
         raise ValueError("'edges' must be a list of [u, v, w] triples")
@@ -263,10 +264,10 @@ def json_loads_instance(text):
             raise ValueError("'nu' must be a list of integers")
         if len(nu) != n:
             raise ValueError(f"'nu' has {len(nu)} entries for n={n}")
-    table = _edge_table(raw_edges)
-    instance = PncInstance.from_edges(n, raw_edges if table is None else table, nu)
-    backwards = np.flatnonzero(table[:, 0] >= table[:, 1])
-    if len(backwards):
+    instance = PncInstance.from_edges(n, raw_edges, nu)
+    # the graph accepted every edge, so each is a list of three ints
+    backwards = [index for index, (u, v, _) in enumerate(raw_edges) if u >= v]
+    if backwards:
         raise ValueError(f"edges[{backwards[0]}]: endpoints must satisfy u < v")
     return instance
 

@@ -391,7 +391,9 @@ def test_single_prices_build_no_csr():
     # run's only round: a price list's last new minimum with no price after
     # it, or a tie group of every unsold node. So a strategy that posts one
     # price never builds the graph's CSR rows, and neither does greedy when
-    # its first tie group sells everyone.
+    # its first tie group sells everyone. A buyer without an edge reads no
+    # CSR row either, so greedy on an edgeless graph of distinct values,
+    # whose rounds each sell one buyer, builds no ``indptr``.
     clique = [(u, v) for u in range(30) for v in range(u + 1, 30)]
     for strategy, instance in ((best_single_price, gen_er(300, 0.1, 2)),
                                (forest_single_price, gen_forest(200, 3, 1)),
@@ -401,6 +403,10 @@ def test_single_prices_build_no_csr():
         trace = strategy(fresh)
         assert "_rows" not in fresh.graph.__dict__
         assert trace == rescan_simulate(fresh, trace.prices)
+    distinct = loads_instance(dumps_instance(PncInstance.from_edges(1000, [], range(1000))))
+    trace = greedy_iterative(distinct)
+    assert len(trace.prices) == 1000 and "indptr" not in distinct.graph.__dict__
+    assert trace == rescan_simulate(distinct, trace.prices)
 
 
 def test_min_degree_independent():

@@ -9,7 +9,9 @@ process.
 """
 
 import contextlib
+import dataclasses
 import io
+import json
 import math
 import sys
 from unittest import mock
@@ -21,7 +23,7 @@ from hypothesis import strategies as st
 
 import netprice
 from netprice import CnfFormula, OracleBudgetError, PncInstance, build_reduction, dumps_instance, gen_split, simulate
-from netprice.cli import EXPERIMENTS, run_cli
+from netprice.cli import EXPERIMENTS, experiment_tasks, run_cli, run_experiment
 from references import weighted_instances
 
 _FORMULA = CnfFormula(3, ((1, 2, 3), (-1, -2, 3), (1, -2, -3)))
@@ -174,6 +176,97 @@ def test_public_calls_work_or_raise_value_error(folder, name, data):
     except OSError:  # a path's own errors are the operating system's, as open() gives them
         if not any(kind.endswith("_path") for kind in kinds):
             raise
+
+
+def _int_calls(cast):
+    """Every public call that takes an int or a sequence of ints, each int
+    given through ``cast``: a name to a thunk."""
+    # a negative literal in a type that holds it
+    lit = cast if np.dtype(cast).kind == "i" else np.int16
+    ints = lambda *values: [cast(x) for x in values]
+    clauses = [tuple(map(lit, clause)) for clause in _FORMULA.clauses]
+    er = netprice.gen_er(30, 0.3, 1)
+    prices = netprice.greedy_iterative(er).prices.tolist()[:8] + [40, 0]
+    return {
+        "WeightedGraph": lambda: netprice.WeightedGraph(cast(4), [ints(3, 1, 2), ints(0, 2, 5)]),
+        "PncInstance": lambda: PncInstance(netprice.WeightedGraph(3, []), ints(1, 0, 7)),
+        "PncInstance.from_edges": lambda: PncInstance.from_edges(cast(3), [ints(0, 2, 5)], ints(1, 0, 7)),
+        "PncInstance.unweighted": lambda: PncInstance.unweighted(cast(3), [ints(0, 1), ints(2, 1)], ints(0, 4, 0)),
+        "validate_prices": lambda: netprice.validate_prices(ints(5, 2, 0)),
+        "simulate": lambda: simulate(er, ints(*prices)),
+        "normalize": lambda: netprice.normalize(er, ints(*prices)),
+        "make_irredundant": lambda: netprice.make_irredundant(er, ints(*prices)),
+        "gen_er": lambda: netprice.gen_er(cast(30), 0.3, cast(1)),
+        "gen_er eta": lambda: netprice.gen_er(cast(10), cast(1), cast(0)),
+        "gen_ba": lambda: netprice.gen_ba(cast(20), cast(2), cast(0)),
+        "gen_spider": lambda: netprice.gen_spider(cast(3)),
+        "gen_example1": lambda: netprice.gen_example1(cast(2)),
+        "gen_split": lambda: gen_split(cast(10), 0.3, 0.5, cast(2)),
+        "gen_forest": lambda: netprice.gen_forest(cast(10), cast(2), cast(0)),
+        "generate": lambda: netprice.generate("ba", {"n": cast(12), "beta": cast(2)}, cast(4)),
+        "ba_single_price": lambda: netprice.ba_single_price(netprice.gen_ba(20, 2, 0), cast(2)),
+        "exact_opt": lambda: netprice.exact_opt(netprice.gen_er(12, 0.4, 1), cast(500)),
+        "CnfFormula": lambda: CnfFormula(cast(3), clauses),
+        "artifact_metadata": lambda: netprice.artifact_metadata(build_reduction(CnfFormula(cast(3), clauses))),
+        "clause_gadget_edges": lambda: netprice.clause_gadget_edges(*ints(0, 1, 2, 5)),
+        "variable_gadget_edges": lambda: netprice.variable_gadget_edges(*ints(0, 1, 2, 3, 4, 7)),
+        "experiment_tasks": lambda: experiment_tasks("bound_sweep", {"n_min": cast(3), "n_max": cast(4)},
+                                                     cast(2), cast(5)),
+        "run_experiment": lambda: run_experiment("forest_ratio", {"n": cast(6)}, cast(1), cast(0), cast(1)),
+    }
+
+
+def _numbers(result):
+    """What a result stores or returns, as plain containers and arrays."""
+    if isinstance(result, netprice.WeightedGraph):
+        return result.node_count, result.edges
+    if isinstance(result, PncInstance):
+        return _numbers(result.graph), result.intrinsic.tolist()
+    if isinstance(result, netprice.SaleTrace):
+        return result.prices.tolist(), result.buyers.tolist(), result.ends.tolist(), result.revenue
+    if dataclasses.is_dataclass(result):
+        return dataclasses.astuple(result)
+    return result
+
+
+def _numpy_scalars(value):
+    """The numpy scalars anywhere in nested tuples, lists and dicts."""
+    if isinstance(value, dict):
+        value = [*value, *value.values()]
+    if isinstance(value, (tuple, list, frozenset)):
+        return [scalar for item in value for scalar in _numpy_scalars(item)]
+    return [value] if isinstance(value, np.generic) else []
+
+
+@pytest.mark.parametrize("cast", [np.int64, np.int32, np.uint16])
+@pytest.mark.parametrize("name", sorted(_int_calls(int)))
+def test_numpy_integers_read_as_python_ints(name, cast):
+    # a numpy integer, or a list of them as iterating an array gives, is read
+    # as the Python int it holds: the same result, holding only Python ints
+    expected, got = _int_calls(int)[name](), _int_calls(cast)[name]()
+    assert got == expected
+    assert _numpy_scalars(_numbers(got)) == []
+    if name == "artifact_metadata":
+        assert json.loads(json.dumps(got)) == got
+
+
+def test_arrays_handed_out_are_taken_back_as_lists():
+    instance = netprice.gen_er(30, 0.3, 1)
+    trace = netprice.greedy_iterative(instance)
+    assert simulate(instance, list(trace.prices)) == simulate(instance, trace.prices) == trace
+    assert simulate(instance, np.array([5], np.uint64)) == simulate(instance, [5])
+    assert PncInstance.from_edges(3, [], list(np.array([1, 2, 3]))) == PncInstance.from_edges(3, [], [1, 2, 3])
+    assert CnfFormula(np.int64(3), _FORMULA.clauses) == _FORMULA
+    assert netprice.gen_er(np.int64(30), 0.3, 1) == instance
+    # a value past int64 in an unsigned array stays exact
+    big = PncInstance.from_edges(2, [], np.array([2**64 - 1, 0], np.uint64))
+    assert big.intrinsic.dtype == object and big.intrinsic.tolist() == [2**64 - 1, 0]
+    # a bool is no integer, as a Python or as a numpy scalar
+    for flag in (True, np.bool_(True)):
+        with pytest.raises(ValueError, match=r"^prices\[1\] must be an integer, got "):
+            netprice.validate_prices([1, flag])
+        with pytest.raises(ValueError, match=r"^n must be an integer, got "):
+            netprice.gen_er(flag, 0.5, 0)
 
 
 # as often small as invalid

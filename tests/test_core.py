@@ -3,6 +3,7 @@
 import ast
 import json
 import random
+import re
 import warnings
 from operator import mul
 from pathlib import Path
@@ -47,6 +48,11 @@ def test_graph_rejects_bad_edges():
         WeightedGraph(3, ((0, 3, 1),))
     with pytest.raises(ValueError, match="weight"):
         WeightedGraph(3, ((0, 1, 0),))
+    # the first bad edge in input order, and its first fault in this order
+    with pytest.raises(ValueError, match=r"^edges\[1\]: self loop at node 1$"):
+        WeightedGraph(3, ((0, 1, 1), (1, 1, 0), (0, 3, 0)))
+    with pytest.raises(ValueError, match=r"^edges\[1\]: endpoints \(0, 3\) out of range for n=3$"):
+        WeightedGraph(3, ((0, 1, 1), (3, 0, 0), (1, 1, 0)))
     with pytest.raises(ValueError, match="integer"):
         WeightedGraph(3, ((0, 1, True),))
     with pytest.raises(ValueError, match="node_count"):
@@ -113,12 +119,32 @@ def edge_lists(draw):
     return n, edges
 
 
+def _first_value_fault(n, edges):
+    """The error naming the first edge in input order with a self loop, an
+    endpoint out of range or a weight below 1, found by a loop over the
+    edges; None if there is none."""
+    for idx, (u, v, w) in enumerate(edges):
+        u, v = min(u, v), max(u, v)
+        if u == v:
+            return f"edges[{idx}]: self loop at node {u}"
+        if u < 0 or v >= n:
+            return f"edges[{idx}]: endpoints ({u}, {v}) out of range for n={n}"
+        if w < 1:
+            return f"edges[{idx}]: weight must be >= 1, got {w}"
+    return None
+
+
 @given(edge_lists())
 def test_graph_validation_matches_reference(case):
     n, edges = case
     expected = _reference_edges(n, edges)
     if expected is None:
-        with pytest.raises(ValueError):
+        # with every edge three ints, the first value fault is named, else a duplicate
+        typed = all(isinstance(e, tuple) and len(e) == 3 and type(e[0]) is type(e[1]) is type(e[2]) is int
+                    for e in edges)
+        fault = _first_value_fault(n, edges) if typed else None
+        message = f"^{re.escape(fault)}$" if fault else "^duplicate edge " if typed else None
+        with pytest.raises(ValueError, match=message):
             WeightedGraph(n, tuple(edges))
         return
     graph = WeightedGraph(n, tuple(edges))

@@ -4,6 +4,7 @@ import hashlib
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -364,6 +365,22 @@ def test_example1_too_large_raises_before_building(k):
     try:
         with pytest.raises(ValueError, match="over 30,000,000 edges"):
             gen_example1(k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_sizes_are_counted_in_python_ints():
+    # an np.int64 n is read as the Python int it holds: in int64, n * (n - 1)
+    # // 2 would wrap (to 3883139810726120960 here, with a RuntimeWarning,
+    # an error below) instead of counting the pairs
+    tracemalloc.start()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^gen_er\(10000000000, 0\.5\) would build over 30,000,000 "):
+                gen_er(np.int64(10**10), 0.5, 0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

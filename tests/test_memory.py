@@ -20,8 +20,10 @@ per-node and per-round numbers were kept only as arrays (intrinsic and
 initial values, degrees, and a trace's prices and round offsets, where
 tuples and lists of Python ints stood beside them), loading and
 greedy-pricing an edgeless 1,000,000-node instance with values uniform in
-[0, 10^6) peaked at 196.7 MiB, now 90.4, and greedy's peak on the matching
-was 20.7 MiB, now 15.4.
+[0, 10^6) peaked at 196.7 MiB, then 90.4, and greedy's peak on the matching
+was 20.7 MiB, now 15.4. Before a buyer without an edge read no CSR row,
+greedy built the graph's ``indptr`` for that edgeless instance, one
+settled buyer at a time: its peak was 90.4 MiB, now 81.7.
 """
 
 import gc
@@ -145,8 +147,8 @@ def test_load_and_greedy_peak_with_values(tmp_path):
     # an edgeless 1,000,000-node file with values uniform in [0, 10^6): greedy
     # sells each distinct value in its own round, 632,093 rounds. The loader
     # decodes the values once as Python ints; after that the peak is the
-    # per-node and per-round arrays: about 95 B per node in all (about 3 GiB
-    # at the node limit, 2^25, by extrapolation)
+    # per-node and per-round arrays, and no CSR: about 86 B per node in all
+    # (about 2.8 GiB at the node limit, 2^25, by extrapolation)
     n = 1_000_000
     nu = np.random.default_rng(0).integers(0, 10**6, n)
     path = tmp_path / "values.json"
@@ -154,4 +156,4 @@ def test_load_and_greedy_peak_with_values(tmp_path):
     trace, peak, _ = _traced(lambda: greedy_iterative(load_instance(str(path))))
     assert len(trace.prices) == len(np.unique(nu)) == 632_093
     assert trace.revenue == int(nu.sum()) and not trace.residual
-    assert peak < 99.5 * MIB, peak / MIB  # measured 90.4 MiB
+    assert peak < 90.0 * MIB, peak / MIB  # measured 81.7 MiB

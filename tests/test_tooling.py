@@ -144,3 +144,33 @@ def test_readme_names_resolve():
     names = sorted(set(re.findall(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)`", README.read_text(encoding="utf-8"))))
     assert "Market.sell" in names and "cli.EXPERIMENTS" in names
     assert [name for name in names if not _resolves(name)] == []
+
+
+def _unbound_checks(source):
+    """The line of each ``_as_int`` or ``_as_real`` call on a bare name whose
+    result neither rebinds that name (by assignment or ``:=``) nor is returned."""
+    tree = ast.parse(source)
+    parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    found = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in ("_as_int", "_as_real") and node.args and isinstance(node.args[0], ast.Name)):
+            continue
+        name, parent = node.args[0].id, parents[node]
+        targets = (parent.targets if isinstance(parent, ast.Assign)
+                   else [parent.target] if isinstance(parent, ast.NamedExpr) else [])
+        if not (isinstance(parent, ast.Return) or any(isinstance(t, ast.Name) and t.id == name for t in targets)):
+            found.append(node.lineno)
+    return sorted(found)
+
+
+def test_checked_scalars_are_rebound():
+    # _as_int and _as_real return the Python number a numpy scalar holds; a
+    # call whose result is dropped (`if _as_int(n, "n") < 2:`) leaves n a
+    # numpy scalar, whose products wrap silently in int64
+    assert _unbound_checks('def f(n, k):\n    if _as_int(n, "n") < 2:\n        pass\n'
+                           '    k = _as_int(k, "k")\n    if (n := _as_int(n, "n")) < 2:\n        pass\n'
+                           '    m = _as_int(n, "n")\n    return _as_real(n, "n")\n') == [2, 7]
+    modules = sorted(PACKAGE.glob("*.py"))
+    found = [f"{path.name}:{line}" for path in modules for line in _unbound_checks(path.read_text(encoding="utf-8"))]
+    assert found == []
