@@ -115,8 +115,9 @@ def _int_array(values, what: str, fields: tuple[tuple[str, str], ...] = ()) -> n
     A sequence of Python ints is checked in bulk, once per type; any other
     is read entry by entry, each integer as the Python int it holds, up to a
     ValueError naming the first bad entry. An int64 array that is read-only
-    and owns its data is kept as it is; any other is copied, so the result
-    never changes under its caller's writes.
+    and owns its data is kept as it is; any other is copied. So the result
+    does not change under its caller's writes as long as the caller keeps a
+    kept array read-only: its owner could make it writable again.
     """
     width = len(fields)
     if (isinstance(values, np.ndarray) and values.dtype.kind in "iu" and values.ndim
@@ -151,7 +152,8 @@ class WeightedGraph:
 
     An edge array is kept as it is when it is read-only and owns its data,
     as the loader's and the generators' tables are; any other is copied
-    first, so a graph never changes under its caller's writes.
+    first. So a graph does not change under its caller's writes as long as
+    the caller keeps a kept array read-only.
     """
 
     def __init__(self, node_count: int, edges: Iterable | np.ndarray) -> None:
@@ -256,7 +258,9 @@ class PncInstance:
     either; purchases by neighbors only ever lower their value. ``intrinsic``,
     any sequence of integers or an integer array, is kept as a read-only
     array as ``_int_array`` reads it: an int64 array that is read-only and
-    owns its data as it is, any other as a copy.
+    owns its data as it is, any other as a copy. So ``intrinsic`` does not
+    change under its caller's writes while the caller keeps a kept array
+    read-only.
     """
 
     graph: WeightedGraph

@@ -5,25 +5,25 @@ value (intrinsic plus weights of edges to other non-owners, fixed at the start
 of the round) against the posted price, and buys iff value >= price. All
 purchases in a round happen simultaneously; the value drops they cause are
 visible from the next round on. A price of 0 sells to every remaining
-consumer and contributes no revenue. ``Market.sell`` sells every round in
-a run of rounds per O(n) vectorised scan, reading the CSR only in rows of
-nodes it may sell that have an edge. A run whose only round is the
-process's last only marks its buyers: no later round reads a value, so a
-single price never builds the CSR, nor do one tie group of everyone and
-greedy on a graph without edges.
+consumer and contributes no revenue. Values only fall, so only a price
+below every earlier one and at most the highest value can sell:
+``Market.sell`` posts those, a run of rounds per O(n) vectorised scan,
+reading the CSR only in rows of nodes it may sell that have an edge. A run
+whose only round is the process's last (no posted price after it) only
+marks its buyers: no later round reads a value, so a single price never
+builds the CSR, nor do one tie group of everyone and greedy without edges.
 ``sell`` hands out arrays, and its callers pick each round's price.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import compress
 from operator import mul
 from typing import Sequence
 
 import numpy as np
 
-from .core import PncInstance, PriceSequence, SaleTrace, _as_type, _price_array, _read_only, validate_prices
+from .core import PncInstance, PriceSequence, SaleTrace, _as_type, _price_array, _read_only
 
 
 def _join(parts: list[np.ndarray], dtype: np.dtype) -> np.ndarray:
@@ -81,25 +81,31 @@ class Market:
         # exact in either dtype, and a neighbour of several buyers drops once per buyer
         np.subtract.at(self.values, neighbours[still], self.weights[rows][still])
 
-    def sell(self, prices: PriceSequence | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Post ``prices``, or with None greedy's (the highest current value,
-        until everyone owns): each round's lowest buyer value (0 if it sold
-        nobody; greedy's prices), all buyers round by round (each round's
-        increasing), and the offsets where rounds end, from 0, as arrays.
+    def sell(self, prices: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Post ``prices`` (an array as ``_price_array`` reads them), or with
+        None greedy's (the highest current value, until everyone owns): each
+        round's lowest buyer value (0 if it sold nobody; greedy's prices), all
+        buyers round by round (each round's increasing), and the offsets where
+        rounds end, from 0, as arrays.
 
-        One scan sells a run: the next ``want`` prices that are new minima at
-        most ``top`` (no other sells), or greedy's tie groups among the ``want``
-        highest values. Every unsold node valued at or above the run's last
-        price is a candidate, of the first round priced at or below its value.
-        Values only fall, so the rounds before the first with a member adjacent
-        to an earlier round's candidate sell exactly their candidates: the run
-        takes them. ``want`` starts at 1 and doubles, or is twice what a cut
-        run took (nodes for greedy, prices else). A run of one round needs no
-        sort, and when that round is the process's last (no price follows it,
-        or it sells every unsold node) it only marks its buyers as owners.
+        Only a price at most ``top`` and below every earlier one is posted; no
+        other sells. One scan sells a run: the next ``want`` posted prices, or
+        greedy's tie groups among the ``want`` highest values. Every unsold
+        node valued at or above the run's last price is a candidate, of the
+        first round priced at or below its value. Values only fall, so the
+        rounds before the first with a member adjacent to an earlier round's
+        candidate sell exactly their candidates: the run takes them. ``want``
+        starts at 1 and doubles, or is twice what a cut run took (nodes for
+        greedy, posted prices else), or 1 after a cut first round. A run of one
+        round needs no sort, and when it is the process's last (no posted price
+        follows it, or it sells every unsold node) it only marks its buyers.
         """
         values = self.values
-        end = None if prices is None else len(prices)
+        if prices is not None:
+            keep = prices <= self.top
+            keep[1:] &= prices[1:] < np.minimum.accumulate(prices)[:-1]
+            posted = prices[keep].astype(values.dtype, copy=False)
+        end = None if prices is None else len(posted)
         left = int(np.count_nonzero(values >= 0))
         # each run's lows, buyers and round ends, joined once
         lows_parts, chunks, ends_parts = [], [], [np.zeros(1, np.int64)]
@@ -111,23 +117,18 @@ class Market:
                 kth = min(want, left) - 1
                 low = -int(np.partition(-values, kth)[kth])
             else:
-                stop, index, low = min(at + want, end), [], self.top + 1
-                for i in range(at, stop):
-                    if prices[i] < low:
-                        index.append(i)
-                        low = prices[i]
-            candidates = (values >= low).nonzero()[0] if prices is None or index else ()
-            if not len(candidates):
-                lows_parts.append(np.zeros(stop - at, values.dtype))
-                ends_parts.append(np.full(stop - at, sold))
-                at, want = stop, 2 * want
-                continue
+                tops = posted[at:at + want]
+                low = tops[-1]
+            candidates = (values >= low).nonzero()[0]
             own = values[candidates]
-            if len(index) == 1 if prices is not None else own.max() == low:
+            if not len(own):  # posted prices above every value: settling nobody would build the CSR
+                taken, bought = len(tops), candidates
+                ends, lows = np.zeros(taken, np.int64), np.zeros(taken, values.dtype)
+            elif len(tops) == 1 if prices is not None else own.max() == low:
                 # one round, of every candidate, so no sort; as the process's
                 # last round it only marks them, for no later round reads a value
                 ends, lows, taken, bought = np.array([len(own)]), own.min(keepdims=True), 1, candidates
-                if len(own) == left or prices is not None and stop == end:
+                if len(own) == left or at + 1 == end:
                     values[candidates] = -1
                 else:
                     self.settle(candidates)
@@ -136,8 +137,6 @@ class Market:
                 candidates, own = candidates[order], own[order]
                 if prices is None:
                     tops = own[np.concatenate(([True], own[1:] != own[:-1])).nonzero()[0]]
-                else:
-                    tops = np.array([prices[i] for i in index], values.dtype)
                 # the candidates of the rounds up to each: those valued at or above its price
                 ends = len(own) - own[::-1].searchsorted(tops)
                 lows = own[ends - 1]
@@ -159,25 +158,20 @@ class Market:
                 bought = candidates[:ends[taken - 1]]
                 if prices is not None:  # each round's buyers increasing, as greedy's tie groups are
                     bought = bought[np.lexsort((bought, ends[:taken].searchsorted(np.arange(len(bought)), "right")))]
-            if prices is None:  # greedy's rounds are the run's tie groups
-                index, stop = range(at, at + len(ends)), at + len(ends)
             count = int(ends[taken - 1])
-            done = index[taken] if taken < len(index) else stop
-            reach, lows = ends[:taken], lows[:taken]
-            if len(index) != stop - at:  # a price that is no new minimum sells nobody
-                slot = np.searchsorted(index[:taken], np.arange(at, done), "right")
-                reach, spread = np.append(0, reach)[slot], np.zeros(done - at, values.dtype)
-                spread[np.subtract(index[:taken], at)] = lows
-                lows = spread
-            lows_parts.append(lows)
-            ends_parts.append(sold + reach)
+            lows_parts.append(lows[:taken])
+            ends_parts.append(sold + ends[:taken])
             chunks.append(bought)
-            want = 2 * want if taken == len(index) else 2 * (count if prices is None else done - at)
-            at, left, sold = done, left - count, sold + count
-        if prices is not None:  # every price after everyone owns sells nobody
-            lows_parts.append(np.zeros(end - at, values.dtype))
-            ends_parts.append(np.full(end - at, sold))
-        return _join(lows_parts, values.dtype), _join(chunks, np.intp), _join(ends_parts, np.int64)
+            want = 2 * want if taken == len(ends) else 1 if taken == 1 else 2 * (count if prices is None else taken)
+            at, left, sold = at + taken, left - count, sold + count
+        lows, buyers, ends = _join(lows_parts, values.dtype), _join(chunks, np.intp), _join(ends_parts, np.int64)
+        if prices is None:
+            return lows, buyers, ends
+        lows[ends[1:] == ends[:-1]] = 0  # a posted round that sold nobody
+        index = keep.nonzero()[0][:len(lows)]  # where the loop's rounds stand; every other sells nobody
+        spread = np.zeros(len(prices), values.dtype)
+        spread[index] = lows
+        return spread, buyers, ends[index.searchsorted(np.arange(len(prices) + 1))]
 
     def trace(self, prices: np.ndarray, buyers: np.ndarray, ends: np.ndarray) -> SaleTrace:
         """The trace of the rounds ``Market.sell`` returns, priced at ``prices``
@@ -193,7 +187,7 @@ def simulate(instance: PncInstance, prices: Sequence[int]) -> SaleTrace:
     """Run the selling process for ``prices`` and return the full trace."""
     market = Market(instance)
     prices = _price_array(prices)
-    return market.trace(prices, *market.sell(prices.tolist())[1:])
+    return market.trace(prices, *market.sell(prices)[1:])
 
 
 def make_irredundant(instance: PncInstance, prices: Sequence[int]) -> PriceSequence:
@@ -203,8 +197,8 @@ def make_irredundant(instance: PncInstance, prices: Sequence[int]) -> PriceSeque
     strictly decreasing: a consumer priced out at one round has an even lower
     value later, so a repeated or higher price can never sell again.
     """
-    prices = validate_prices(prices)
-    return tuple(compress(prices, np.diff(Market(instance).sell(prices)[2]).tolist()))
+    prices = _price_array(prices)
+    return tuple(prices[np.diff(Market(instance).sell(prices)[2]) > 0].tolist())
 
 
 def normalize(instance: PncInstance, prices: Sequence[int]) -> PriceSequence:
@@ -215,5 +209,5 @@ def normalize(instance: PncInstance, prices: Sequence[int]) -> PriceSequence:
     result sells the same partition for at least the original revenue.
     Empty rounds change nobody's value, so one pass serves both steps.
     """
-    lows, _, ends = Market(instance).sell(validate_prices(prices))
+    lows, _, ends = Market(instance).sell(_price_array(prices))
     return tuple(lows[np.diff(ends) > 0].tolist())

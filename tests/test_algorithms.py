@@ -388,12 +388,13 @@ def test_single_price_falls_behind_by_the_harmonic_factor(n):
 
 def test_single_prices_build_no_csr():
     # A process's last round only marks its buyers as owners, when it is a
-    # run's only round: a price list's last new minimum with no price after
-    # it, or a tie group of every unsold node. So a strategy that posts one
-    # price never builds the graph's CSR rows, and neither does greedy when
-    # its first tie group sells everyone. A buyer without an edge reads no
-    # CSR row either, so greedy on an edgeless graph of distinct values,
-    # whose rounds each sell one buyer, builds no ``indptr``.
+    # run's only round: a price list's last posted price (below every earlier
+    # one and at most the highest value), or a tie group of every unsold node.
+    # So a strategy that posts one price never builds the graph's CSR rows,
+    # even with a rise or a price above every value after it, and neither
+    # does greedy when its first tie group sells everyone. A buyer without an
+    # edge reads no CSR row either, so greedy on an edgeless graph of distinct
+    # values, whose rounds each sell one buyer, builds no ``indptr``.
     clique = [(u, v) for u in range(30) for v in range(u + 1, 30)]
     for strategy, instance in ((best_single_price, gen_er(300, 0.1, 2)),
                                (forest_single_price, gen_forest(200, 3, 1)),
@@ -402,6 +403,10 @@ def test_single_prices_build_no_csr():
         fresh = loads_instance(dumps_instance(instance))
         trace = strategy(fresh)
         assert "_rows" not in fresh.graph.__dict__
+        (p,), top = trace.prices.tolist(), int(fresh.initial_values.max())
+        for prices in ((p, p + 1), (p, top + 1)):
+            assert simulate(fresh, prices).revenue == trace.revenue
+            assert "_rows" not in fresh.graph.__dict__
         assert trace == rescan_simulate(fresh, trace.prices)
     distinct = loads_instance(dumps_instance(PncInstance.from_edges(1000, [], range(1000))))
     trace = greedy_iterative(distinct)

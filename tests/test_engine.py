@@ -70,13 +70,14 @@ def test_market_values_track_remaining():
     market = Market(inst)
 
     def sell(market, prices):
-        lows, buyers, ends = market.sell(prices)
+        lows, buyers, ends = market.sell(None if prices is None else np.array(prices))
         return lows.tolist(), buyers.tolist(), ends.tolist()
 
     assert market.values.tolist() == [3, 5, 3]
-    # price 4 is followed by another, so its round settles; each round
-    # reports its lowest buyer value, 0 for a round that sells nobody
-    assert sell(market, (4, 6)) == ([5, 0], [1], [0, 1, 1])
+    # price 4 is followed by a posted price, 2, so its round settles; 6 is
+    # above every value and sells nobody, and each round reports its lowest
+    # buyer value, 0 for a round that sells nobody
+    assert sell(market, (4, 6, 2)) == ([5, 0, 0], [1], [0, 1, 1, 1])
     # the buyer's neighbours drop by their edge weights; the buyer reads -1
     assert market.values.tolist() == [1, -1, 0]
     assert sell(market, (6,)) == ([0], [], [0, 0])
@@ -91,6 +92,9 @@ def test_market_values_track_remaining():
     # greedy's lows are its prices
     assert sell(Market(path3()), None) == ([2, 0], [1, 0, 2], [0, 1, 3])
     assert triangle.values.tolist() == [-1, -1, -1]
+    # a posted price above every candidate of its run sells nobody, so its
+    # low is 0, not the next round's
+    assert sell(Market(PncInstance.from_edges(2, [], [9, 20])), (20, 10, 9)) == ([20, 0, 9], [1, 0], [0, 1, 1, 2])
 
 
 def test_weighted_and_intrinsic():

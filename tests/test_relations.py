@@ -1,12 +1,13 @@
 """Metamorphic relations: how revenue moves when an instance is relabelled,
-scaled, joined with another or given an isolated node. They compare a
+scaled, joined with another or given an isolated node, and how a sale moves
+when prices that cannot sell join its list. They compare a
 strategy or the oracle only with itself, so they still fail when a change
 breaks it and its reference implementation the same way."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netprice import PncInstance, best_single_price, exact_opt, greedy_iterative
+from netprice import PncInstance, best_single_price, exact_opt, greedy_iterative, normalize, simulate
 from references import weighted_instances
 
 
@@ -68,3 +69,23 @@ def test_isolated_node_of_no_value_changes_nothing(instance):
     grown = _rebuilt(instance, nodes=instance.node_count + 1)
     assert exact_opt(grown).revenue == exact_opt(instance).revenue
     assert greedy_iterative(grown).revenue == greedy_iterative(instance).revenue
+
+
+@settings(max_examples=80, deadline=None)
+@given(weighted_instances(), st.data())
+def test_prices_that_cannot_sell_add_only_empty_rounds(instance, data):
+    # values only fall, so a price at or above an earlier one, or above
+    # every value, sells nobody and changes no later round
+    top = int(instance.initial_values.max())
+    prices = data.draw(st.lists(st.integers(0, top + 1), min_size=1, max_size=8))
+    grown, inserted = list(prices), [False] * len(prices)
+    for kind in range(4):  # a repeat, a rise, one above every value, one past int64
+        at = data.draw(st.integers(int(kind < 2), len(grown)))
+        grown.insert(at, (grown[at - 1], grown[at - 1] + 1, top + 1, 2**63)[kind])
+        inserted.insert(at, True)
+    before, after = simulate(instance, prices), simulate(instance, grown)
+    assert after.prices.tolist() == grown
+    assert [r.buyers for r, new in zip(after.rounds, inserted) if new] == [frozenset()] * 4
+    assert [r.buyers for r, new in zip(after.rounds, inserted) if not new] == [r.buyers for r in before.rounds]
+    assert (after.revenue, after.residual) == (before.revenue, before.residual)
+    assert normalize(instance, grown) == normalize(instance, prices)

@@ -123,6 +123,17 @@ def test_package_has_no_assert():
     assert found == []
 
 
+def test_market_sell_has_no_loop_per_price():
+    # ``Market.sell`` filters a price list as a whole and sells a run of
+    # rounds per scan; a ``for`` loop or a comprehension in it would bring
+    # back a Python pass per price or per round
+    tree = ast.parse((PACKAGE / "engine.py").read_text(encoding="utf-8"))
+    sell = next(node for cls in tree.body if isinstance(cls, ast.ClassDef) and cls.name == "Market"
+                for node in cls.body if isinstance(node, ast.FunctionDef) and node.name == "sell")
+    loops = (ast.For, ast.AsyncFor, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    assert [node.lineno for node in ast.walk(sell) if isinstance(node, loops)] == []
+
+
 def _resolves(dotted):
     """Whether ``dotted`` names an attribute of a netprice module, of a name
     one of them defines (``Market.sell``), or of a standard module."""
